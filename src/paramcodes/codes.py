@@ -2,13 +2,18 @@
 dimension/rank, minimum distance, closed-form torus parameters, and the
 end-to-end parameter pipeline with its cross-checks.
 
+Matrices are numpy arrays of canonical field ints.  Every point lies in
+the torus, so an entry is g^(exponents . logs of the point) and the whole
+matrix is one integer product read through the field's exp table.  Each
+matrix is reduced to echelon form once; dimension and distance share it.
+
 Minimum distance is exact whenever the number of codewords q^k fits the
 budget.  The enumeration walks all coefficient tuples: a precomputed block
 of low-coefficient combinations is swept once per high-coefficient word,
 entirely in numpy, so the ~10^7-codeword instances finish in seconds.
-Above budget the routine falls back to exact weight-1 detection (a unit
-vector lying in the row space) and otherwise reports Singleton bounds,
-never a silent wrong number.
+Above budget the routine falls back to exact weight-1 detection (an
+echelon row with a single nonzero entry) and otherwise reports Singleton
+bounds, never a silent wrong number.
 """
 
 from __future__ import annotations
@@ -16,6 +21,7 @@ from __future__ import annotations
 import itertools
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import cached_property
 from math import comb
 from typing import Optional, Sequence
 
@@ -23,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
-from .gf import FieldElement, FieldSpec
+from .gf import FieldSpec
 from .groebner import GroebnerBasis
 from .hilbert import HilbertProfile, affine_hilbert_value, hilbert_profile, hilbert_value
 from .ideals import (
@@ -38,20 +44,19 @@ DEFAULT_MD_BUDGET = 20_000_000
 DEFAULT_MATRIX_BUDGET = 5_000_000
 
 _BLOCK_ROWS_TARGET = 1 << 14
-_MAX_TABLE_ORDER = 1024
 
 
 # -- evaluation matrix -------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvaluationMatrix:
-    """Monomials of degree <= d evaluated at every point; the row space is
-    the code."""
+    """Monomials of degree <= d evaluated at every point, as a numpy array
+    of canonical field ints; the row space is the code."""
 
     degree: int
     monomials: tuple[Monomial, ...]
     pset: ParameterizedSet
-    rows: tuple[tuple[FieldElement, ...], ...]
+    rows: np.ndarray
 
     @property
     def field(self) -> FieldSpec:
@@ -61,8 +66,13 @@ class EvaluationMatrix:
     def num_points(self) -> int:
         return len(self.pset)
 
-    def rep_rows(self) -> list[list]:
-        return [[c.rep for c in row] for row in self.rows]
+    def rep_rows(self) -> np.ndarray:
+        return self.rows
+
+    @cached_property
+    def echelon(self) -> tuple[np.ndarray, list[int]]:
+        """The reduced row echelon form and its pivots, computed once."""
+        return linalg.rref(self.rows, self.field)
 
 
 def build_evaluation_matrix(pset: ParameterizedSet, d: int,
@@ -79,32 +89,16 @@ def build_evaluation_matrix(pset: ParameterizedSet, d: int,
             f"evaluation matrix with {len(monomials)} x {m} entries exceeds "
             f"the budget {budget}")
     spec = pset.field
-    # per-point power tables: powers[j][e] = j-th coordinate ** e
-    powers = []
-    for pt in pset.affine_points:
-        per_coord = []
-        for c in pt:
-            col = [spec.one_rep]
-            for _ in range(d):
-                col.append(spec.mul(col[-1], c.rep))
-            per_coord.append(col)
-        powers.append(per_coord)
-    rows = []
-    for mono in monomials:
-        row = []
-        for per_coord in powers:
-            value = spec.one_rep
-            for j, e in enumerate(mono):
-                if e:
-                    value = spec.mul(value, per_coord[j][e])
-            row.append(FieldElement(spec, value))
-        rows.append(tuple(row))
-    return EvaluationMatrix(d, monomials, pset, tuple(rows))
+    # every coordinate is a unit, so a monomial's value is g^(exponents . logs)
+    logs = spec.log(np.array([[c.rep for c in pt] for pt in pset.affine_points]))
+    rows = spec.exp(np.array(monomials) @ logs.T)
+    rows.flags.writeable = False  # the cached echelon form depends on it
+    return EvaluationMatrix(d, monomials, pset, rows)
 
 
 def code_dimension(matrix: EvaluationMatrix) -> int:
     """Rank of the evaluation matrix over GF(q)."""
-    return linalg.rank(matrix.rep_rows(), matrix.field)
+    return len(matrix.echelon[1])
 
 
 # -- minimum distance --------------------------------------------------------
@@ -148,61 +142,16 @@ class MinDistance:
         return "-"
 
 
-class _VectorField:
-    """numpy-friendly view of GF(q): codewords as integer index vectors."""
-
-    def __init__(self, spec: FieldSpec):
-        self.spec = spec
-        self.q = spec.order
-        if spec.extension_degree == 1:
-            self.table = None
-        else:
-            if spec.order > _MAX_TABLE_ORDER:
-                raise ResourceLimitError(
-                    f"no addition table for extension fields beyond order "
-                    f"{_MAX_TABLE_ORDER}")
-            elements = [spec.unlift(v) for v in range(spec.order)]
-            table = np.zeros((spec.order, spec.order), dtype=np.int32)
-            for a, ra in enumerate(elements):
-                for b, rb in enumerate(elements):
-                    table[a, b] = spec.lift(spec.add(ra, rb))
-            self.table = table
-            self._elements = elements
-
-    def index_rows(self, rows_reps: Sequence[Sequence]) -> np.ndarray:
-        lift = self.spec.lift
-        return np.array([[lift(x) for x in row] for row in rows_reps],
-                        dtype=np.int64)
-
-    def scale_row(self, row: np.ndarray, scalar_index: int) -> np.ndarray:
-        spec = self.spec
-        if self.table is None:
-            return ((row * scalar_index) % spec.characteristic).astype(np.int32)
-        c = self._elements[scalar_index]
-        lift, unlift, mul = spec.lift, spec.unlift, spec.mul
-        return np.array([lift(mul(c, unlift(int(x)))) for x in row],
-                        dtype=np.int32)
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if self.table is None:
-            return (a + b) % self.spec.characteristic
-        return self.table[a, b]
-
-
-def _enumerate_weights(rows_reps: Sequence[Sequence], spec: FieldSpec,
+def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
                        threads: int = 1, collect: bool = False
                        ) -> tuple[int, Optional[np.ndarray]]:
     """Minimum weight over all nonzero codewords of the row space; with
     collect=True also the full weight distribution (zero word included)."""
-    k = len(rows_reps)
-    m = len(rows_reps[0])
-    vf = _VectorField(spec)
-    q = vf.q
-    mat = vf.index_rows(rows_reps)
-
+    k, m = basis.shape
+    q = spec.order
     if k == 1:
         # scalar multiples share their support
-        weight = int(np.count_nonzero(mat[0]))
+        weight = int(np.count_nonzero(basis[0]))
         hist = None
         if collect:
             hist = np.zeros(m + 1, dtype=np.int64)
@@ -210,22 +159,25 @@ def _enumerate_weights(rows_reps: Sequence[Sequence], spec: FieldSpec,
             hist[weight] = q - 1
         return weight, hist
 
+    # multiples[r][c] = c * (row r)
+    scalars = np.arange(q, dtype=np.int32)[:, None]
+    multiples = [spec.mul(scalars, row[None, :]) for row in basis]
+
     k_lo, block_rows = 0, 1
     while k_lo < k - 1 and block_rows * q <= _BLOCK_ROWS_TARGET:
         block_rows *= q
         k_lo += 1
     low = np.zeros((1, m), dtype=np.int32)
     for r in range(k_lo):
-        scaled = np.stack([vf.scale_row(mat[r], c) for c in range(q)])
-        low = vf.add(scaled[:, None, :], low[None, :, :]).reshape(-1, m)
-    hi_rows = [mat[r] for r in range(k_lo, k)]
+        low = spec.add(multiples[r][:, None, :], low[None, :, :]).reshape(-1, m)
+    hi_multiples = multiples[k_lo:]
     k_hi = k - k_lo
 
     def make_word(combo) -> np.ndarray:
         word = np.zeros(m, dtype=np.int32)
-        for c, row in zip(combo, hi_rows):
+        for c, mult in zip(combo, hi_multiples):
             if c:
-                word = vf.add(word, vf.scale_row(row, c))
+                word = spec.add(word, mult[c])
         return word
 
     combos = list(itertools.product(range(q), repeat=k_hi))
@@ -235,7 +187,7 @@ def _enumerate_weights(rows_reps: Sequence[Sequence], spec: FieldSpec,
         hist = np.zeros(m + 1, dtype=np.int64) if collect else None
         for combo in chunk:
             word = make_word(combo)
-            weights = np.count_nonzero(vf.add(low, word[None, :]), axis=1)
+            weights = np.count_nonzero(spec.add(low, word[None, :]), axis=1)
             if not any(combo):
                 weights = weights[1:]  # drop the all-zero codeword
             if weights.size:
@@ -263,16 +215,12 @@ def _enumerate_weights(rows_reps: Sequence[Sequence], spec: FieldSpec,
     return best, hist
 
 
-def _row_basis(matrix: EvaluationMatrix) -> tuple[list, list]:
-    return linalg.rref(matrix.rep_rows(), matrix.field)
-
-
 def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
                      threads: int = 1) -> MinDistance:
     """Exact search when q^dim fits the budget, else weight-1 detection,
     else Singleton bounds.  budget=0 disables the computation."""
     spec = matrix.field
-    basis, pivots = _row_basis(matrix)
+    basis, pivots = matrix.echelon
     k = len(pivots)
     m = matrix.num_points
     if k == 0:
@@ -282,12 +230,10 @@ def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
     if spec.order ** k <= budget:
         weight, _ = _enumerate_weights(basis, spec, threads=threads)
         return MinDistance.exact(weight)
-    zero, one = spec.zero_rep, spec.one_rep
-    for pos in range(m):
-        unit = [zero] * m
-        unit[pos] = one
-        if linalg.in_row_space(basis, pivots, unit, spec):
-            return MinDistance.weight_one()
+    # a unit vector e_j lies in the row space iff some echelon row is a
+    # multiple of it: the pivot coordinates fix every coefficient
+    if np.any(np.count_nonzero(basis, axis=1) == 1):
+        return MinDistance.weight_one()
     return MinDistance.bounded(1, m - k + 1)
 
 
@@ -296,7 +242,7 @@ def weight_distribution(matrix: EvaluationMatrix,
                         threads: int = 1) -> dict[int, int]:
     """Full weight distribution of the code (zero codeword included)."""
     spec = matrix.field
-    basis, pivots = _row_basis(matrix)
+    basis, pivots = matrix.echelon
     k = len(pivots)
     if k == 0:
         return {0: 1}
@@ -370,6 +316,12 @@ def is_mds(params: CodeParameters) -> bool:
     return result
 
 
+def _projective_points(pset: ParameterizedSet) -> list[tuple]:
+    """Each affine point with a trailing coordinate 1."""
+    one = pset.field.one
+    return [pt + (one,) for pt in pset.affine_points]
+
+
 @dataclass(frozen=True)
 class PipelineRun:
     """Everything the Groebner pipeline produces for one point set."""
@@ -394,7 +346,7 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
             raise InternalInconsistencyError(
                 "affine basis fails the Buchberger criterion")
         for gb, points, kind in ((gb_x, pset.affine_points, "affine"),
-                                 (gb_y, pset.projective_reps, "projective")):
+                                 (gb_y, _projective_points(pset), "projective")):
             for g in gb.generators:
                 for pt in points:
                     if g.evaluate(pt):
@@ -468,14 +420,13 @@ def verify_instance(pset: ParameterizedSet, degrees: Sequence[int],
            "homogenized basis re-checked")
 
     spec = pset.field
-    minus_one = spec.neg(spec.one_rep)
 
     def pure_binomial(g):
         if len(g.terms) != 2:
             return False
         lm, lc = g.leading_term(gb_x.order)
         tail = next(c for m, c in g.terms.items() if m != lm)
-        return lc.rep == spec.one_rep and tail.rep == minus_one
+        return lc == 1 and tail == -1
 
     record("binomial-generators", all(pure_binomial(g) for g in gb_x.generators),
            "affine basis consists of pure-difference binomials")
@@ -485,7 +436,7 @@ def verify_instance(pset: ParameterizedSet, degrees: Sequence[int],
     record("vanishing-affine", vanish_affine,
            "every affine generator vanishes on every point")
     vanish_proj = all(not g.evaluate(pt)
-                      for g in gb_y.generators for pt in pset.projective_reps)
+                      for g in gb_y.generators for pt in _projective_points(pset))
     record("vanishing-projective", vanish_proj,
            "every projective generator vanishes on every representative")
 

@@ -1,17 +1,26 @@
 """Exact arithmetic in the finite field GF(q), q = p^k.
 
-Prime fields represent elements as residues in [0, p).  Extension fields
-(k > 1) need a user-supplied monic irreducible modulus and represent
-elements as length-k coefficient tuples over GF(p), constant term first.
-Every element also has a canonical integer lift (the base-p digit
-encoding), which fixes the ascending element order used by all
-enumerations downstream.
+An element is its canonical int: the base-p digits of the int are the
+element's coefficients over GF(p), constant term first, modulo the monic
+irreducible modulus that extension fields (k > 1) need.  Prime fields
+therefore use plain residues, 0 and 1 are zero and one, and ascending ints
+give the element order used by every enumeration downstream.  Only this
+module knows the encoding.
+
+Each field builds exp/log tables to the base of its smallest primitive
+element once, so multiplication, inverses and powers are table reads on
+every q.  Addition is % p on prime fields, XOR in characteristic 2, and
+an addition table (digit-wise arithmetic above order 1024) on the other
+extension fields.  Every arithmetic method takes Python ints, giving ints,
+or numpy integer arrays, giving arrays of the same shape.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
+
+import numpy as np
 
 from .errors import DomainError
 
@@ -19,7 +28,9 @@ from .errors import DomainError
 #: enumerates K* or point sets, so huge q is never meaningful.
 MAX_FIELD_ORDER = 2**16
 
-Rep = Union[int, tuple]
+#: Odd-characteristic extension fields up to this order get a q x q
+#: addition table; larger ones add digit by digit.
+MAX_ADD_TABLE_ORDER = 1024
 
 
 def _is_prime(p: int) -> bool:
@@ -126,17 +137,81 @@ def _check_irreducible(mod: Sequence[int], p: int) -> bool:
     return True
 
 
+class _Tables:
+    """The field's tables in one storage: lists for int operands, numpy
+    arrays for numpy operands.
+
+    exp holds g^j for 0 <= j < 2(q-1) and zeros from 2(q-1) to 4(q-1);
+    log[0] = 2(q-1), so exp[log[a] + log[b]] is a*b with zero included.
+    add (flat, index a*q + b) exists only for odd-characteristic extension
+    fields up to MAX_ADD_TABLE_ORDER."""
+
+    __slots__ = ("exp", "log", "add")
+
+    def __init__(self, exp, log, add):
+        self.exp, self.log, self.add = exp, log, add
+
+
+def _build_tables(p: int, k: int, mod: Optional[Sequence[int]]
+                  ) -> tuple[_Tables, _Tables]:
+    q = p**k
+    weights = p ** np.arange(k)
+    digits = np.arange(q)[:, None] // weights % p
+    times_x = None
+    if k > 1:
+        # x*a: shift the digits up, fold x^k = -(mod_0 + ... + mod_{k-1} x^{k-1})
+        shifted = np.zeros_like(digits)
+        shifted[:, 1:] = digits[:, :-1]
+        times_x = (shifted - digits[:, -1:] * np.array(mod[:k])) % p @ weights
+    # the smallest primitive element g: the one whose powers reach q-1 units
+    for g in range(2 if q > 2 else 1, q):
+        index, acc = np.arange(q), np.zeros_like(digits)
+        for i, coeff in enumerate(digits[g]):
+            if i:
+                index = times_x[index]
+            acc += coeff * digits[index]
+        times_g = (acc % p @ weights).tolist()
+        powers, x = [1], times_g[1]
+        while x != 1:
+            powers.append(x)
+            x = times_g[x]
+        if len(powers) == q - 1:
+            break
+    n = q - 1
+    exp = powers * 2 + [0] * (2 * n + 1)
+    log = [2 * n] * q
+    for j, x in enumerate(powers):
+        log[x] = j
+    add = None
+    if k > 1 and p > 2 and q <= MAX_ADD_TABLE_ORDER:
+        add = sum((digits[:, None, i] + digits[None, :, i]) % p * w
+                  for i, w in enumerate(weights)).ravel()
+    # logs are int64 so that pow's products of logs cannot wrap
+    arrays = _Tables(np.array(exp, dtype=np.int32), np.array(log, dtype=np.int64),
+                     None if add is None else add.astype(np.int32))
+    lists = _Tables(exp, log, None if add is None else add.tolist())
+    return lists, arrays
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """Description of GF(q) = GF(p^k) with cached order and modulus."""
+    """GF(q) = GF(p^k) with its modulus and arithmetic tables.
+
+    Python int operands read the list tables, which are fastest for
+    scalars; numpy operands read the array tables."""
 
     characteristic: int
     extension_degree: int
     modulus: Optional[tuple[int, ...]]
     order: int
-    _inverse_table: dict = dataclass_field(
-        default_factory=dict, repr=False, compare=False, hash=False
-    )
+    _lists: _Tables = dataclass_field(init=False, repr=False, compare=False)
+    _arrays: _Tables = dataclass_field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        lists, arrays = _build_tables(self.characteristic,
+                                      self.extension_degree, self.modulus)
+        object.__setattr__(self, "_lists", lists)
+        object.__setattr__(self, "_arrays", arrays)
 
     @classmethod
     def of(cls, q: int, modulus: Optional[Sequence[int]] = None,
@@ -164,135 +239,115 @@ class FieldSpec:
             raise DomainError(f"modulus {list(mod)} is reducible over GF({p})")
         return cls(p, k, mod, q)
 
-    # -- raw-representation arithmetic -------------------------------------
-    # Prime fields use int residues; extension fields use k-tuples over GF(p).
+    # -- arithmetic on canonical ints or integer arrays ---------------------
 
-    def add(self, a: Rep, b: Rep) -> Rep:
+    def add(self, a, b):
         p = self.characteristic
         if self.extension_degree == 1:
             return (a + b) % p
-        return tuple((x + y) % p for x, y in zip(a, b))
+        if p == 2:
+            return a ^ b
+        table = (self._lists if type(a) is int is type(b) else self._arrays).add
+        if table is not None:
+            return table[a * self.order + b]
+        total, w = 0, 1
+        for _ in range(self.extension_degree):
+            total = total + (a // w + b // w) % p * w
+            w *= p
+        return total
 
-    def sub(self, a: Rep, b: Rep) -> Rep:
-        p = self.characteristic
+    def neg(self, a):
         if self.extension_degree == 1:
-            return (a - b) % p
-        return tuple((x - y) % p for x, y in zip(a, b))
+            return (-a) % self.characteristic
+        return self.mul(self.characteristic - 1, a)  # -1 is the int p-1
 
-    def neg(self, a: Rep) -> Rep:
-        p = self.characteristic
+    def sub(self, a, b):
         if self.extension_degree == 1:
-            return (-a) % p
-        return tuple((-x) % p for x in a)
+            return (a - b) % self.characteristic
+        return self.add(a, self.neg(b))
 
-    def mul(self, a: Rep, b: Rep) -> Rep:
-        p = self.characteristic
-        if self.extension_degree == 1:
-            return (a * b) % p
-        prod = _pmod(_pmul(list(a), list(b), p), self.modulus, p)
-        return tuple(prod + [0] * (self.extension_degree - len(prod)))
+    def mul(self, a, b):
+        # the hottest scalar operation: try the lists, which arrays cannot index
+        t = self._lists
+        try:
+            return t.exp[t.log[a] + t.log[b]]
+        except TypeError:
+            t = self._arrays
+            return t.exp[t.log[a] + t.log[b]]
 
-    def pow(self, a: Rep, e: int) -> Rep:
+    def inv(self, a):
+        if type(a) is int:
+            t, zero = self._lists, a == 0
+        else:
+            t, zero = self._arrays, not np.all(a)
+        if zero:
+            raise ZeroDivisionError("inverse of zero in GF(q)")
+        return t.exp[self.order - 1 - t.log[a]]
+
+    def pow(self, a, e: int):
         if e < 0:
             raise DomainError("exponent must be non-negative")
-        result = self.one_rep
-        base = a
-        while e:
-            if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return result
+        t = self._lists if type(a) is int else self._arrays
+        la, n = t.log[a], self.order - 1
+        if e == 0:
+            return t.exp[la * 0]  # 1 everywhere, 0^0 included
+        # zero's log 2n lands on 2n, the start of the zero tail
+        return t.exp[la * (e % n) % n + la // n * n]
 
-    def inv(self, a: Rep) -> Rep:
-        if a == self.zero_rep:
-            raise ZeroDivisionError("inverse of zero in GF(q)")
-        if self.extension_degree == 1:
-            p = self.characteristic
-            if p <= 4096:
-                table = self._inverse_table
-                if not table:
-                    for x in range(1, p):
-                        table[x] = pow(x, p - 2, p)
-                return table[a]
-            return pow(a, p - 2, p)
-        return self.pow(a, self.order - 2)
+    def exp(self, e):
+        """g^e for the primitive element g; e any integer or integer array."""
+        t = self._lists if type(e) is int else self._arrays
+        return t.exp[e % (self.order - 1)]
 
-    @property
-    def zero_rep(self) -> Rep:
-        if self.extension_degree == 1:
-            return 0
-        return (0,) * self.extension_degree
-
-    @property
-    def one_rep(self) -> Rep:
-        if self.extension_degree == 1:
-            return 1
-        return (1,) + (0,) * (self.extension_degree - 1)
-
-    def lift(self, a: Rep) -> int:
-        """Canonical integer form: base-p digit encoding of the rep."""
-        if self.extension_degree == 1:
-            return a
-        value = 0
-        for digit in reversed(a):
-            value = value * self.characteristic + digit
-        return value
-
-    def unlift(self, value: int) -> Rep:
-        if not 0 <= value < self.order:
-            raise DomainError(f"lift {value} out of range for GF({self.order})")
-        if self.extension_degree == 1:
-            return value
-        digits = []
-        for _ in range(self.extension_degree):
-            digits.append(value % self.characteristic)
-            value //= self.characteristic
-        return tuple(digits)
+    def log(self, a):
+        """Discrete logarithm to the base g, in [0, q-1); a must be nonzero."""
+        return (self._lists if type(a) is int else self._arrays).log[a]
 
     # -- element-level API --------------------------------------------------
 
     def element(self, value) -> "FieldElement":
+        """An element from a FieldElement, a canonical int (taken mod q), or
+        k coefficients over GF(p), constant term first."""
         if isinstance(value, FieldElement):
             if value.spec != self:
                 raise DomainError("element belongs to a different field")
             return value
         if isinstance(value, int):
-            if self.extension_degree == 1:
-                return FieldElement(self, value % self.characteristic)
-            return FieldElement(self, self.unlift(value % self.order))
-        rep = tuple(int(c) % self.characteristic for c in value)
-        if len(rep) != self.extension_degree:
+            return FieldElement(self, value % self.order)
+        coeffs = [int(c) % self.characteristic for c in value]
+        if len(coeffs) != self.extension_degree:
             raise DomainError(
-                f"need {self.extension_degree} coefficients, got {len(rep)}")
-        return FieldElement(self, rep if self.extension_degree > 1 else rep[0])
+                f"need {self.extension_degree} coefficients, got {len(coeffs)}")
+        return FieldElement(self, sum(c * self.characteristic**i
+                                      for i, c in enumerate(coeffs)))
 
     @property
     def zero(self) -> "FieldElement":
-        return FieldElement(self, self.zero_rep)
+        return FieldElement(self, 0)
 
     @property
     def one(self) -> "FieldElement":
-        return FieldElement(self, self.one_rep)
+        return FieldElement(self, 1)
 
     def elements(self) -> list["FieldElement"]:
-        """All q elements in ascending canonical (lift) order."""
-        return [FieldElement(self, self.unlift(v)) for v in range(self.order)]
+        """All q elements in ascending canonical order."""
+        return [FieldElement(self, v) for v in range(self.order)]
 
     def units(self) -> list["FieldElement"]:
         """The q-1 nonzero elements in ascending canonical order."""
-        return [FieldElement(self, self.unlift(v)) for v in range(1, self.order)]
+        return [FieldElement(self, v) for v in range(1, self.order)]
 
     def __str__(self) -> str:
         return f"GF({self.order})"
 
 
 class FieldElement:
-    """Immutable element of a fixed FieldSpec, compared by canonical rep."""
+    """Immutable element of a fixed FieldSpec: the field plus the element's
+    canonical int, so operands from different fields are refused."""
 
     __slots__ = ("spec", "rep")
 
-    def __init__(self, spec: FieldSpec, rep: Rep):
+    def __init__(self, spec: FieldSpec, rep: int):
         object.__setattr__(self, "spec", spec)
         object.__setattr__(self, "rep", rep)
 
@@ -301,12 +356,12 @@ class FieldElement:
 
     def _coerce(self, other) -> "FieldElement":
         if isinstance(other, FieldElement):
-            if other.spec != self.spec:
+            if other.spec is not self.spec and other.spec != self.spec:
                 raise DomainError("operands live in different fields")
             return other
         if isinstance(other, int):
-            return self.spec.element(other % self.spec.characteristic
-                                     if self.spec.extension_degree > 1 else other)
+            # an int stands for its residue in the prime subfield
+            return FieldElement(self.spec, other % self.spec.characteristic)
         return NotImplemented
 
     def __add__(self, other):
@@ -353,24 +408,24 @@ class FieldElement:
         return self * other.inv()
 
     def __bool__(self) -> bool:
-        return self.rep != self.spec.zero_rep
+        return self.rep != 0
 
     def __eq__(self, other) -> bool:
         if isinstance(other, FieldElement):
             return self.spec == other.spec and self.rep == other.rep
         if isinstance(other, int):
-            coerced = self._coerce(other)
-            return self.rep == coerced.rep
+            return self.rep == self._coerce(other).rep
         return NotImplemented
 
     def __hash__(self) -> int:
         return hash((self.spec.order, self.rep))
 
     def lift(self) -> int:
-        return self.spec.lift(self.rep)
+        """The canonical int."""
+        return self.rep
 
     def __repr__(self) -> str:
-        return f"FieldElement({self.lift()} in {self.spec})"
+        return f"FieldElement({self.rep} in {self.spec})"
 
     def __str__(self) -> str:
-        return str(self.lift())
+        return str(self.rep)

@@ -2,10 +2,10 @@
 elimination, and homogenization of a whole basis.
 
 The pair queue uses the normal strategy (smallest lcm total degree first,
-then pair index), applies the coprimality criterion always, and the chain
-criterion only behind a flag.  Output bases are inter-reduced and monic,
-sorted by ascending leading monomial, so identical ideals yield identical
-bases regardless of generator order.
+then pair index) and skips pairs by the coprimality and chain criteria.
+Output bases are inter-reduced and monic, sorted by ascending leading
+monomial, so identical ideals yield identical bases regardless of
+generator order.
 """
 
 from __future__ import annotations
@@ -96,8 +96,7 @@ def _interreduce(basis: list[Polynomial], order: MonomialOrder) -> list[Polynomi
 
 
 def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
-               ring: Optional[RingContext] = None,
-               use_chain_criterion: bool = False) -> GroebnerBasis:
+               ring: Optional[RingContext] = None) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by *gens* under *order*."""
     live = [g for g in gens if g]
     if ring is None:
@@ -122,7 +121,7 @@ def buchberger(gens: Sequence[Polynomial], order: MonomialOrder,
         lcm = mono_lcm(lms[i], lms[j])
         if lcm == mono_mul(lms[i], lms[j]):
             continue  # coprime leading monomials: S-pair reduces to zero
-        if use_chain_criterion and _chain_applies(i, j, lcm, lms, processed):
+        if _chain_applies(i, j, lcm, lms, processed):
             continue
         s = s_polynomial(basis[i], basis[j], order)
         r = reduce_mod(s, basis, order)

@@ -10,9 +10,10 @@ the unit-group relations, and eliminate the parameter block.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Sequence
+
+import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .gf import FieldElement, FieldSpec
@@ -66,12 +67,11 @@ class ExponentMatrix:
 
 @dataclass(frozen=True)
 class ParameterizedSet:
-    """The enumerated points of the set plus their projective lifts."""
+    """The enumerated points of the set, in canonical order."""
 
     matrix: ExponentMatrix
     field: FieldSpec
     affine_points: tuple[Point, ...]
-    projective_reps: tuple[Point, ...]
 
     def __len__(self) -> int:
         return len(self.affine_points)
@@ -80,38 +80,20 @@ class ParameterizedSet:
 def enumerate_points(matrix: ExponentMatrix, field: FieldSpec,
                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> ParameterizedSet:
     """Evaluate the parameterizing monomials on every unit tuple, dedupe,
-    and sort points by their canonical residues."""
-    units = field.units()
-    n, s = matrix.n, matrix.s
-    total = len(units) ** n
+    and sort points by their canonical ints."""
+    n = matrix.n
+    total = (field.order - 1) ** n
     if total > budget:
         raise ResourceLimitError(
             f"(q-1)^n = {total} parameter tuples exceeds the enumeration "
             f"budget {budget}")
-
-    max_exp = max(max(row) for row in matrix.rows)
-    pow_table = []
-    for u in units:
-        powers = [field.one]
-        for _ in range(max_exp):
-            powers.append(powers[-1] * u)
-        pow_table.append(powers)
-
-    seen = set()
-    for combo in itertools.product(range(len(units)), repeat=n):
-        point = []
-        for row in matrix.rows:
-            value = field.one
-            for j, e in enumerate(row):
-                if e:
-                    value = value * pow_table[combo[j]][e]
-            point.append(value)
-        seen.add(tuple(point))
-
-    affine = tuple(sorted(seen, key=lambda pt: tuple(c.lift() for c in pt)))
-    one = field.one
-    projective = tuple(pt + (one,) for pt in affine)
-    return ParameterizedSet(matrix, field, affine, projective)
+    # the parameters g^l, l in [0, q-1)^n, give the coordinates g^(v_i . l);
+    # exponents reduce mod q-1 so the products stay small
+    logs = np.indices((field.order - 1,) * n).reshape(n, -1)
+    exps = np.array([[e % (field.order - 1) for e in row] for row in matrix.rows])
+    points = sorted(set(map(tuple, field.exp(exps @ logs).T.tolist())))
+    affine = tuple(tuple(FieldElement(field, c) for c in pt) for pt in points)
+    return ParameterizedSet(matrix, field, affine)
 
 
 def relation_ring(matrix: ExponentMatrix, field: FieldSpec) -> RingContext:

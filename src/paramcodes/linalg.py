@@ -1,97 +1,66 @@
 """Exact dense linear algebra over GF(q).
 
-Matrices are lists of rows of raw field representations (ints for prime
-fields, digit tuples for extensions); all elimination is done with the
-FieldSpec rep-level operations, so one code path covers every field.
-Desk-scale sizes only: the hot path of the package (codeword enumeration)
-lives in codes.py, not here.
+Matrices are 2-D numpy arrays of canonical field ints (any sequence of
+rows is accepted); each elimination step updates whole rows at once with
+the FieldSpec array arithmetic, so one code path covers every field.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
 
+import numpy as np
+
 from .gf import FieldSpec
 
-Row = list
 
-
-def rref(rows: Sequence[Sequence], spec: FieldSpec) -> tuple[list[Row], list[int]]:
+def rref(rows: Sequence[Sequence[int]], spec: FieldSpec) -> tuple[np.ndarray, list[int]]:
     """Reduced row echelon form.
 
     Returns (nonzero rows with monic pivots, pivot column indices); the
-    number of pivots is the rank.
+    number of pivots is the rank.  Pivot rows are taken in column order,
+    each from the first row at or below the current one that is nonzero
+    in that column.
     """
-    work = [list(r) for r in rows]
-    if not work:
-        return [], []
-    ncols = len(work[0])
-    zero = spec.zero_rep
+    work = np.atleast_2d(np.array(rows, dtype=np.int32))
     pivots: list[int] = []
     pivot_row = 0
-    for col in range(ncols):
-        found = None
-        for r in range(pivot_row, len(work)):
-            if work[r][col] != zero:
-                found = r
-                break
-        if found is None:
+    for col in range(work.shape[1]):
+        found = np.flatnonzero(work[pivot_row:, col])
+        if not found.size:
             continue
-        work[pivot_row], work[found] = work[found], work[pivot_row]
-        row = work[pivot_row]
-        inv = spec.inv(row[col])
-        if row[col] != spec.one_rep:
-            work[pivot_row] = row = [spec.mul(inv, x) for x in row]
-        for r in range(len(work)):
-            if r != pivot_row and work[r][col] != zero:
-                factor = work[r][col]
-                target = work[r]
-                work[r] = [spec.sub(t, spec.mul(factor, x))
-                           for t, x in zip(target, row)]
+        found = pivot_row + found[0]
+        work[[pivot_row, found]] = work[[found, pivot_row]]
+        lead = int(work[pivot_row, col])
+        if lead != 1:
+            work[pivot_row] = spec.mul(spec.inv(lead), work[pivot_row])
+        # the pivot row is zero left of col, so only columns from col change
+        row = work[pivot_row, col:]
+        others = np.flatnonzero(work[:, col])
+        others = others[others != pivot_row]
+        if others.size:
+            factors = work[others, col]
+            work[others, col:] = spec.sub(work[others, col:],
+                                          spec.mul(factors[:, None], row[None, :]))
         pivots.append(col)
         pivot_row += 1
-        if pivot_row == len(work):
+        if pivot_row == work.shape[0]:
             break
     return work[:pivot_row], pivots
 
 
-def rank(rows: Sequence[Sequence], spec: FieldSpec) -> int:
+def rank(rows: Sequence[Sequence[int]], spec: FieldSpec) -> int:
     return len(rref(rows, spec)[1])
 
 
-def reduce_against(rref_rows: Sequence[Sequence], pivots: Sequence[int],
-                   vec: Sequence, spec: FieldSpec) -> Row:
-    """Residual of vec after eliminating every pivot column; the zero
-    residual means vec lies in the row space."""
-    residual = list(vec)
-    zero = spec.zero_rep
-    for row, col in zip(rref_rows, pivots):
-        c = residual[col]
-        if c != zero:
-            residual = [spec.sub(t, spec.mul(c, x)) for t, x in zip(residual, row)]
-    return residual
-
-
-def in_row_space(rref_rows: Sequence[Sequence], pivots: Sequence[int],
-                 vec: Sequence, spec: FieldSpec) -> bool:
-    zero = spec.zero_rep
-    return all(x == zero for x in reduce_against(rref_rows, pivots, vec, spec))
-
-
-def right_kernel_basis(rows: Sequence[Sequence], spec: FieldSpec) -> list[Row]:
+def right_kernel_basis(rows: Sequence[Sequence[int]], spec: FieldSpec) -> list[np.ndarray]:
     """Basis of {v : M v = 0}, one vector per free column."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
     echelon, pivots = rref(rows, spec)
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    zero, one = spec.zero_rep, spec.one_rep
+    ncols = echelon.shape[1]
     basis = []
-    for free in free_cols:
-        v = [zero] * ncols
-        v[free] = one
-        for row, col in zip(echelon, pivots):
-            v[col] = spec.neg(row[free])
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = np.zeros(ncols, dtype=np.int32)
+        v[free] = 1
+        v[pivots] = spec.neg(echelon[:, free])
         basis.append(v)
     return basis

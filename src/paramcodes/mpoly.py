@@ -84,8 +84,7 @@ class Lex(MonomialOrder):
 
 @dataclass(frozen=True)
 class GrevLex(MonomialOrder):
-    def key(self, exps):
-        return (sum(exps), tuple(-e for e in reversed(exps)))
+    key = staticmethod(_grevlex_key)
 
 
 @dataclass(frozen=True)
@@ -261,7 +260,7 @@ class Polynomial:
             raise DomainError(
                 f"point has {len(point)} coordinates, ring has {self.ring.num_vars}")
         spec = self.ring.field
-        total = spec.zero_rep
+        total = 0
         for m, c in self.terms.items():
             value = c.rep
             for coord, e in zip(point, m):
@@ -283,17 +282,16 @@ class Polynomial:
             return "0"
         order = order or GrevLex()
         spec = self.ring.field
-        minus_one = spec.neg(spec.one_rep)
         parts: list[str] = []
         for m, c in self.sorted_terms(order):
             body = self._format_mono(m)
-            if c.rep == minus_one and spec.characteristic > 2:
+            if c == -1 and spec.characteristic > 2:
                 sign, mag = "-", body or "1"
-            elif c == spec.one:
+            elif c == 1:
                 sign, mag = "+", body or "1"
             else:
                 sign = "+"
-                mag = f"{c.lift()}*{body}" if body else str(c.lift())
+                mag = f"{c}*{body}" if body else str(c)
             if not parts:
                 parts.append(mag if sign == "+" else f"-{mag}")
             else:

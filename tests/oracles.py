@@ -16,13 +16,13 @@ SPAN_GUARD = 300_000
 
 
 def span_words(rows, spec: FieldSpec):
-    """All q^rank codewords of the row space, as tuples of reps."""
-    scalars = [e.rep for e in spec.elements()]
-    words = {tuple(spec.zero_rep for _ in rows[0])}
+    """All q^rank codewords of the row space, as tuples of canonical ints."""
+    rows = [[int(x) for x in row] for row in rows]
+    words = {tuple(0 for _ in rows[0])}
     for row in rows:
         new = set()
         for w in words:
-            for c in scalars:
+            for c in range(spec.order):
                 new.add(tuple(spec.add(x, spec.mul(c, r))
                               for x, r in zip(w, row)))
         words = new
@@ -33,10 +33,9 @@ def span_words(rows, spec: FieldSpec):
 
 def brute_min_distance(rows, spec: FieldSpec) -> int:
     """Minimum Hamming weight over the nonzero words of the row space."""
-    zero = spec.zero_rep
     best = None
     for w in span_words(rows, spec):
-        weight = sum(1 for x in w if x != zero)
+        weight = sum(1 for x in w if x != 0)
         if weight and (best is None or weight < best):
             best = weight
     assert best is not None, "zero code"
@@ -44,23 +43,23 @@ def brute_min_distance(rows, spec: FieldSpec) -> int:
 
 
 def brute_weight_distribution(rows, spec: FieldSpec) -> dict[int, int]:
-    zero = spec.zero_rep
     dist: dict[int, int] = {}
     for w in span_words(rows, spec):
-        weight = sum(1 for x in w if x != zero)
+        weight = sum(1 for x in w if x != 0)
         dist[weight] = dist.get(weight, 0) + 1
     return dist
 
 
 def evaluation_rows(pset, degree: int, ring: RingContext):
-    """Monomials of degree <= degree evaluated on the point set, as reps."""
+    """Monomials of degree <= degree evaluated on the point set, as
+    canonical ints."""
     spec = pset.field
     monos = monomials_up_to_degree(ring.num_vars, degree)
     rows = []
     for m in monos:
         row = []
         for pt in pset.affine_points:
-            value = spec.one_rep
+            value = 1
             for coord, e in zip(pt, m):
                 if e:
                     value = spec.mul(value, spec.pow(coord.rep, e))
@@ -81,7 +80,7 @@ def point_interpolation_ideal(pset, degree: int) -> list[Polynomial]:
     kernel = right_kernel_basis(transposed, spec)
     polys = []
     for vec in kernel:
-        terms = {m: FieldElement(spec, c) for m, c in zip(monos, vec)
-                 if c != spec.zero_rep}
+        terms = {m: FieldElement(spec, int(c)) for m, c in zip(monos, vec)
+                 if c}
         polys.append(Polynomial(ring, terms))
     return polys

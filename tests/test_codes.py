@@ -1,5 +1,6 @@
 from math import comb
 
+import numpy as np
 import pytest
 
 from paramcodes.codes import (
@@ -36,7 +37,7 @@ def torus_set(q, s):
 def test_degree_zero_matrix_is_all_ones(triangle_set):
     E = build_evaluation_matrix(triangle_set, 0)
     assert len(E.rows) == 1
-    assert all(c == F5.one for c in E.rows[0])
+    assert all(c == 1 for c in E.rows[0])
 
 
 def test_one_dim_torus_matrix_is_vandermonde():
@@ -44,7 +45,7 @@ def test_one_dim_torus_matrix_is_vandermonde():
     E = build_evaluation_matrix(pset, 3)
     points = [pt[0] for pt in pset.affine_points]
     for e, row in enumerate(E.rows):
-        assert list(row) == [x ** e for x in points]
+        assert list(row) == [(x ** e).rep for x in points]
 
 
 def test_matrix_entries_and_rank(triangle_set):
@@ -56,7 +57,7 @@ def test_matrix_entries_and_rank(triangle_set):
     value = F5.one
     for coord, e in zip(pt, mono):
         value = value * coord ** e
-    assert E.rows[2][17] == value
+    assert E.rows[2][17] == value.rep
     assert code_dimension(E) == 4
 
 
@@ -112,6 +113,13 @@ def test_min_distance_extension_field_table_path(f4):
     md = minimum_distance(E)
     assert md.status == "exact"
     assert md.value == brute_min_distance(E.rep_rows(), f4)
+
+
+def test_min_distance_extension_field_beyond_order_1024():
+    spec = FieldSpec.of(2**11, [1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1])
+    pset = enumerate_points(ExponentMatrix.of([[1]]), spec)
+    md = minimum_distance(build_evaluation_matrix(pset, 0))
+    assert (md.status, md.value) == ("exact", 2047)
 
 
 def test_min_distance_budget_paths(triangle_set):
@@ -203,11 +211,10 @@ def test_is_mds_repetition_and_triangle(triangle_set):
 def scaled_matrix(E: EvaluationMatrix, d: int) -> EvaluationMatrix:
     """Divide column j by (first coordinate of P_j)^d."""
     spec = E.field
-    factors = [
-        (pt[0] ** d).inv() for pt in E.pset.affine_points]
-    rows = tuple(
-        tuple(c * f for c, f in zip(row, factors)) for row in E.rows)
-    return EvaluationMatrix(E.degree, E.monomials, E.pset, rows)
+    factors = [(pt[0] ** d).inv().rep for pt in E.pset.affine_points]
+    rows = [[spec.mul(int(c), f) for c, f in zip(row, factors)]
+            for row in E.rows]
+    return EvaluationMatrix(E.degree, E.monomials, E.pset, np.array(rows))
 
 
 @pytest.mark.parametrize("maker,d", [

@@ -1,9 +1,12 @@
+import random
+
+import numpy as np
 import pytest
 
 from paramcodes.errors import DomainError
-from paramcodes.gf import MAX_FIELD_ORDER, FieldSpec
+from paramcodes.gf import MAX_ADD_TABLE_ORDER, MAX_FIELD_ORDER, FieldSpec
 
-from conftest import field
+from conftest import MODULI, field
 
 SMALL_ORDERS = [2, 3, 4, 5, 7, 8, 9, 11, 13, 16, 25, 27, 31, 32]
 
@@ -43,6 +46,12 @@ def test_pow():
     assert f11.element(3) ** 0 == f11.one
     with pytest.raises(DomainError):
         f5.element(2) ** -1
+    # ints and arrays agree with Python's pow, products of logs included
+    big = FieldSpec.of(65521)
+    bases = [0, 1, 2, 3, 65520]
+    want = [pow(b, 60000, 65521) for b in bases]
+    assert big.pow(np.array(bases), 60000).tolist() == want
+    assert [big.pow(b, 60000) for b in bases] == want
 
 
 def test_units_listing():
@@ -125,3 +134,67 @@ def test_order_and_structure():
         assert spec.characteristic ** spec.extension_degree == q
         lifts = [e.lift() for e in spec.elements()]
         assert lifts == list(range(q))
+
+
+# -- full tables against schoolbook polynomial arithmetic ----------------------
+
+def digits_of(value, p, k):
+    return [value // p**i % p for i in range(k)]
+
+
+def value_of(digits, p):
+    return sum(d * p**i for i, d in enumerate(digits))
+
+
+def schoolbook_add(a, b, p):
+    return [(x + y) % p for x, y in zip(a, b)]
+
+
+def schoolbook_mul(a, b, mod, p):
+    """Product of two coefficient lists modulo the monic modulus."""
+    k = len(mod) - 1
+    prod = [0] * (2 * k - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] = (prod[i + j] + x * y) % p
+    for top in range(2 * k - 2, k - 1, -1):
+        c = prod[top]
+        for i, m in enumerate(mod):
+            prod[top - k + i] = (prod[top - k + i] - c * m) % p
+    return prod[:k]
+
+
+@pytest.mark.parametrize("q", sorted(MODULI))
+def test_full_tables_match_schoolbook_arithmetic(q):
+    spec, mod = field(q), MODULI[q]
+    p, k = spec.characteristic, len(mod) - 1
+    digits = [digits_of(v, p, k) for v in range(q)]
+    elems = np.arange(q)
+    add = spec.add(elems[:, None], elems[None, :])
+    mul = spec.mul(elems[:, None], elems[None, :])
+    for a in range(q):
+        for b in range(q):
+            want_add = value_of(schoolbook_add(digits[a], digits[b], p), p)
+            want_mul = value_of(schoolbook_mul(digits[a], digits[b], mod, p), p)
+            assert add[a, b] == want_add == spec.add(a, b)
+            assert mul[a, b] == want_mul == spec.mul(a, b)
+            assert spec.sub(want_add, b) == a
+        if a:
+            assert spec.mul(a, spec.inv(a)) == 1
+    assert (spec.sub(add, elems[None, :]) == elems[:, None]).all()
+
+
+def test_digitwise_addition_above_table_limit():
+    mod = [1, 0, 2, 0, 0, 0, 0, 1]  # x^7 + 2x^2 + 1 over GF(3)
+    spec = FieldSpec.of(3**7, mod)
+    assert spec.order > MAX_ADD_TABLE_ORDER
+    rng = random.Random(7)
+    pairs = [(rng.randrange(spec.order), rng.randrange(spec.order))
+             for _ in range(300)]
+    a, b = (np.array(col) for col in zip(*pairs))
+    for x, y, s, d, m in zip(a.tolist(), b.tolist(), spec.add(a, b),
+                             spec.sub(a, b), spec.mul(a, b)):
+        dx, dy = digits_of(x, 3, 7), digits_of(y, 3, 7)
+        assert s == value_of(schoolbook_add(dx, dy, 3), 3) == spec.add(x, y)
+        assert spec.add(d, y) == x == spec.sub(s, y)
+        assert m == value_of(schoolbook_mul(dx, dy, mod, 3), 3)

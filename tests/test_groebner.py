@@ -202,11 +202,24 @@ def test_buchberger_criterion_random_small_ideals():
             assert not normal_form(g, gb)
 
 
-def test_chain_criterion_same_result():
-    matrix, big, gens = triangle_relations()
-    plain = buchberger(gens, GrevLex())
-    pruned = buchberger(gens, GrevLex(), use_chain_criterion=True)
-    assert plain.generators == pruned.generators
+def test_buchberger_matches_sympy_groebner():
+    # the chain criterion prunes pairs; the reduced basis must still be
+    # sympy's, generator for generator
+    import sympy
+
+    _, big, gens = triangle_relations()
+    gb = buchberger(gens, GrevLex())
+    assert gb.check_buchberger_criterion()
+    symbols = sympy.symbols(big.names)
+    exprs = [sum(c.lift() * sympy.prod(v**e for v, e in zip(symbols, m))
+                 for m, c in g.terms.items()) for g in gens]
+    reference = sympy.groebner(exprs, *symbols, modulus=5, order="grevlex")
+    expected = {frozenset((m, int(c) % 5) for m, c in f.terms())
+                for f in reference.polys}
+    got = {frozenset((m, c.lift()) for m, c in g.terms.items())
+           for g in gb.generators}
+    assert len(gb) == len(reference.polys)
+    assert got == expected
 
 
 def test_division_consistency_of_normal_form():

@@ -12,7 +12,7 @@ from paramcodes.ideals import (
     vanishing_ideal_affine,
     vanishing_ideal_projective,
 )
-from paramcodes.linalg import rank, rref, in_row_space
+from paramcodes.linalg import rank
 from paramcodes.mpoly import GrevLex, Polynomial, RingContext
 
 from conftest import field
@@ -41,9 +41,10 @@ def test_enumerate_triangle_set(triangle_set):
     assert lifts == sorted(lifts)
     assert len(set(lifts)) == 32
     # projective lift is bijective
-    assert len(triangle_set.projective_reps) == 32
-    assert len(set(triangle_set.projective_reps)) == 32
-    assert all(pt[-1] == F5.one for pt in triangle_set.projective_reps)
+    projective = [pt + (F5.one,) for pt in triangle_set.affine_points]
+    assert len(projective) == 32
+    assert len(set(projective)) == 32
+    assert all(pt[-1] == F5.one for pt in projective)
 
 
 @pytest.mark.parametrize("q,s", [(5, 2), (3, 3), (11, 2)])
@@ -104,8 +105,8 @@ def test_projective_ideal_golden(triangle_set):
         "t1^4 - t4^4",
     ])
     for g in gb_y.generators:
-        for rep in triangle_set.projective_reps:
-            assert not g.evaluate(rep)
+        for pt in triangle_set.affine_points:
+            assert not g.evaluate(pt + (F5.one,))
 
 
 def test_projective_ideal_torus():
@@ -151,16 +152,17 @@ def test_interpolation_oracle_torus_q3():
     index = {m: i for i, m in enumerate(monos)}
     kernel_rows = []
     for f in polys:
-        row = [spec.zero_rep] * len(monos)
+        row = [0] * len(monos)
         for m, c in f.terms.items():
             row[index[m]] = c.rep
         kernel_rows.append(row)
-    echelon, pivots = rref(kernel_rows, spec)
+    kernel_rank = rank(kernel_rows, spec)
     for target in ({(2, 0): 1, (0, 0): -1}, {(0, 2): 1, (0, 0): -1}):
-        vec = [spec.zero_rep] * len(monos)
+        vec = [0] * len(monos)
         for m, c in target.items():
             vec[index[m]] = spec.element(c).rep
-        assert in_row_space(echelon, pivots, vec, spec)
+        # in the row space iff adjoining it leaves the rank unchanged
+        assert rank(kernel_rows + [vec], spec) == kernel_rank
 
 
 def test_zero_membership_both_directions():
