@@ -9,7 +9,6 @@ vanishing ideal of points equals the number of points.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from typing import Optional
 
 from .errors import DomainError, InternalInconsistencyError
@@ -18,7 +17,6 @@ from .mpoly import (
     Monomial,
     mono_degree,
     mono_divides,
-    mono_lcm,
     monomials_of_degree,
 )
 
@@ -41,12 +39,9 @@ def _minimal_leading_monomials(gb: GroebnerBasis) -> list[Monomial]:
     return minimal
 
 
-def _count_standard(lms: list[Monomial], num_vars: int, degree: int,
-                    inclusion_exclusion: bool) -> int:
+def _count_standard(lms: list[Monomial], num_vars: int, degree: int) -> int:
     if any(mono_degree(m) == 0 for m in lms):
         return 0  # unit ideal: no standard monomials at all
-    if inclusion_exclusion:
-        return _count_by_inclusion_exclusion(lms, num_vars, degree)
     count = 0
     for m in monomials_of_degree(num_vars, degree):
         if not any(mono_divides(lm, m) for lm in lms):
@@ -54,29 +49,7 @@ def _count_standard(lms: list[Monomial], num_vars: int, degree: int,
     return count
 
 
-def _count_by_inclusion_exclusion(lms, num_vars, degree):
-    from math import comb
-
-    def multiples(m):
-        # monomials of total degree `degree` divisible by m
-        excess = degree - mono_degree(m)
-        if excess < 0:
-            return 0
-        return comb(excess + num_vars - 1, num_vars - 1)
-
-    total = comb(degree + num_vars - 1, num_vars - 1)
-    for size in range(1, len(lms) + 1):
-        sign = -1 if size % 2 else 1
-        for subset in combinations(lms, size):
-            lcm = subset[0]
-            for m in subset[1:]:
-                lcm = mono_lcm(lcm, m)
-            total += sign * multiples(lcm)
-    return total
-
-
-def hilbert_value(gb_y: GroebnerBasis, d: int,
-                  inclusion_exclusion: bool = False) -> int:
+def hilbert_value(gb_y: GroebnerBasis, d: int) -> int:
     """Dimension of the degree-d graded piece of the quotient ring."""
     if d < 0:
         raise DomainError("degree must be non-negative")
@@ -84,7 +57,7 @@ def hilbert_value(gb_y: GroebnerBasis, d: int,
         if not g.is_homogeneous():
             raise DomainError("basis has a non-homogeneous generator")
     lms = _minimal_leading_monomials(gb_y)
-    return _count_standard(lms, gb_y.ring.num_vars, d, inclusion_exclusion)
+    return _count_standard(lms, gb_y.ring.num_vars, d)
 
 
 def affine_hilbert_value(gb_x: GroebnerBasis, d: int) -> int:
@@ -94,7 +67,7 @@ def affine_hilbert_value(gb_x: GroebnerBasis, d: int) -> int:
         raise DomainError("degree must be non-negative")
     lms = _minimal_leading_monomials(gb_x)
     num_vars = gb_x.ring.num_vars
-    return sum(_count_standard(lms, num_vars, e, False) for e in range(d + 1))
+    return sum(_count_standard(lms, num_vars, e) for e in range(d + 1))
 
 
 def hilbert_profile(gb_y: GroebnerBasis, cap: Optional[int] = None) -> HilbertProfile:

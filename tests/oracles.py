@@ -7,6 +7,9 @@ so test expectations never come from the code under test.
 
 from __future__ import annotations
 
+from itertools import combinations
+from math import comb
+
 from paramcodes.errors import ResourceLimitError
 from paramcodes.gf import FieldElement, FieldSpec
 from paramcodes.linalg import right_kernel_basis
@@ -48,6 +51,22 @@ def brute_weight_distribution(rows, spec: FieldSpec) -> dict[int, int]:
         weight = sum(1 for x in w if x != 0)
         dist[weight] = dist.get(weight, 0) + 1
     return dist
+
+
+def standard_count_by_inclusion_exclusion(lms, num_vars: int, degree: int) -> int:
+    """Monomials of total degree `degree` in num_vars variables divisible by
+    none of the monomials lms, by inclusion-exclusion over lcms of subsets."""
+    def multiples(exps):
+        # monomials of total degree `degree` divisible by x^exps
+        excess = degree - sum(exps)
+        return comb(excess + num_vars - 1, num_vars - 1) if excess >= 0 else 0
+
+    total = comb(degree + num_vars - 1, num_vars - 1)
+    for size in range(1, len(lms) + 1):
+        for subset in combinations(lms, size):
+            lcm = tuple(max(column) for column in zip(*subset))
+            total += (-1) ** size * multiples(lcm)
+    return total
 
 
 def evaluation_rows(pset, degree: int, ring: RingContext):

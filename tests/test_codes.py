@@ -1,8 +1,11 @@
 from math import comb
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
+from paramcodes import codes, linalg
 from paramcodes.codes import (
     CodeParameters,
     EvaluationMatrix,
@@ -126,8 +129,8 @@ def test_min_distance_budget_paths(triangle_set):
     E = build_evaluation_matrix(triangle_set, 2)  # k = 10
     bounded = minimum_distance(E, budget=100)
     assert bounded.status == "bounded"
-    assert (bounded.lower, bounded.upper) == (1, 32 - 10 + 1)
-    assert str(bounded) == "1..23"
+    assert (bounded.lower, bounded.upper) == (2, 32 - 10 + 1)
+    assert str(bounded) == "2..23"
     full = build_evaluation_matrix(triangle_set, 5)  # k = 32, full space
     detected = minimum_distance(full, budget=100)
     assert detected.status == "weight_one" and detected.value == 1
@@ -143,9 +146,96 @@ def test_weight_one_detection_is_exact(triangle_set):
     assert md.status == "bounded"
 
 
+def test_bounds_meet_at_two():
+    # Reed-Solomon over GF(7) at d=4: no weight-1 word and Singleton bound 2
+    E = build_evaluation_matrix(torus_set(7, 1), 4)  # k = 5, 7^5 codewords
+    md = minimum_distance(E, budget=100)
+    assert (md.status, md.value) == ("exact", 2)
+    assert torus_min_distance(7, 1, 4) == 2
+
+
 def test_threads_give_same_answer(triangle_set):
     E = build_evaluation_matrix(triangle_set, 1)
     assert minimum_distance(E, threads=3).value == 23
+
+
+# -- the projective sweep against brute force ----------------------------------
+
+class _Columns:
+    """The parts of a point set the distance routines read: the field and
+    the number of points."""
+
+    def __init__(self, spec, m):
+        self.field, self.m = spec, m
+
+    def __len__(self):
+        return self.m
+
+
+def generator_matrix(spec, rows) -> EvaluationMatrix:
+    return EvaluationMatrix(0, (), _Columns(spec, len(rows[0])), np.array(rows))
+
+
+def check_sweep(spec, rows):
+    """Distance and distribution at 1 and 3 threads equal brute force."""
+    q, k = spec.order, len(rows)
+    expected_md = brute_min_distance(rows, spec)
+    expected = brute_weight_distribution(rows, spec)
+    for threads in (1, 3):
+        E = generator_matrix(spec, rows)
+        md = minimum_distance(E, threads=threads)
+        assert (md.status, md.value) == ("exact", expected_md)
+        dist = weight_distribution(E, threads=threads)
+        assert dist == expected
+        assert all(c % (q - 1) == 0 for w, c in dist.items() if w)
+        assert sum(dist.values()) == q ** k
+
+
+SWEEP_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
+
+
+@st.composite
+def full_rank_codes(draw):
+    q = draw(st.sampled_from(SWEEP_ORDERS))
+    k = draw(st.integers(1, 4))
+    m = draw(st.integers(k, 8))
+    rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=m, max_size=m),
+                         min_size=k, max_size=k))
+    spec = field(q)
+    assume(linalg.rank(rows, spec) == k)
+    return spec, rows
+
+
+# block targets 1 and 4 put every row, or all but one or two, in the high part
+@settings(max_examples=80, deadline=None)
+@given(full_rank_codes(), st.sampled_from([1, 4, codes._BLOCK_ROWS_TARGET]))
+def test_sweep_matches_brute_force(code, block_rows_target):
+    with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", block_rows_target):
+        check_sweep(*code)
+
+
+def test_sweep_single_row_code():
+    spec = field(9)
+    rows = [[0, 3, 1, 0, 8, 5, 0, 2]]
+    check_sweep(spec, rows)
+    assert weight_distribution(generator_matrix(spec, rows)) == {0: 1, 5: 8}
+
+
+def test_sweep_two_row_code():
+    check_sweep(field(4), [[1, 0, 1, 2, 3, 1], [0, 1, 3, 3, 1, 2]])
+
+
+def test_sweep_single_high_row_and_zero_high_minimum():
+    # GF(5), k = 3: the block holds the first two echelon rows and the last
+    # row is the only high row.  The unique weight-1 words are the multiples
+    # of the first row, which only the zero-high sweep visits.
+    rows = [[1, 0, 0, 0, 0, 0, 0, 0],
+            [0, 1, 0, 1, 2, 3, 4, 1],
+            [0, 0, 1, 1, 1, 1, 1, 1]]
+    E = generator_matrix(F5, rows)
+    assert np.array_equal(E.echelon[0], rows)
+    check_sweep(F5, rows)
+    assert weight_distribution(E)[1] == 4
 
 
 # -- closed forms ----------------------------------------------------------------
