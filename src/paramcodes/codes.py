@@ -47,6 +47,8 @@ DEFAULT_MD_BUDGET = 20_000_000
 DEFAULT_MATRIX_BUDGET = 5_000_000
 
 _BLOCK_ROWS_TARGET = 1 << 14
+#: Entries of the int words computed per write into the codeword block.
+_BLOCK_WRITE_ENTRIES = 1 << 18
 
 
 # -- evaluation matrix -------------------------------------------------------
@@ -170,14 +172,21 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
     while k_lo < k - 1 and block_rows * q <= _BLOCK_ROWS_TARGET:
         block_rows *= q
         k_lo += 1
-    scalars = np.arange(q)[:, None]
-    low = np.zeros((1, m), dtype=basis.dtype)
-    for row in basis[:k_lo]:
-        # prepends the row's coefficient as the most significant base-q digit
-        low = spec.add(spec.mul(scalars, row)[:, None, :], low[None]).reshape(-1, m)
-    # one low word per column: the sweep then sums m contiguous rows
+    # one low word per column, so the sweep sums m contiguous rows; each row
+    # prepends its coefficient c as the most significant base-q digit.  The
+    # words with leading digits c are computed a few scalars at a time and
+    # written straight into their columns, so no int copy of the block exists
     dtype = np.uint8 if q <= 256 else np.uint16
-    low = np.ascontiguousarray(low.T, dtype=dtype)
+    low = np.zeros((m, block_rows), dtype=dtype)
+    size = 1
+    for row in basis[:k_lo]:
+        step = max(1, _BLOCK_WRITE_ENTRIES // (m * size))
+        for c in range(1, q, step):
+            scalars = np.arange(c, min(c + step, q))
+            words = spec.add(spec.mul(scalars, row[:, None])[:, :, None],
+                             low[:, None, :size])
+            low[:, c * size:(c + len(scalars)) * size] = words.reshape(m, -1)
+        size *= q
     # words q^j .. 2q^j - 1 of the block have their last nonzero coefficient,
     # 1, on row j: the zero-high sweep
     zero_high = np.count_nonzero(low, axis=0)[

@@ -8,17 +8,16 @@ vanishing ideal of points equals the number of points.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
-from typing import Optional
+from math import comb
+from typing import Iterator, Optional
+
+import numpy as np
 
 from .errors import DomainError, InternalInconsistencyError
 from .groebner import GroebnerBasis
-from .mpoly import (
-    Monomial,
-    mono_degree,
-    mono_divides,
-    monomials_of_degree,
-)
+from .mpoly import Monomial, mono_degree, mono_divides
 
 
 @dataclass(frozen=True)
@@ -39,13 +38,35 @@ def _minimal_leading_monomials(gb: GroebnerBasis) -> list[Monomial]:
     return minimal
 
 
+#: Monomials tested per numpy comparison; bounds the memory of one count.
+_CHUNK_ROWS = 1 << 16
+
+
+def _monomial_chunks(num_vars: int, degree: int) -> Iterator[np.ndarray]:
+    """Every exponent tuple of the given total degree, one per row, in
+    chunks: stars and bars, num_vars - 1 bars among degree + num_vars - 1
+    slots."""
+    slots = degree + num_vars - 1
+    bars = itertools.combinations(range(slots), num_vars - 1)
+    total = comb(slots, num_vars - 1)
+    for start in range(0, total, _CHUNK_ROWS):
+        rows = min(_CHUNK_ROWS, total - start)
+        chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(bars, rows)),
+                            dtype=np.int64, count=rows * (num_vars - 1))
+        edges = np.hstack([np.full((rows, 1), -1), chunk.reshape(rows, num_vars - 1),
+                           np.full((rows, 1), slots)])
+        yield np.diff(edges, axis=1) - 1
+
+
 def _count_standard(lms: list[Monomial], num_vars: int, degree: int) -> int:
     if any(mono_degree(m) == 0 for m in lms):
         return 0  # unit ideal: no standard monomials at all
     count = 0
-    for m in monomials_of_degree(num_vars, degree):
-        if not any(mono_divides(lm, m) for lm in lms):
-            count += 1
+    for monomials in _monomial_chunks(num_vars, degree):
+        standard = np.ones(len(monomials), dtype=bool)
+        for lm in lms:
+            standard &= ~(monomials >= lm).all(axis=1)
+        count += int(standard.sum())
     return count
 
 

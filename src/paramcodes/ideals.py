@@ -5,7 +5,11 @@ point set inside the affine torus: each parameter tuple x in (K*)^n maps
 to the point whose i-th coordinate is the i-th row's monomial evaluated
 at x.  The vanishing ideal comes out of a block elimination: adjoin one
 variable per parameter, relate coordinates to parameter monomials, impose
-the unit-group relations, and eliminate the parameter block.
+the unit-group relations, and eliminate the parameter block.  Every one of
+those relations is a pure-difference binomial, so the elimination runs in
+the binomial engine `groebner.eliminate_binomials` (exponent pairs,
+Gebauer-Moeller pair updates, no field arithmetic); the general
+`groebner.eliminate` computes the same basis and serves as its reference.
 """
 
 from __future__ import annotations
@@ -17,7 +21,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .gf import FieldElement, FieldSpec
-from .groebner import GroebnerBasis, eliminate, homogenize_basis
+from .groebner import GroebnerBasis, eliminate_binomials, homogenize_basis
 from .mpoly import GrevLex, Polynomial, RingContext, append_variable
 
 DEFAULT_ENUMERATION_BUDGET = 2**20
@@ -129,7 +133,7 @@ def vanishing_ideal_affine(pset: ParameterizedSet) -> GroebnerBasis:
     matrix, field = pset.matrix, pset.field
     ring = relation_ring(matrix, field)
     gens = relation_ideal_generators(matrix, field, ring)
-    return eliminate(gens, ring, matrix.n)
+    return eliminate_binomials(gens, ring, matrix.n)
 
 
 def vanishing_ideal_projective(affine_gb: GroebnerBasis,

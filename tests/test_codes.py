@@ -206,11 +206,14 @@ def full_rank_codes(draw):
     return spec, rows
 
 
-# block targets 1 and 4 put every row, or all but one or two, in the high part
+# block targets 1 and 4 put every row, or all but one or two, in the high
+# part; write sizes 1 and 16 build the block one scalar, or a few, at a time
 @settings(max_examples=80, deadline=None)
-@given(full_rank_codes(), st.sampled_from([1, 4, codes._BLOCK_ROWS_TARGET]))
-def test_sweep_matches_brute_force(code, block_rows_target):
-    with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", block_rows_target):
+@given(full_rank_codes(), st.sampled_from([1, 4, codes._BLOCK_ROWS_TARGET]),
+       st.sampled_from([1, 16, codes._BLOCK_WRITE_ENTRIES]))
+def test_sweep_matches_brute_force(code, block_rows_target, write_entries):
+    with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", block_rows_target), \
+            mock.patch.object(codes, "_BLOCK_WRITE_ENTRIES", write_entries):
         check_sweep(*code)
 
 

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from paramcodes.errors import DomainError
 from paramcodes.gf import FieldSpec
@@ -8,6 +9,7 @@ from paramcodes.groebner import (
     GroebnerBasis,
     buchberger,
     eliminate,
+    eliminate_binomials,
     homogenize_basis,
     normal_form,
     s_polynomial,
@@ -18,6 +20,8 @@ from paramcodes.ideals import (
     relation_ring,
 )
 from paramcodes.mpoly import GrevLex, Lex, Polynomial, RingContext, divide
+
+from conftest import field
 
 F5 = FieldSpec.of(5)
 
@@ -231,3 +235,62 @@ def test_division_consistency_of_normal_form():
     f = poly(r, {(3, 2): 2, (1, 0): 1, (0, 0): 4})
     _, rem = divide(f, list(gb.generators), Lex())
     assert normal_form(f, gb) == rem
+
+
+@st.composite
+def relation_instances(draw):
+    """An exponent matrix (s <= 4, n <= 3, entries <= 3), often with a zero
+    row or a repeated row, over a small prime or extension field."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                         min_size=1, max_size=4))
+    if len(rows) < 4 and draw(st.booleans()):
+        rows.append([0] * n)
+    if len(rows) < 4 and draw(st.booleans()):
+        rows.append(list(draw(st.sampled_from(rows))))
+    order = draw(st.permutations(range(len(rows))))
+    return q, [rows[i] for i in order]
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_instances(), st.data())
+def test_eliminate_binomials_matches_eliminate(instance, data):
+    q, rows = instance
+    matrix, spec = ExponentMatrix.of(rows), field(q)
+    big = relation_ring(matrix, spec)
+    gens = relation_ideal_generators(matrix, spec, big)
+    block = data.draw(st.integers(0, matrix.n), label="block")
+    expected = eliminate(gens, big, block)
+    # generator order and the sign of each binomial do not matter
+    shuffled = data.draw(st.permutations(gens), label="order")
+    signs = data.draw(st.lists(st.booleans(), min_size=len(gens),
+                               max_size=len(gens)), label="negate")
+    got = eliminate_binomials([-g if flip else g for g, flip in zip(shuffled, signs)],
+                              big, block)
+    assert got.generators == expected.generators
+    assert (got.ring, got.order, got.is_reduced) == (expected.ring, expected.order, True)
+
+
+def test_eliminate_binomials_contract():
+    r = ring("y1 t1")
+    for terms in ({(0, 1): 1},                          # a monomial
+                  {(1, 0): 1, (0, 1): -1, (0, 0): 1},   # three terms
+                  {(1, 0): 2, (0, 1): -2},              # x^a - x^b times 2
+                  {(1, 0): 1, (0, 1): 1},               # a sum, not a difference
+                  {(1, 0): 1, (0, 1): -2}):
+        with pytest.raises(DomainError):
+            eliminate_binomials([poly(r, terms)], r, 1)
+    g = poly(r, {(1, 0): 1, (0, 1): -1})
+    with pytest.raises(DomainError):
+        eliminate_binomials([g], r, 2)
+    with pytest.raises(DomainError):
+        eliminate_binomials([g], ring("y1 t2"), 1)
+    # zero generators are skipped; y1 - t1 leaves nothing once y1 is gone
+    assert eliminate_binomials([r.zero(), g], r, 1).generators == ()
+    assert eliminate_binomials([g], r, 0).generators == eliminate([g], r, 0).generators
+    # in characteristic 2, x^a + x^b is x^a - x^b
+    r2 = ring("y1 t1", FieldSpec.of(2))
+    gens = [poly(r2, {(1, 0): 1, (0, 1): 1}), poly(r2, {(1, 0): 1, (0, 0): 1})]
+    assert eliminate_binomials(gens, r2, 1).generators == eliminate(gens, r2, 1).generators
+    assert [p.format() for p in eliminate_binomials(gens, r2, 1)] == ["t1 + 1"]

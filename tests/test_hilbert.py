@@ -1,7 +1,9 @@
 from math import comb
+from unittest import mock
 
 import pytest
 
+from paramcodes import hilbert
 from paramcodes.errors import DomainError, InternalInconsistencyError
 from paramcodes.gf import FieldSpec
 from paramcodes.groebner import GroebnerBasis
@@ -17,7 +19,7 @@ from paramcodes.ideals import (
     vanishing_ideal_affine,
     vanishing_ideal_projective,
 )
-from paramcodes.mpoly import GrevLex, Polynomial, RingContext
+from paramcodes.mpoly import GrevLex, Polynomial, RingContext, mono_divides, monomials_of_degree
 
 from oracles import standard_count_by_inclusion_exclusion
 
@@ -87,9 +89,15 @@ def test_profile_monotone_and_stabilization_bound(triangle_bases, torus11_set):
 def test_inclusion_exclusion_matches_enumeration(triangle_bases):
     _, gb_y = triangle_bases
     lms = gb_y.leading_monomials()
-    for d in range(8):
-        assert hilbert_value(gb_y, d) == \
-            standard_count_by_inclusion_exclusion(lms, gb_y.ring.num_vars, d)
+    n = gb_y.ring.num_vars
+    # chunks of 1 and 7 rows spread each degree over several comparisons
+    for chunk_rows in (1, 7, hilbert._CHUNK_ROWS):
+        with mock.patch.object(hilbert, "_CHUNK_ROWS", chunk_rows):
+            for d in range(8):
+                by_loop = sum(1 for m in monomials_of_degree(n, d)
+                              if not any(mono_divides(lm, m) for lm in lms))
+                assert hilbert_value(gb_y, d) == by_loop == \
+                    standard_count_by_inclusion_exclusion(lms, n, d)
 
 
 def test_non_homogeneous_generator_rejected():

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from paramcodes.cli import main
 from paramcodes.errors import DomainError, ResourceLimitError
 from paramcodes.gf import FieldSpec
 from paramcodes.groebner import normal_form
@@ -76,6 +77,49 @@ def test_affine_ideal_golden(triangle_set):
         "t1^2*t2^2 - t3^2",
         "t1^4 - 1",
     ])
+
+
+CYCLE_GF7 = ["--q", "7", "--matrix", "1 1 0 0; 0 1 1 0; 0 0 1 1; 1 0 0 1"]
+
+
+def test_cycle_ideal_golden(capsys):
+    # recorded from the general Buchberger elimination
+    assert main(["ideal", "xstar", *CYCLE_GF7]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "t1*t3 - t2*t4",
+        "t4^6 - 1",
+        "t3^6 - 1",
+        "t2*t3^5 - t1*t4^5",
+        "t2^2*t3^4 - t1^2*t4^4",
+        "t2^3*t3^3 - t1^3*t4^3",
+        "t2^4*t3^2 - t1^4*t4^2",
+        "t2^5*t3 - t1^5*t4",
+        "t2^6 - 1",
+        "t1*t2^5 - t3^5*t4",
+        "t1^2*t2^4 - t3^4*t4^2",
+        "t1^3*t2^3 - t3^3*t4^3",
+        "t1^4*t2^2 - t3^2*t4^4",
+        "t1^5*t2 - t3*t4^5",
+        "t1^6 - 1",
+    ]
+    assert main(["ideal", "y", *CYCLE_GF7]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "t1*t3 - t2*t4",
+        "t4^6 - t5^6",
+        "t3^6 - t5^6",
+        "t2*t3^5 - t1*t4^5",
+        "t2^2*t3^4 - t1^2*t4^4",
+        "t2^3*t3^3 - t1^3*t4^3",
+        "t2^4*t3^2 - t1^4*t4^2",
+        "t2^5*t3 - t1^5*t4",
+        "t2^6 - t5^6",
+        "t1*t2^5 - t3^5*t4",
+        "t1^2*t2^4 - t3^4*t4^2",
+        "t1^3*t2^3 - t3^3*t4^3",
+        "t1^4*t2^2 - t3^2*t4^4",
+        "t1^5*t2 - t3*t4^5",
+        "t1^6 - t5^6",
+    ]
 
 
 def test_affine_ideal_torus_one_dim():
