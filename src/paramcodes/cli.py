@@ -71,15 +71,34 @@ def parse_degrees(text: str) -> list[int]:
     return list(range(lo, hi + 1))
 
 
+def _int_list(text: str) -> list[int]:
+    return [int(c) for c in text.replace(",", " ").split()]
+
+
 def parse_matrix_flag(text: str) -> list[list[int]]:
     rows = []
     for chunk in text.split(";"):
         chunk = chunk.strip()
         if chunk:
-            rows.append([int(e) for e in chunk.replace(",", " ").split()])
+            rows.append(_int_list(chunk))
     if not rows:
         raise UsageError("empty matrix")
     return rows
+
+
+def _parse_flag(flag: str, parse, text: str):
+    """Parse a flag value, reporting a malformed one as a usage error."""
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise UsageError(f"--{flag}: {exc}") from exc
+
+
+def _check_search_limits(md_budget: int, threads: Optional[int]) -> None:
+    if md_budget < 0:
+        raise UsageError("md-budget must be >= 0")
+    if threads is not None and threads < 1:
+        raise UsageError("threads must be >= 1")
 
 
 def parse_config_file(path: str) -> dict:
@@ -105,9 +124,9 @@ def parse_config_file(path: str) -> dict:
             if key == "q":
                 values["q"] = int(rest)
             elif key == "modulus":
-                values["modulus"] = [int(c) for c in rest.replace(",", " ").split()]
+                values["modulus"] = _int_list(rest)
             elif key == "matrix":
-                values["matrix"].append([int(c) for c in rest.replace(",", " ").split()])
+                values["matrix"].append(_int_list(rest))
             elif key == "degrees":
                 values["degrees"] = parse_degrees(rest)
             elif key == "md-budget":
@@ -132,12 +151,10 @@ def build_config(args, need_degrees: bool) -> RunConfig:
         values = parse_config_file(args.config)
     if getattr(args, "q", None) is not None:
         values["q"] = args.q
-    if getattr(args, "modulus", None) is not None:
-        values["modulus"] = [int(c) for c in args.modulus.replace(",", " ").split()]
-    if getattr(args, "matrix", None) is not None:
-        values["matrix"] = parse_matrix_flag(args.matrix)
-    if getattr(args, "degrees", None) is not None:
-        values["degrees"] = parse_degrees(args.degrees)
+    for flag, parse in (("modulus", _int_list), ("matrix", parse_matrix_flag),
+                        ("degrees", parse_degrees)):
+        if getattr(args, flag, None) is not None:
+            values[flag] = _parse_flag(flag, parse, getattr(args, flag))
     if getattr(args, "md_budget", None) is not None:
         values["md_budget"] = args.md_budget
     if getattr(args, "format", None) is not None:
@@ -159,11 +176,8 @@ def build_config(args, need_degrees: bool) -> RunConfig:
     if fmt not in ("table", "csv", "json"):
         raise UsageError(f"unknown format {fmt!r}: pick table, csv or json")
     md_budget = values.get("md_budget", DEFAULT_MD_BUDGET)
-    if md_budget < 0:
-        raise UsageError("md-budget must be >= 0")
     threads = values.get("threads", 1)
-    if threads < 1:
-        raise UsageError("threads must be >= 1")
+    _check_search_limits(md_budget, threads)
     return RunConfig(
         q=values["q"],
         modulus=values.get("modulus"),
@@ -251,7 +265,8 @@ def cmd_torus(args) -> int:
         raise UsageError("torus tables need q >= 3 (q = 2 is a single point)")
     if args.s < 1:
         raise UsageError("torus dimension s must be >= 1")
-    degrees = parse_degrees(args.degrees) if args.degrees else []
+    _check_search_limits(args.md_budget, args.threads)
+    degrees = _parse_flag("degrees", parse_degrees, args.degrees) if args.degrees else []
     length = (args.q - 1) ** args.s
     rows = []
     for d in degrees:

@@ -34,7 +34,7 @@ from . import linalg
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .gf import FieldSpec
 from .groebner import GroebnerBasis
-from .hilbert import HilbertProfile, affine_hilbert_value, hilbert_profile, hilbert_value
+from .hilbert import HilbertProfile, affine_hilbert_value, hilbert_profile
 from .ideals import (
     ExponentMatrix,
     ParameterizedSet,
@@ -87,12 +87,12 @@ def build_evaluation_matrix(pset: ParameterizedSet, d: int,
     if d < 0:
         raise DomainError("degree must be non-negative")
     s = pset.matrix.s
-    monomials = tuple(monomials_up_to_degree(s, d))
-    m = len(pset)
-    if len(monomials) * m > budget:
+    num_monomials, m = comb(s + d, s), len(pset)
+    if num_monomials * m > budget:
         raise ResourceLimitError(
-            f"evaluation matrix with {len(monomials)} x {m} entries exceeds "
+            f"evaluation matrix with {num_monomials} x {m} entries exceeds "
             f"the budget {budget}")
+    monomials = tuple(monomials_up_to_degree(s, d))
     spec = pset.field
     # every coordinate is a unit, so a monomial's value is g^(exponents . logs)
     logs = spec.log(np.array([[c.rep for c in pt] for pt in pset.affine_points]))
@@ -376,7 +376,7 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
         matrix = build_evaluation_matrix(pset, d, budget=matrix_budget)
         dim = code_dimension(matrix)
         if d >= 1:
-            h = hilbert_value(gb_y, d)
+            h = profile.values.get(d, profile.degree_of_ring)
             if dim != h:
                 raise InternalInconsistencyError(
                     f"rank {dim} of the evaluation matrix at degree {d} "

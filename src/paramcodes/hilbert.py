@@ -1,23 +1,23 @@
-"""Hilbert function and degree of the projective coordinate ring.
+"""Hilbert function and degree of the projective coordinate ring, read off
+the standard monomials (those no leading monomial divides) in one walk.
 
-Values come from counting standard monomials: monomials of total degree d
-not divisible by any leading monomial of the (homogeneous, graded-order)
-basis.  The ring degree is the stabilized value of that count, which for a
-vanishing ideal of points equals the number of points.
+The homogenizing variable comes last under GrevLex and divides no leading
+monomial of the projective basis, so the Hilbert value at d is the number
+of affine standard monomials of degree <= d, and the ring degree, their
+number, is the number of points of a vanishing ideal.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import comb
-from typing import Iterator, Optional
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, InternalInconsistencyError
 from .groebner import GroebnerBasis
-from .mpoly import Monomial, mono_degree, mono_divides
+from .mpoly import Monomial
 
 
 @dataclass(frozen=True)
@@ -29,56 +29,50 @@ class HilbertProfile:
     degree_of_ring: int
 
 
-def _minimal_leading_monomials(gb: GroebnerBasis) -> list[Monomial]:
-    lms = gb.leading_monomials()
-    minimal = []
-    for m in sorted(lms, key=mono_degree):
-        if not any(mono_divides(g, m) for g in minimal):
-            minimal.append(m)
-    return minimal
+def _level_sizes(leads: list[Monomial], num_vars: int,
+                 top: Optional[int] = None) -> list[int]:
+    """Number of standard monomials of each degree from 0 up to `top` or
+    to the last nonempty degree.  Each one of degree e is x_i times one of
+    degree e - 1, x_i its last variable, so a level extends each monomial
+    of the one before by every variable from its last on (making each
+    monomial once) and drops the multiples of the leads."""
+    level = np.zeros((1, num_vars), dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)  # each row's last variable; 0 for 1
+    sizes: list[int] = []
+    while True:
+        standard = np.ones(len(level), dtype=bool)
+        for lead in leads:  # one at a time: memory stays at the level's size
+            standard &= (level < lead).any(axis=1)
+        level, last = level[standard], last[standard]
+        if not len(level):
+            return sizes
+        sizes.append(len(level))
+        if top is not None and len(sizes) > top:
+            return sizes
+        grow = num_vars - last  # children per row: times x_last, ..., x_(n-1)
+        first = np.repeat(np.cumsum(grow) - grow, grow)
+        last = np.repeat(last, grow) + np.arange(len(first)) - first
+        level = np.repeat(level, grow, axis=0)
+        level[np.arange(len(level)), last] += 1
 
 
-#: Monomials tested per numpy comparison; bounds the memory of one count.
-_CHUNK_ROWS = 1 << 16
-
-
-def _monomial_chunks(num_vars: int, degree: int) -> Iterator[np.ndarray]:
-    """Every exponent tuple of the given total degree, one per row, in
-    chunks: stars and bars, num_vars - 1 bars among degree + num_vars - 1
-    slots."""
-    slots = degree + num_vars - 1
-    bars = itertools.combinations(range(slots), num_vars - 1)
-    total = comb(slots, num_vars - 1)
-    for start in range(0, total, _CHUNK_ROWS):
-        rows = min(_CHUNK_ROWS, total - start)
-        chunk = np.fromiter(itertools.chain.from_iterable(itertools.islice(bars, rows)),
-                            dtype=np.int64, count=rows * (num_vars - 1))
-        edges = np.hstack([np.full((rows, 1), -1), chunk.reshape(rows, num_vars - 1),
-                           np.full((rows, 1), slots)])
-        yield np.diff(edges, axis=1) - 1
-
-
-def _count_standard(lms: list[Monomial], num_vars: int, degree: int) -> int:
-    if any(mono_degree(m) == 0 for m in lms):
-        return 0  # unit ideal: no standard monomials at all
-    count = 0
-    for monomials in _monomial_chunks(num_vars, degree):
-        standard = np.ones(len(monomials), dtype=bool)
-        for lm in lms:
-            standard &= ~(monomials >= lm).all(axis=1)
-        count += int(standard.sum())
-    return count
+def _affine_leads(gb_y: GroebnerBasis) -> list[Monomial]:
+    """Leading monomials of a homogeneous basis without the last variable,
+    which must divide none of them."""
+    for g in gb_y.generators:
+        if not g.is_homogeneous():
+            raise DomainError("basis has a non-homogeneous generator")
+    lms = gb_y.leading_monomials()
+    if any(m[-1] for m in lms):
+        raise DomainError("the last variable divides a leading monomial")
+    return [m[:-1] for m in lms]
 
 
 def hilbert_value(gb_y: GroebnerBasis, d: int) -> int:
     """Dimension of the degree-d graded piece of the quotient ring."""
     if d < 0:
         raise DomainError("degree must be non-negative")
-    for g in gb_y.generators:
-        if not g.is_homogeneous():
-            raise DomainError("basis has a non-homogeneous generator")
-    lms = _minimal_leading_monomials(gb_y)
-    return _count_standard(lms, gb_y.ring.num_vars, d)
+    return sum(_level_sizes(_affine_leads(gb_y), gb_y.ring.num_vars - 1, top=d))
 
 
 def affine_hilbert_value(gb_x: GroebnerBasis, d: int) -> int:
@@ -86,38 +80,26 @@ def affine_hilbert_value(gb_x: GroebnerBasis, d: int) -> int:
     ideal: standard monomials of degree up to d."""
     if d < 0:
         raise DomainError("degree must be non-negative")
-    lms = _minimal_leading_monomials(gb_x)
-    num_vars = gb_x.ring.num_vars
-    return sum(_count_standard(lms, num_vars, e) for e in range(d + 1))
+    return sum(_level_sizes(gb_x.leading_monomials(), gb_x.ring.num_vars, top=d))
 
 
-def hilbert_profile(gb_y: GroebnerBasis, cap: Optional[int] = None) -> HilbertProfile:
-    """Iterate the Hilbert function until two consecutive values agree.
-
-    Monotone-until-constant behaviour is guaranteed for vanishing ideals of
-    nonempty point sets, so the first repeat is the degree of the ring.
-    """
-    field_order = gb_y.ring.field.order
-    if cap is None:
-        cap = 4 * gb_y.ring.num_vars * field_order
-    values: dict[int, int] = {0: hilbert_value(gb_y, 0)}
-    previous = values[0]
-    for d in range(1, cap + 1):
-        current = hilbert_value(gb_y, d)
-        values[d] = current
-        if current == previous:
-            return HilbertProfile(values, stabilized_at=d - 1,
-                                  degree_of_ring=current)
-        if current < previous:
+def hilbert_profile(gb_y: GroebnerBasis) -> HilbertProfile:
+    """The Hilbert function up to its first repeated value: it grows up to
+    the top degree of the standard monomials and stays at their number."""
+    leads = _affine_leads(gb_y)
+    names = gb_y.ring.names[:-1]
+    # finitely many standard monomials iff each variable has a pure power
+    for i, name in enumerate(names):
+        if not any(sum(m) == m[i] for m in leads):
             raise InternalInconsistencyError(
-                f"Hilbert function decreased at degree {d} "
-                f"({previous} -> {current}); the basis is not a vanishing ideal")
-        previous = current
-    raise InternalInconsistencyError(
-        f"Hilbert function did not stabilize by degree {cap}; "
-        "the basis cannot cut out a finite point set")
+                f"no leading monomial is a power of {name}; "
+                "the basis cannot cut out a finite point set")
+    counts = list(itertools.accumulate(_level_sizes(leads, len(names)))) or [0]
+    counts.append(counts[-1])
+    return HilbertProfile(dict(enumerate(counts)), stabilized_at=len(counts) - 2,
+                          degree_of_ring=counts[-1])
 
 
-def ring_degree(gb_y: GroebnerBasis, cap: Optional[int] = None) -> int:
+def ring_degree(gb_y: GroebnerBasis) -> int:
     """The stabilized Hilbert value (= number of points of the variety)."""
-    return hilbert_profile(gb_y, cap).degree_of_ring
+    return hilbert_profile(gb_y).degree_of_ring

@@ -157,6 +157,37 @@ def test_usage_errors(capsys):
     assert code == 1 and "row 2" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("params", *TRIANGLE, "--degrees", "abc"), "--degrees"),
+    (("params", *TRIANGLE, "--degrees", "1.."), "--degrees"),
+    (("params", "--q", "5", "--matrix", "1 x", "--degrees", "1"), "--matrix"),
+    (("ideal", "xstar", "--q", "9", "--modulus", "1 a 1", "--matrix", "1"), "--modulus"),
+    (("torus", "--q", "7", "--s", "1", "--degrees", "x"), "--degrees"),
+])
+def test_malformed_flag_values(capsys, argv, flag):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"paramcodes: error: {flag}: ")
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag, value, message", [
+    ("--md-budget", "-5", "md-budget must be >= 0"),
+    ("--threads", "0", "threads must be >= 1"),
+    ("--threads", "-3", "threads must be >= 1"),
+])
+def test_torus_rejects_bad_search_limits(capsys, flag, value, message):
+    for cross_check in ((), ("--cross-check",)):
+        code, out, err = run_cli(capsys, "torus", "--q", "7", "--s", "1",
+                                 "--degrees", "1..3", *cross_check, flag, value)
+        assert code == 1 and out == ""
+        assert err == f"paramcodes: error: {message}\n"
+    # the same message as params
+    _, _, params_err = run_cli(capsys, "params", *TRIANGLE, "--degrees", "1",
+                               flag, value)
+    assert params_err == err
+
+
 def test_resource_exit_code(capsys):
     code, _, err = run_cli(capsys, "params", "--q", "31",
                            "--matrix", "1 1 1 1 1", "--degrees", "1..1")

@@ -69,6 +69,16 @@ def test_matrix_budget():
         build_evaluation_matrix(torus_set(11, 2), 5, budget=100)
 
 
+def test_matrix_budget_checked_before_listing_monomials():
+    # comb(3 + 26, 3) = 3654 rows x 8 points; the budget admits one fewer
+    pset = torus_set(3, 3)
+    with mock.patch.object(codes, "monomials_up_to_degree",
+                           side_effect=AssertionError("monomials listed")):
+        with pytest.raises(ResourceLimitError,
+                           match=r"3654 x 8 entries exceeds the budget 29231"):
+            build_evaluation_matrix(pset, 26, budget=3654 * 8 - 1)
+
+
 def test_dimension_examples(triangle_set, torus11_set):
     assert code_dimension(build_evaluation_matrix(triangle_set, 4)) == 29
     assert code_dimension(build_evaluation_matrix(torus11_set, 9)) == 55

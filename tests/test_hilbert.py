@@ -1,13 +1,13 @@
 from math import comb
-from unittest import mock
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from paramcodes import hilbert
 from paramcodes.errors import DomainError, InternalInconsistencyError
 from paramcodes.gf import FieldSpec
 from paramcodes.groebner import GroebnerBasis
 from paramcodes.hilbert import (
+    HilbertProfile,
     affine_hilbert_value,
     hilbert_profile,
     hilbert_value,
@@ -21,9 +21,33 @@ from paramcodes.ideals import (
 )
 from paramcodes.mpoly import GrevLex, Polynomial, RingContext, mono_divides, monomials_of_degree
 
+from conftest import field
 from oracles import standard_count_by_inclusion_exclusion
 
 F5 = FieldSpec.of(5)
+
+
+def count_standard(lms, num_vars, degree):
+    """Monomials of the given degree that no leading monomial divides, one
+    by one."""
+    return sum(1 for m in monomials_of_degree(num_vars, degree)
+               if not any(mono_divides(lm, m) for lm in lms))
+
+
+def profile_by_enumeration(lms, num_vars, limit):
+    """Hilbert values from degree 0 until two consecutive ones agree."""
+    values = {0: count_standard(lms, num_vars, 0)}
+    for d in range(1, limit + 1):
+        values[d] = count_standard(lms, num_vars, d)
+        if values[d] == values[d - 1]:
+            return HilbertProfile(values, stabilized_at=d - 1,
+                                  degree_of_ring=values[d])
+    raise AssertionError(f"no repeat by degree {limit}")
+
+
+def monomial_basis(lms, ring):
+    gens = tuple(Polynomial(ring, {m: ring.field.one}) for m in lms)
+    return GroebnerBasis(gens, GrevLex(), ring)
 
 
 @pytest.fixture(scope="module")
@@ -90,14 +114,60 @@ def test_inclusion_exclusion_matches_enumeration(triangle_bases):
     _, gb_y = triangle_bases
     lms = gb_y.leading_monomials()
     n = gb_y.ring.num_vars
-    # chunks of 1 and 7 rows spread each degree over several comparisons
-    for chunk_rows in (1, 7, hilbert._CHUNK_ROWS):
-        with mock.patch.object(hilbert, "_CHUNK_ROWS", chunk_rows):
-            for d in range(8):
-                by_loop = sum(1 for m in monomials_of_degree(n, d)
-                              if not any(mono_divides(lm, m) for lm in lms))
-                assert hilbert_value(gb_y, d) == by_loop == \
-                    standard_count_by_inclusion_exclusion(lms, n, d)
+    for d in range(8):
+        assert hilbert_value(gb_y, d) == count_standard(lms, n, d) == \
+            standard_count_by_inclusion_exclusion(lms, n, d)
+
+
+@st.composite
+def point_sets(draw):
+    """An exponent matrix (s <= 3, n <= 3, entries <= 3) over a small prime
+    or extension field."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = draw(st.integers(1, 3))
+    rows = draw(st.lists(st.lists(st.integers(0, 3), min_size=n, max_size=n),
+                         min_size=1, max_size=3))
+    return enumerate_points(ExponentMatrix.of(rows), field(q))
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets())
+def test_walk_matches_enumeration_on_point_sets(pset):
+    gb_x = vanishing_ideal_affine(pset)
+    gb_y = vanishing_ideal_projective(gb_x)
+    n = gb_y.ring.num_vars
+    expected = profile_by_enumeration(gb_y.leading_monomials(), n, len(pset) + 1)
+    assert hilbert_profile(gb_y) == expected
+    assert expected.degree_of_ring == len(pset)
+    affine = [count_standard(gb_x.leading_monomials(), n - 1, e)
+              for e in range(expected.stabilized_at + 2)]
+    for d in range(expected.stabilized_at + 2):
+        assert hilbert_value(gb_y, d) == expected.values[d]
+        assert affine_hilbert_value(gb_x, d) == sum(affine[:d + 1])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(1, 3).flatmap(lambda n: st.lists(
+    st.lists(st.integers(0, 3), min_size=n, max_size=n).map(tuple),
+    max_size=5).map(lambda lms: (n, lms))))
+def test_walk_matches_enumeration_on_monomial_ideals(instance):
+    # any set of monomials is a Groebner basis of the ideal it generates,
+    # redundant ones and the unit ideal included
+    n, lms = instance
+    names = tuple(f"t{i}" for i in range(1, n + 2))
+    gb_x = monomial_basis(lms, RingContext(F5, names[:-1]))
+    lms_y = [m + (0,) for m in lms]
+    gb_y = monomial_basis(lms_y, RingContext(F5, names))
+    for d in range(6):
+        assert hilbert_value(gb_y, d) == count_standard(lms_y, n + 1, d)
+        assert affine_hilbert_value(gb_x, d) == \
+            sum(count_standard(lms, n, e) for e in range(d + 1))
+    # with exponents up to 3, a finite set stops below degree 2n + 1
+    if count_standard(lms, n, 2 * n + 1) == 0:
+        assert hilbert_profile(gb_y) == profile_by_enumeration(lms_y, n + 1, 2 * n + 2)
+    else:
+        with pytest.raises(InternalInconsistencyError):
+            hilbert_profile(gb_y)
 
 
 def test_non_homogeneous_generator_rejected():
@@ -108,12 +178,25 @@ def test_non_homogeneous_generator_rejected():
         hilbert_value(gb, 2)
 
 
-def test_unbounded_growth_hits_the_cap():
+def test_missing_pure_power_rejected():
     # the zero ideal in two variables never stabilizes
     ring = RingContext(F5, ("t1", "t2"))
     empty = GroebnerBasis((), GrevLex(), ring, is_reduced=True)
     with pytest.raises(InternalInconsistencyError):
         ring_degree(empty)
+    # t1^2 bounds t1 but no lead is a power of t2
+    ring = RingContext(F5, ("t1", "t2", "t3"))
+    with pytest.raises(InternalInconsistencyError, match="power of t2"):
+        hilbert_profile(monomial_basis([(2, 0, 0), (1, 1, 0)], ring))
+
+
+def test_last_variable_in_a_lead_rejected():
+    ring = RingContext(F5, ("t1", "t2"))
+    gb = monomial_basis([(1, 1)], ring)
+    with pytest.raises(DomainError):
+        hilbert_value(gb, 2)
+    with pytest.raises(DomainError):
+        hilbert_profile(gb)
 
 
 def test_negative_degree_rejected(triangle_bases):
