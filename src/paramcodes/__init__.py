@@ -3,7 +3,8 @@
 The pipeline: enumerate the point set cut out by an exponent matrix,
 compute its vanishing ideal by block elimination, homogenize to the
 projective closure, read length and dimension off the Hilbert function,
-and search codewords for the minimum distance.
+and certify the minimum distance by the footprint bound, a witness
+codeword and, where those differ, a codeword search.
 """
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError

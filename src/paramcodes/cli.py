@@ -332,7 +332,9 @@ def _add_common(sub, degrees_required: bool):
                      help="exponent rows, ';'-separated: '1 1 0; 0 1 1; 1 0 1'")
     sub.add_argument("--degrees", help="inclusive degree range, e.g. 1..5")
     sub.add_argument("--md-budget", type=int, dest="md_budget",
-                     help="codeword budget for exact minimum distance")
+                     help="codeword budget for the exhaustive distance sweep "
+                          "(0 skips the distance); rows the footprint bound "
+                          "settles are exact above it")
     sub.add_argument("--format", choices=("table", "csv", "json"))
     sub.add_argument("--threads", type=int)
     sub.add_argument("--verify", action="store_true",

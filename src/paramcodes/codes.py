@@ -7,21 +7,32 @@ the torus, so an entry is g^(exponents . logs of the point) and the whole
 matrix is one integer product read through the field's exp table.  Each
 matrix is reduced to echelon form once; dimension and distance share it.
 
-Minimum distance is exact whenever the number of codewords q^k fits the
-budget (which counts all q^k of them).  Scaling a codeword keeps its weight,
-so the search visits one codeword per scalar class, (q^k - 1)/(q - 1) in
-all: a block of every combination of the first rows, stored as uint8
-(uint16 above q = 256), is compared with each high word whose first nonzero
-coefficient is 1, and the number of differing coordinates is a weight.
-Above budget the routine falls back to exact weight-1 detection (an echelon
-row with a single nonzero entry); when it finds none the distance lies
-between 2 and the Singleton bound, exact where the two meet, never a silent
-wrong number.
+Minimum distance is certified in this order.  First two bounds that need
+no search: the footprint of the standard monomials Delta of the vanishing
+ideal (Geil and Hoeholdt, "Footprints or generalized Bezout's theorem",
+IEEE-IT 2000), min over M in Delta of degree <= d of #{N in Delta : M | N},
+is a lower bound, and the lightest row of the reduced echelon form, a real
+codeword, is an upper bound.  When they meet the distance is exact.  A
+witness of weight 1 settles the distance alone: a unit vector lies in the
+code exactly when some echelon row is a multiple of it.  Every echelon row
+is zero on the other k - 1 pivots, so the witness never exceeds the
+Singleton bound m - k + 1.
+
+Otherwise, when the number of codewords q^k fits the budget, an exhaustive
+sweep finds the distance, stopping at the first word whose weight reaches
+the lower bound.  Scaling a codeword keeps its weight, so the sweep visits
+one codeword per scalar class, (q^k - 1)/(q - 1) in all: a block of every
+combination of the first rows, stored as uint8 (uint16 above q = 256), is
+compared with each high word whose first nonzero coefficient is 1, and the
+number of differing coordinates is a weight.  Above the budget the distance
+is reported as the interval between the bounds, never a silent wrong
+number.  The budget caps only the sweep, so a row can be exact above it.
 """
 
 from __future__ import annotations
 
 import itertools
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import cached_property
@@ -117,14 +128,17 @@ class MinDistance:
     lower: Optional[int] = None
     upper: Optional[int] = None
     reason: Optional[str] = None
+    # what settled the value: footprint (the bounds met), search (the
+    # sweep) or weight-1 (a unit vector in the code); None when unsettled
+    method: Optional[str] = None
 
     @classmethod
-    def exact(cls, value: int) -> "MinDistance":
-        return cls("exact", value=value)
+    def exact(cls, value: int, method: Optional[str] = None) -> "MinDistance":
+        return cls("exact", value=value, method=method)
 
     @classmethod
     def weight_one(cls) -> "MinDistance":
-        return cls("weight_one", value=1)
+        return cls("weight_one", value=1, method="weight-1")
 
     @classmethod
     def bounded(cls, lower: int, upper: int) -> "MinDistance":
@@ -156,11 +170,13 @@ def _normalised_combos(n: int, q: int):
 
 
 def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
-                       threads: int = 1, collect: bool = False
-                       ) -> tuple[int, Optional[np.ndarray]]:
+                       threads: int = 1, collect: bool = False,
+                       floor: int = 1) -> tuple[int, Optional[np.ndarray]]:
     """Minimum weight over the nonzero codewords of the row space; with
     collect=True also the histogram of weights over one codeword per
     scalar class (q-1 nonzero codewords share each weight it counts).
+    Without collect the sweep stops at the first weight <= floor, which
+    must be a lower bound on the minimum weight.
 
     The first k_lo rows span a block of all q^k_lo low words.  Every high
     word whose first nonzero coefficient is 1 is swept against the whole
@@ -194,11 +210,14 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
     zero_high_best = int(zero_high.min(initial=m + 1))
     high = basis[k_lo:]
     combos = list(_normalised_combos(k - k_lo, q))
+    reached = threading.Event()  # some shard has met the floor
 
     def sweep(chunk) -> tuple[int, Optional[np.ndarray]]:
         best = zero_high_best
         hist = np.zeros(m + 1, dtype=np.int64) if collect else None
         for combo in chunk:
+            if reached.is_set():
+                break
             word = np.zeros(m, dtype=basis.dtype)
             for c, row in zip(combo, high):
                 if c:
@@ -209,8 +228,8 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
             best = min(best, int(weights.min()))
             if collect:
                 hist += np.bincount(weights, minlength=m + 1)
-            elif best == 1:
-                break
+            elif best <= floor:
+                reached.set()
         return best, hist
 
     results = [(zero_high_best,
@@ -229,28 +248,29 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
 
 def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
                      threads: int = 1) -> MinDistance:
-    """Exact search when q^dim fits the budget, else weight-1 detection,
-    else the interval from 2 to the Singleton bound.  budget=0 disables the
-    computation."""
+    """Exact where the footprint meets the lightest echelon row, else by a
+    sweep when q^dim fits the budget, else the interval between the two.
+    budget=0 disables the computation."""
     spec = matrix.field
     basis, pivots = matrix.echelon
     k = len(pivots)
-    m = matrix.num_points
     if k == 0:
         raise DomainError("the zero code has no minimum distance")
     if budget == 0:
         return MinDistance.skipped("search disabled by the caller")
-    if spec.order ** k <= budget:
-        weight, _ = _enumerate_weights(basis, spec, threads=threads)
-        return MinDistance.exact(weight)
-    # a unit vector e_j lies in the row space iff some echelon row is a
-    # multiple of it: the pivot coordinates fix every coefficient
-    if np.any(np.count_nonzero(basis, axis=1) == 1):
-        return MinDistance.weight_one()
-    # no weight-1 word: the distance is at least 2, and the full space
-    # (Singleton bound 1) always has one
-    upper = m - k + 1
-    return MinDistance.exact(2) if upper == 2 else MinDistance.bounded(2, upper)
+    within_budget = spec.order ** k <= budget
+    witness = int(np.count_nonzero(basis, axis=1).min())
+    if witness == 1:
+        return (MinDistance.exact(1, "weight-1") if within_budget
+                else MinDistance.weight_one())
+    # no echelon row is a unit vector, so no codeword is one
+    lower = max(matrix.pset.footprint(matrix.degree), 2)
+    if lower == witness:
+        return MinDistance.exact(witness, "footprint")
+    if within_budget:
+        weight, _ = _enumerate_weights(basis, spec, threads=threads, floor=lower)
+        return MinDistance.exact(weight, "search")
+    return MinDistance.bounded(lower, witness)
 
 
 def weight_distribution(matrix: EvaluationMatrix,
@@ -350,7 +370,10 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                  matrix_budget: int = DEFAULT_MATRIX_BUDGET,
                  verify: bool = False, threads: int = 1) -> PipelineRun:
     """Vanishing ideals, Hilbert profile, and per-degree code parameters,
-    with the rank-versus-Hilbert consistency check always on."""
+    with the rank-versus-Hilbert consistency check always on.  One walk of
+    the standard monomials serves the profile and the footprint bounds.
+    With verify=True every distance the footprint settled within the
+    budget is also swept exhaustively."""
     gb_x = vanishing_ideal_affine(pset)
     gb_y = vanishing_ideal_projective(gb_x, verify=verify)
     if verify:
@@ -365,7 +388,7 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                     if g.evaluate(pt):
                         raise InternalInconsistencyError(
                             f"{kind} generator {g} does not vanish on {pt}")
-    profile = hilbert_profile(gb_y)
+    profile = hilbert_profile(gb_y, levels=pset.standard_monomials)
     m = len(pset)
     if profile.degree_of_ring != m:
         raise InternalInconsistencyError(
@@ -388,6 +411,14 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                         f"affine Hilbert value {ha} at degree {d} differs "
                         f"from the rank {dim}")
         md = minimum_distance(matrix, budget=md_budget, threads=threads)
+        if verify and md.method == "footprint" \
+                and pset.field.order ** dim <= md_budget:
+            swept, _ = _enumerate_weights(matrix.echelon[0], pset.field,
+                                          threads=threads)
+            if swept != md.value:
+                raise InternalInconsistencyError(
+                    f"footprint distance {md.value} at degree {d} differs "
+                    f"from the sweep's {swept}")
         rows.append(CodeParameters(d, m, dim, md))
     return PipelineRun(pset, gb_x, gb_y, profile, tuple(rows))
 

@@ -4,7 +4,10 @@ the standard monomials (those no leading monomial divides) in one walk.
 The homogenizing variable comes last under GrevLex and divides no leading
 monomial of the projective basis, so the Hilbert value at d is the number
 of affine standard monomials of degree <= d, and the ring degree, their
-number, is the number of points of a vanishing ideal.
+number, is the number of points of a vanishing ideal.  The walk returns
+the standard monomials themselves, level by level, so the footprint bound
+on the minimum distance (`ideals.ParameterizedSet.footprint`) reads the
+same arrays.
 """
 
 from __future__ import annotations
@@ -29,26 +32,26 @@ class HilbertProfile:
     degree_of_ring: int
 
 
-def _level_sizes(leads: list[Monomial], num_vars: int,
-                 top: Optional[int] = None) -> list[int]:
-    """Number of standard monomials of each degree from 0 up to `top` or
-    to the last nonempty degree.  Each one of degree e is x_i times one of
-    degree e - 1, x_i its last variable, so a level extends each monomial
-    of the one before by every variable from its last on (making each
-    monomial once) and drops the multiples of the leads."""
+def standard_monomials(leads: list[Monomial], num_vars: int,
+                       top: Optional[int] = None) -> list[np.ndarray]:
+    """The standard monomials, one exponent array per degree from 0 up to
+    `top` or to the last nonempty degree.  Each one of degree e is x_i
+    times one of degree e - 1, x_i its last variable, so a level extends
+    each monomial of the one before by every variable from its last on
+    (making each monomial once) and drops the multiples of the leads."""
     level = np.zeros((1, num_vars), dtype=np.int64)
     last = np.zeros(1, dtype=np.int64)  # each row's last variable; 0 for 1
-    sizes: list[int] = []
+    levels: list[np.ndarray] = []
     while True:
         standard = np.ones(len(level), dtype=bool)
         for lead in leads:  # one at a time: memory stays at the level's size
             standard &= (level < lead).any(axis=1)
         level, last = level[standard], last[standard]
         if not len(level):
-            return sizes
-        sizes.append(len(level))
-        if top is not None and len(sizes) > top:
-            return sizes
+            return levels
+        levels.append(level)
+        if top is not None and len(levels) > top:
+            return levels
         grow = num_vars - last  # children per row: times x_last, ..., x_(n-1)
         first = np.repeat(np.cumsum(grow) - grow, grow)
         last = np.repeat(last, grow) + np.arange(len(first)) - first
@@ -72,7 +75,8 @@ def hilbert_value(gb_y: GroebnerBasis, d: int) -> int:
     """Dimension of the degree-d graded piece of the quotient ring."""
     if d < 0:
         raise DomainError("degree must be non-negative")
-    return sum(_level_sizes(_affine_leads(gb_y), gb_y.ring.num_vars - 1, top=d))
+    leads = _affine_leads(gb_y)
+    return sum(map(len, standard_monomials(leads, gb_y.ring.num_vars - 1, top=d)))
 
 
 def affine_hilbert_value(gb_x: GroebnerBasis, d: int) -> int:
@@ -80,12 +84,17 @@ def affine_hilbert_value(gb_x: GroebnerBasis, d: int) -> int:
     ideal: standard monomials of degree up to d."""
     if d < 0:
         raise DomainError("degree must be non-negative")
-    return sum(_level_sizes(gb_x.leading_monomials(), gb_x.ring.num_vars, top=d))
+    leads = gb_x.leading_monomials()
+    return sum(map(len, standard_monomials(leads, gb_x.ring.num_vars, top=d)))
 
 
-def hilbert_profile(gb_y: GroebnerBasis) -> HilbertProfile:
+def hilbert_profile(gb_y: GroebnerBasis,
+                    levels: Optional[list[np.ndarray]] = None) -> HilbertProfile:
     """The Hilbert function up to its first repeated value: it grows up to
-    the top degree of the standard monomials and stays at their number."""
+    the top degree of the standard monomials and stays at their number.
+    A caller that already holds those monomials, as `standard_monomials`
+    of the affine leads returns them, passes them as `levels` and saves
+    the walk."""
     leads = _affine_leads(gb_y)
     names = gb_y.ring.names[:-1]
     # finitely many standard monomials iff each variable has a pure power
@@ -94,7 +103,9 @@ def hilbert_profile(gb_y: GroebnerBasis) -> HilbertProfile:
             raise InternalInconsistencyError(
                 f"no leading monomial is a power of {name}; "
                 "the basis cannot cut out a finite point set")
-    counts = list(itertools.accumulate(_level_sizes(leads, len(names)))) or [0]
+    if levels is None:
+        levels = standard_monomials(leads, len(names))
+    counts = list(itertools.accumulate(map(len, levels))) or [0]
     counts.append(counts[-1])
     return HilbertProfile(dict(enumerate(counts)), stabilized_at=len(counts) - 2,
                           degree_of_ring=counts[-1])

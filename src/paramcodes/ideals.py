@@ -15,6 +15,7 @@ Gebauer-Moeller pair updates, no field arithmetic); the general
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Sequence
 
 import numpy as np
@@ -22,9 +23,12 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError
 from .gf import FieldElement, FieldSpec
 from .groebner import GroebnerBasis, eliminate_binomials, homogenize_basis
+from .hilbert import standard_monomials
 from .mpoly import GrevLex, Polynomial, RingContext, append_variable
 
 DEFAULT_ENUMERATION_BUDGET = 2**20
+#: Divisibility tests per numpy call when counting footprints.
+_FOOTPRINT_ENTRIES = 1 << 18
 
 Point = tuple  # tuple of FieldElement
 
@@ -71,7 +75,8 @@ class ExponentMatrix:
 
 @dataclass(frozen=True)
 class ParameterizedSet:
-    """The enumerated points of the set, in canonical order."""
+    """The enumerated points of the set, in canonical order, with the
+    vanishing ideal's basis and standard monomials, each computed once."""
 
     matrix: ExponentMatrix
     field: FieldSpec
@@ -79,6 +84,39 @@ class ParameterizedSet:
 
     def __len__(self) -> int:
         return len(self.affine_points)
+
+    @cached_property
+    def affine_basis(self) -> GroebnerBasis:
+        """Reduced GrevLex basis of all polynomials vanishing on the set;
+        every generator is a binomial."""
+        ring = relation_ring(self.matrix, self.field)
+        gens = relation_ideal_generators(self.matrix, self.field, ring)
+        return eliminate_binomials(gens, ring, self.matrix.n)
+
+    @cached_property
+    def standard_monomials(self) -> list[np.ndarray]:
+        """Delta, the monomials no leading monomial of the affine basis
+        divides, one exponent array per degree; there are len(self)."""
+        return standard_monomials(self.affine_basis.leading_monomials(),
+                                  self.matrix.s)
+
+    def footprint(self, d: int) -> int:
+        """Footprint lower bound on the minimum distance of the degree-d
+        code (Geil and Hoeholdt, IEEE-IT 2000): the fewest standard
+        monomials that one of degree <= d divides.  A nonzero codeword is
+        f(X) for an f whose normal form leads with some M in Delta of degree
+        <= d, and f has at most |Delta| - #{N in Delta : M | N} zeros on X."""
+        delta = np.concatenate(self.standard_monomials)
+        leads = np.concatenate(self.standard_monomials[:d + 1])
+        step = max(1, _FOOTPRINT_ENTRIES // len(delta))
+        best = len(delta)
+        for start in range(0, len(leads), step):
+            chunk = leads[start:start + step]
+            divides = np.ones((len(chunk), len(delta)), dtype=bool)
+            for i in range(delta.shape[1]):
+                divides &= chunk[:, i, None] <= delta[None, :, i]
+            best = min(best, int(divides.sum(axis=1).min()))
+        return best
 
 
 def enumerate_points(matrix: ExponentMatrix, field: FieldSpec,
@@ -129,11 +167,8 @@ def relation_ideal_generators(matrix: ExponentMatrix, field: FieldSpec,
 
 def vanishing_ideal_affine(pset: ParameterizedSet) -> GroebnerBasis:
     """Reduced GrevLex basis of all polynomials vanishing on the affine set;
-    every generator is a binomial."""
-    matrix, field = pset.matrix, pset.field
-    ring = relation_ring(matrix, field)
-    gens = relation_ideal_generators(matrix, field, ring)
-    return eliminate_binomials(gens, ring, matrix.n)
+    every generator is a binomial.  Computed once per point set."""
+    return pset.affine_basis
 
 
 def vanishing_ideal_projective(affine_gb: GroebnerBasis,

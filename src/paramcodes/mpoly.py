@@ -72,9 +72,6 @@ class MonomialOrder:
     def key(self, exps: Monomial) -> tuple:
         raise NotImplementedError
 
-    def greater(self, a: Monomial, b: Monomial) -> bool:
-        return self.key(a) > self.key(b)
-
 
 @dataclass(frozen=True)
 class Lex(MonomialOrder):

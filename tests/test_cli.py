@@ -21,9 +21,9 @@ def test_params_csv_golden(capsys):
     assert out.splitlines() == [
         "d,length,dim,delta,delta_status,singleton_defect,mds",
         "1,32,4,23,exact,6,false",
-        "2,32,10,2..23,bounded,,",
-        "3,32,20,2..13,bounded,,",
-        "4,32,29,2..4,bounded,,",
+        "2,32,10,8..14,bounded,,",
+        "3,32,20,4,exact,9,false",
+        "4,32,29,2,exact,2,false",
         "5,32,32,1,weight_one,0,true",
     ]
 

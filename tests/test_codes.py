@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from paramcodes import codes, linalg
+from paramcodes import codes, hilbert, ideals, linalg
 from paramcodes.codes import (
     CodeParameters,
     EvaluationMatrix,
@@ -21,12 +21,13 @@ from paramcodes.codes import (
     verify_instance,
     weight_distribution,
 )
-from paramcodes.errors import DomainError, ResourceLimitError
+from paramcodes.errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from paramcodes.gf import FieldSpec
-from paramcodes.ideals import ExponentMatrix, enumerate_points
+from paramcodes.ideals import ExponentMatrix, ParameterizedSet, enumerate_points
 
 from conftest import field
 from oracles import brute_min_distance, brute_weight_distribution
+from test_hilbert import point_sets
 
 F5 = FieldSpec.of(5)
 
@@ -138,22 +139,37 @@ def test_min_distance_extension_field_beyond_order_1024():
 def test_min_distance_budget_paths(triangle_set):
     E = build_evaluation_matrix(triangle_set, 2)  # k = 10
     bounded = minimum_distance(E, budget=100)
-    assert bounded.status == "bounded"
-    assert (bounded.lower, bounded.upper) == (2, 32 - 10 + 1)
-    assert str(bounded) == "2..23"
+    assert bounded.status == "bounded" and bounded.method is None
+    # the footprint below, the lightest echelon row above
+    assert (bounded.lower, bounded.upper) == (8, 14)
+    assert str(bounded) == "8..14"
     full = build_evaluation_matrix(triangle_set, 5)  # k = 32, full space
     detected = minimum_distance(full, budget=100)
     assert detected.status == "weight_one" and detected.value == 1
+    assert detected.method == "weight-1"
     skipped = minimum_distance(E, budget=0)
-    assert skipped.status == "skipped"
+    assert skipped.status == "skipped" and skipped.method is None
 
 
 def test_weight_one_detection_is_exact(triangle_set):
-    # at degree 4 the dual-distance structure admits no weight-1 word:
-    # detection must not fire, even though brute force is out of budget
+    # at degree 4 no codeword has weight 1, so detection must not fire,
+    # though brute force is out of budget; the footprint meets a weight-2
+    # echelon row instead
     E = build_evaluation_matrix(triangle_set, 4)  # k = 29
     md = minimum_distance(E, budget=100)
-    assert md.status == "bounded"
+    assert (md.status, md.value, md.method) == ("exact", 2, "footprint")
+
+
+def test_early_stopped_sweep_is_exact(triangle_set):
+    # d = 2: footprint 8 and witness 14 differ, and 5^10 codewords fit the
+    # default budget; the sweep stops at the first word of weight 8
+    E = build_evaluation_matrix(triangle_set, 2)
+    with mock.patch.object(codes, "_enumerate_weights",
+                           wraps=codes._enumerate_weights) as sweep:
+        md = minimum_distance(E)
+    assert (md.status, md.value, md.method) == ("exact", 8, "search")
+    assert sweep.call_args.kwargs["floor"] == 8
+    assert codes._enumerate_weights(E.echelon[0], F5)[0] == 8
 
 
 def test_bounds_meet_at_two():
@@ -169,17 +185,94 @@ def test_threads_give_same_answer(triangle_set):
     assert minimum_distance(E, threads=3).value == 23
 
 
+# -- footprint and witness -------------------------------------------------------
+
+def witness(E: EvaluationMatrix) -> int:
+    """Weight of the lightest row of the reduced echelon form."""
+    return int(np.count_nonzero(E.echelon[0], axis=1).min())
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets())
+def test_footprint_and_witness_bracket_the_distance(pset):
+    spec = pset.field
+    # the code is the whole space from the top degree of Delta on
+    for d in range(len(pset.standard_monomials)):
+        E = build_evaluation_matrix(pset, d)
+        lower, upper = pset.footprint(d), witness(E)
+        assert 1 <= lower <= upper <= len(pset) - code_dimension(E) + 1
+        words = spec.order ** code_dimension(E)
+        if words * len(pset) <= 20_000:
+            assert lower <= brute_min_distance(E.rows, spec) <= upper
+        md = minimum_distance(E, budget=100)
+        if md.status == "bounded":
+            assert (md.lower, md.upper) == (max(lower, 2), upper)
+        elif words > 100:  # settled without a sweep
+            assert md.value in (lower, upper) and md.method in ("footprint", "weight-1")
+
+
+@pytest.mark.parametrize("q,s", [(3, 1), (3, 3), (4, 2), (5, 2), (7, 1),
+                                 (8, 2), (9, 2), (11, 2), (7, 3)])
+def test_footprint_equals_torus_distance(q, s):
+    pset = torus_set(q, s)
+    for d in range(1, (q - 2) * s + 2):
+        assert pset.footprint(d) == torus_min_distance(q, s, d)
+
+
+def test_no_unit_vector_lifts_the_footprint_to_two():
+    # the curve (x, x^3) over GF(5) at d=1: a standard monomial of degree 1
+    # divides no other (footprint 1), but no echelon row is a unit vector,
+    # so the distance is at least 2, which the witness attains
+    pset = enumerate_points(ExponentMatrix.of([[1], [3]]), F5)
+    E = build_evaluation_matrix(pset, 1)  # k = 3, m = 4
+    assert pset.footprint(1) == 1 and witness(E) == 2
+    md = minimum_distance(E, budget=100)
+    assert (md.status, md.value, md.method) == ("exact", 2, "footprint")
+
+
+def test_methods_along_the_triangle(triangle_set):
+    methods = [minimum_distance(build_evaluation_matrix(triangle_set, d)).method
+               for d in range(7)]
+    assert methods == ["footprint", "search", "search", "footprint",
+                       "footprint", "weight-1", "weight-1"]
+
+
+def test_pipeline_walks_delta_once(triangle_matrix, f5):
+    pset = enumerate_points(triangle_matrix, f5)
+    with mock.patch("paramcodes.ideals.standard_monomials",
+                    wraps=ideals.standard_monomials) as from_pset, \
+            mock.patch("paramcodes.hilbert.standard_monomials",
+                       wraps=hilbert.standard_monomials) as from_profile:
+        run = run_pipeline(pset, range(1, 6))
+    assert from_pset.call_count + from_profile.call_count == 1
+    assert [p.min_distance.value for p in run.table[2:]] == [4, 2, 1]
+
+
+def test_verify_sweeps_rows_the_footprint_settled(triangle_set):
+    # a footprint claiming the witness weight 14 at d = 2, where the true
+    # distance is 8: the pipeline trusts it, the verifying sweep does not
+    with mock.patch.object(ParameterizedSet, "footprint", return_value=14):
+        run = run_pipeline(triangle_set, [2])
+        assert run.table[0].min_distance.value == 14
+        with pytest.raises(InternalInconsistencyError, match="sweep's 8"):
+            run_pipeline(triangle_set, [2], verify=True)
+
+
 # -- the projective sweep against brute force ----------------------------------
 
 class _Columns:
-    """The parts of a point set the distance routines read: the field and
-    the number of points."""
+    """The parts of a point set the distance routines read: the field, the
+    number of points and a lower bound on the distance, here the bound 1
+    that holds for every code."""
 
     def __init__(self, spec, m):
         self.field, self.m = spec, m
 
     def __len__(self):
         return self.m
+
+    def footprint(self, d):
+        return 1
 
 
 def generator_matrix(spec, rows) -> EvaluationMatrix:
@@ -195,6 +288,9 @@ def check_sweep(spec, rows):
         E = generator_matrix(spec, rows)
         md = minimum_distance(E, threads=threads)
         assert (md.status, md.value) == ("exact", expected_md)
+        # the full sweep too, which the witness can make unnecessary above
+        swept, _ = codes._enumerate_weights(E.echelon[0], spec, threads=threads)
+        assert swept == expected_md
         dist = weight_distribution(E, threads=threads)
         assert dist == expected
         assert all(c % (q - 1) == 0 for w, c in dist.items() if w)

@@ -144,6 +144,12 @@ def test_walk_matches_enumeration_on_point_sets(pset):
     for d in range(expected.stabilized_at + 2):
         assert hilbert_value(gb_y, d) == expected.values[d]
         assert affine_hilbert_value(gb_x, d) == sum(affine[:d + 1])
+    # the walk's levels are the standard monomials themselves
+    lms = gb_x.leading_monomials()
+    assert [sorted(map(tuple, level.tolist())) for level in pset.standard_monomials] == [
+        [m for m in sorted(monomials_of_degree(n - 1, e))
+         if not any(mono_divides(lm, m) for lm in lms)]
+        for e in range(expected.stabilized_at + 1)]
 
 
 @settings(max_examples=80, deadline=None)
