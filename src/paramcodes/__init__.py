@@ -1,9 +1,9 @@
 """Parameters of parameterized affine codes over finite fields.
 
 The pipeline: enumerate the point set cut out by an exponent matrix,
-compute its vanishing ideal by block elimination, homogenize to the
-projective closure, read length and dimension off the Hilbert function,
-and certify the minimum distance by the footprint bound, a witness
+compute its vanishing ideal as a lattice ideal in the coordinates,
+homogenize to the projective closure, read length and dimension off the
+Hilbert function, and certify the minimum distance by the footprint bound, a witness
 codeword and, where those differ, a codeword search.
 """
 

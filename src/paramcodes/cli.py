@@ -9,6 +9,7 @@ cross-module invariants).  Exit codes: 0 ok, 1 usage, 2 resource limit,
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import dataclass
@@ -24,7 +25,7 @@ from .codes import (
     verify_instance,
 )
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
-from .gf import FieldSpec
+from .gf import FieldSpec, _check_irreducible, _factor_prime_power
 from .ideals import (
     ExponentMatrix,
     enumerate_points,
@@ -267,6 +268,7 @@ def cmd_torus(args) -> int:
         raise UsageError("torus dimension s must be >= 1")
     _check_search_limits(args.md_budget, args.threads)
     degrees = _parse_flag("degrees", parse_degrees, args.degrees) if args.degrees else []
+    field = _torus_field(args.q)
     length = (args.q - 1) ** args.s
     rows = []
     for d in degrees:
@@ -275,9 +277,7 @@ def cmd_torus(args) -> int:
         rows.append(CodeParameters(d, length, dim, MinDistance.exact(delta)))
     print(render_rows(rows, args.format or "table"))
     if args.cross_check and degrees:
-        matrix = ExponentMatrix.torus(args.s)
-        field = FieldSpec.of(args.q)
-        pset = enumerate_points(matrix, field)
+        pset = enumerate_points(ExponentMatrix.torus(args.s), field)
         pipeline = parameter_table(pset, degrees, md_budget=args.md_budget,
                                    threads=args.threads or 1)
         problems = []
@@ -297,6 +297,15 @@ def cmd_torus(args) -> int:
             return EXIT_INCONSISTENT
         print(f"cross-check ok: pipeline agrees on {len(degrees)} degrees")
     return EXIT_OK
+
+
+def _torus_field(q: int) -> FieldSpec:
+    """GF(q); a proper prime power gets its first monic irreducible modulus
+    (constant term first), on which no parameter of the torus depends."""
+    p, k = _factor_prime_power(q)
+    monics = (low + (1,) for low in itertools.product(range(p), repeat=k))
+    return FieldSpec.of(q, None if k == 1 else
+                        next(m for m in monics if _check_irreducible(m, p)))
 
 
 def cmd_verify(args) -> int:

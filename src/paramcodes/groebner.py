@@ -3,16 +3,17 @@ elimination, and homogenization of a whole basis.
 
 `buchberger` and `eliminate` take any polynomials.  Their pair queue uses
 the normal strategy (smallest lcm total degree first, then pair index) and
-skips pairs by the coprimality and chain criteria; they are the reference
-the binomial engine is tested against.
+skips pairs by the coprimality and chain criteria; they are the references
+the binomial engine and the lattice route are tested against.
 
-`eliminate_binomials` returns the same basis for ideals generated by
-pure-difference binomials x^a - x^b, such as the relation ideal of a
-parameterized set, whose vanishing ideal is a lattice ideal.  Its S-pairs
-and remainders are again such binomials, so it works on exponent pairs
-alone, tests divisibility against all live leading monomials in one numpy
+`binomial_basis` returns the same reduced GrevLex basis for ideals
+generated by pure-difference binomials x^a - x^b.  The vanishing ideal of
+a parameterized set is one: a lattice ideal plus the torus relations
+(Renteria, Simis and Villarreal, FFA 2011).  Its S-pairs and remainders
+are again such binomials, so the engine works on exponent pairs alone,
+tests divisibility against all live leading monomials in one numpy
 comparison, and prunes pairs by the Gebauer-Moeller update (criteria B, M
-and F) whenever an element is added.  The vanishing ideal comes from it.
+and F) whenever an element is added.
 
 Output bases are inter-reduced and monic, sorted by ascending leading
 monomial, so identical ideals yield identical bases regardless of
@@ -192,19 +193,15 @@ def eliminate(gens: Sequence[Polynomial], ring: RingContext,
     return GroebnerBasis(tuple(kept), GrevLex(), subring, is_reduced=True)
 
 
-def eliminate_binomials(gens: Sequence[Polynomial], ring: RingContext,
-                        block_size: int) -> GroebnerBasis:
-    """`eliminate` for an ideal generated by pure-difference binomials
-    x^a - x^b: the same reduced GrevLex basis of the elimination ideal.
+def binomial_basis(gens: Sequence[Polynomial], ring: RingContext) -> GroebnerBasis:
+    """Reduced GrevLex basis of an ideal generated by pure-difference
+    binomials x^a - x^b, the one `buchberger` returns.
 
     Every S-polynomial and every remainder of such binomials is again one,
     so the computation runs on (lead, tail) exponent pairs and builds field
     elements only for the returned basis."""
-    if not 0 <= block_size < ring.num_vars:
-        raise DomainError(
-            f"block size {block_size} out of range for {ring.num_vars} variables")
     one = ring.field.one
-    engine = _BinomialBuchberger(BlockElim(block_size).key, ring.num_vars)
+    engine = _BinomialBuchberger(ring.num_vars)
     for g in gens:
         if g.ring != ring:
             raise DomainError("generator lives in a different ring")
@@ -212,16 +209,19 @@ def eliminate_binomials(gens: Sequence[Polynomial], ring: RingContext,
             continue
         if len(g.terms) != 2 or set(g.terms.values()) != {one, -one}:
             raise DomainError(f"{g} is not a pure-difference binomial x^a - x^b")
-        engine.insert(engine.orient(*g.terms))
+        engine.insert(_orient(*g.terms))
     engine.run()
-    kept = sorted(((lead[block_size:], tail[block_size:])
-                   for lead, tail in engine.reduced_basis()
-                   if not any(lead[:block_size])),
-                  key=lambda pair: GrevLex.key(pair[0]))
-    subring = ring.drop_first(block_size)
+    basis = sorted(engine.reduced_basis(), key=lambda pair: GrevLex.key(pair[0]))
     return GroebnerBasis(
-        tuple(Polynomial(subring, {lead: one, tail: -one}) for lead, tail in kept),
-        GrevLex(), subring, is_reduced=True)
+        tuple(Polynomial(ring, {lead: one, tail: -one}) for lead, tail in basis),
+        GrevLex(), ring, is_reduced=True)
+
+
+def _orient(a: Monomial, b: Monomial) -> Optional[tuple[Monomial, Monomial]]:
+    """(lead, tail) of x^a - x^b up to sign; None when it is zero."""
+    if a == b:
+        return None
+    return (a, b) if GrevLex.key(a) > GrevLex.key(b) else (b, a)
 
 
 def _shift(m: Monomial, lead: Monomial, tail: Monomial) -> Monomial:
@@ -232,7 +232,7 @@ def _shift(m: Monomial, lead: Monomial, tail: Monomial) -> Monomial:
 
 class _BinomialBuchberger:
     """Buchberger's algorithm on binomials x^lead - x^tail, lead > tail
-    under *key*, with the Gebauer-Moeller pair update.
+    under GrevLex, with the Gebauer-Moeller pair update.
 
     Elements are never deleted.  An element is live while no later lead
     divides its lead; reduction uses the live leads only, and new S-pairs
@@ -240,8 +240,7 @@ class _BinomialBuchberger:
     so the live leads never divide one another: the live set is a minimal
     basis."""
 
-    def __init__(self, key, num_vars: int):
-        self.key = key
+    def __init__(self, num_vars: int):
         self.leads: list[Monomial] = []
         self.tails: list[Monomial] = []
         self.lead_rows = np.zeros((0, num_vars), dtype=np.int64)
@@ -249,12 +248,6 @@ class _BinomialBuchberger:
         self.live_rows = self.lead_rows
         # pending S-pairs, one row each: lcm degree, i, j, lcm exponents
         self.pairs = np.zeros((0, 3 + num_vars), dtype=np.int64)
-
-    def orient(self, a: Monomial, b: Monomial) -> Optional[tuple[Monomial, Monomial]]:
-        """(lead, tail) of x^a - x^b up to sign; None when it is zero."""
-        if a == b:
-            return None
-        return (a, b) if self.key(a) > self.key(b) else (b, a)
 
     def _divisor(self, m: Monomial) -> Optional[int]:
         """The first live element whose lead divides m, if any."""
@@ -269,7 +262,7 @@ class _BinomialBuchberger:
             if i is None:
                 self._add(lead, tail)
                 return
-            binomial = self.orient(_shift(lead, self.leads[i], self.tails[i]), tail)
+            binomial = _orient(_shift(lead, self.leads[i], self.tails[i]), tail)
 
     def _add(self, lead: Monomial, tail: Monomial) -> None:
         """Append a top-reduced element and update the pairs and the live set
@@ -315,7 +308,7 @@ class _BinomialBuchberger:
             k = int(np.argmin(self.pairs[:, 0]))
             _, i, j, *lcm = self.pairs[k].tolist()
             self.pairs = np.delete(self.pairs, k, axis=0)
-            self.insert(self.orient(_shift(lcm, self.leads[i], self.tails[i]),
+            self.insert(_orient(_shift(lcm, self.leads[i], self.tails[i]),
                                     _shift(lcm, self.leads[j], self.tails[j])))
 
     def reduced_basis(self) -> list[tuple[Monomial, Monomial]]:

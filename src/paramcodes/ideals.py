@@ -1,15 +1,15 @@
 """Parameterized toric point sets and their vanishing ideals.
 
-An exponent matrix (s rows of n non-negative integers) parameterizes a
-point set inside the affine torus: each parameter tuple x in (K*)^n maps
-to the point whose i-th coordinate is the i-th row's monomial evaluated
-at x.  The vanishing ideal comes out of a block elimination: adjoin one
-variable per parameter, relate coordinates to parameter monomials, impose
-the unit-group relations, and eliminate the parameter block.  Every one of
-those relations is a pure-difference binomial, so the elimination runs in
-the binomial engine `groebner.eliminate_binomials` (exponent pairs,
-Gebauer-Moeller pair updates, no field arithmetic); the general
-`groebner.eliminate` computes the same basis and serves as its reference.
+An exponent matrix V (s rows of n non-negative integers) parameterizes a
+point set X* inside the affine torus: each parameter tuple x in (K*)^n
+maps to the point whose i-th coordinate is the i-th row's monomial
+evaluated at x.  Its vanishing ideal is a lattice ideal in the coordinates
+alone (Renteria, Simis and Villarreal, FFA 2011): I(X*) is generated by
+t^a - 1 for a in L = {a in Z^s : a^T V = 0 mod q-1} and by the torus
+relations t_i^(q-1) - 1, which make every t_i a unit.  Generators of L
+come from one integer row reduction, and `groebner.binomial_basis` turns
+the binomials into the reduced GrevLex basis, with no parameter variable
+and no elimination; the tests check it against the paper's elimination.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError
 from .gf import FieldElement, FieldSpec
-from .groebner import GroebnerBasis, eliminate_binomials, homogenize_basis
+from .groebner import GroebnerBasis, binomial_basis, homogenize_basis
 from .hilbert import standard_monomials
 from .mpoly import GrevLex, Polynomial, RingContext, append_variable
 
@@ -89,9 +89,12 @@ class ParameterizedSet:
     def affine_basis(self) -> GroebnerBasis:
         """Reduced GrevLex basis of all polynomials vanishing on the set;
         every generator is a binomial."""
-        ring = relation_ring(self.matrix, self.field)
-        gens = relation_ideal_generators(self.matrix, self.field, ring)
-        return eliminate_binomials(gens, ring, self.matrix.n)
+        s, units = self.matrix.s, self.field.order - 1
+        ring = RingContext(self.field, tuple(f"t{i + 1}" for i in range(s)))
+        torus = [tuple(units * (k == i) for k in range(s)) for i in range(s)]
+        one, zero = self.field.one, (0,) * s
+        gens = lattice_generators(self.matrix, self.field.order) + torus
+        return binomial_basis([Polynomial(ring, {a: one, zero: -one}) for a in gens], ring)
 
     @cached_property
     def standard_monomials(self) -> list[np.ndarray]:
@@ -138,36 +141,31 @@ def enumerate_points(matrix: ExponentMatrix, field: FieldSpec,
     return ParameterizedSet(matrix, field, affine)
 
 
-def relation_ring(matrix: ExponentMatrix, field: FieldSpec) -> RingContext:
-    """Parameter variables first (the elimination block), coordinates after."""
-    names = tuple(f"y{j + 1}" for j in range(matrix.n)) + \
-        tuple(f"t{i + 1}" for i in range(matrix.s))
-    return RingContext(field, names)
+def lattice_generators(matrix: ExponentMatrix, q: int) -> list[tuple[int, ...]]:
+    """Generators of L/(q-1)Z^s, L = {a in Z^s : a^T V = 0 mod q-1}, with
+    entries in [0, q-1) and no zero vector.
 
-
-def relation_ideal_generators(matrix: ExponentMatrix, field: FieldSpec,
-                              ring: RingContext) -> list[Polynomial]:
-    """t_i - y^{v_i} for each row, plus the unit-group relations y_j^{q-1} - 1."""
-    n, s = matrix.n, matrix.s
-    q = field.order
-    one = field.one
-    minus_one = -one
-    gens = []
-    for i, row in enumerate(matrix.rows):
-        t_exps = [0] * (n + s)
-        t_exps[n + i] = 1
-        y_exps = list(row) + [0] * s
-        gens.append(Polynomial(ring, {tuple(t_exps): one, tuple(y_exps): minus_one}))
-    for j in range(n):
-        y_exps = [0] * (n + s)
-        y_exps[j] = q - 1
-        gens.append(Polynomial(ring, {tuple(y_exps): one, (0,) * (n + s): minus_one}))
-    return gens
+    The rows of [V | I_s] over [(q-1) I_n | 0] span the pairs
+    (a^T V + (q-1) b, a).  Euclid's algorithm on each V column in turn
+    leaves one row with a nonzero entry there, which is set aside; the
+    rows whose V part is then zero span {(0, a) : a in L}."""
+    n, s, units = matrix.n, matrix.s, q - 1
+    rows = [list(v) + [int(k == i) for k in range(s)]
+            for i, v in enumerate(matrix.rows)]
+    rows += [[units * (k == j) for k in range(n)] + [0] * s for j in range(n)]
+    for col in range(n):
+        while len(active := [r for r in rows if r[col]]) > 1:
+            pivot = min(active, key=lambda r: abs(r[col]))
+            for r in active:
+                if r is not pivot:
+                    c = r[col] // pivot[col]
+                    r[:] = [x - c * y for x, y in zip(r, pivot)]
+        rows = [r for r in rows if not r[col]]
+    return [a for a in (tuple(x % units for x in r[n:]) for r in rows) if any(a)]
 
 
 def vanishing_ideal_affine(pset: ParameterizedSet) -> GroebnerBasis:
-    """Reduced GrevLex basis of all polynomials vanishing on the affine set;
-    every generator is a binomial.  Computed once per point set."""
+    """The set's cached `affine_basis`."""
     return pset.affine_basis
 
 

@@ -1,8 +1,9 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes quantities by definition (exhaustive spans,
-evaluation kernels), deliberately avoiding the package's optimized paths,
-so test expectations never come from the code under test.
+evaluation kernels, the paper's elimination of the parameters),
+deliberately avoiding the package's optimized paths, so test expectations
+never come from the code under test.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from math import comb
 
 from paramcodes.errors import ResourceLimitError
 from paramcodes.gf import FieldElement, FieldSpec
+from paramcodes.groebner import GroebnerBasis, eliminate
 from paramcodes.linalg import right_kernel_basis
 from paramcodes.mpoly import Polynomial, RingContext, monomials_up_to_degree
 
@@ -103,3 +105,35 @@ def point_interpolation_ideal(pset, degree: int) -> list[Polynomial]:
                  if c}
         polys.append(Polynomial(ring, terms))
     return polys
+
+
+def relation_ring(matrix, field: FieldSpec) -> RingContext:
+    """Parameter variables first (the elimination block), coordinates after."""
+    names = tuple(f"y{j + 1}" for j in range(matrix.n)) + \
+        tuple(f"t{i + 1}" for i in range(matrix.s))
+    return RingContext(field, names)
+
+
+def relation_ideal_generators(matrix, field: FieldSpec,
+                              ring: RingContext) -> list[Polynomial]:
+    """t_i - y^{v_i} for each row, plus the unit-group relations y_j^{q-1} - 1."""
+    n, s = matrix.n, matrix.s
+    one = field.one
+    gens = []
+    for i, row in enumerate(matrix.rows):
+        t_exps = [0] * (n + s)
+        t_exps[n + i] = 1
+        gens.append(Polynomial(ring, {tuple(t_exps): one,
+                                      tuple(row) + (0,) * s: -one}))
+    for j in range(n):
+        y_exps = [0] * (n + s)
+        y_exps[j] = field.order - 1
+        gens.append(Polynomial(ring, {tuple(y_exps): one, (0,) * (n + s): -one}))
+    return gens
+
+
+def paper_elimination(matrix, field: FieldSpec) -> GroebnerBasis:
+    """I(X*) as the paper computes it: eliminate the parameters y_j from
+    (t_i - y^{v_i}, y_j^{q-1} - 1) with the general Buchberger engine."""
+    ring = relation_ring(matrix, field)
+    return eliminate(relation_ideal_generators(matrix, field, ring), ring, matrix.n)

@@ -102,6 +102,23 @@ def test_torus_rejects_q2(capsys):
     assert "q >= 2" in err or "q = 2" in err
 
 
+def test_torus_rejects_a_field_that_does_not_exist(capsys):
+    code, out, err = run_cli(capsys, "torus", "--q", "6", "--s", "1",
+                             "--degrees", "1..2")
+    assert (code, out) == (1, "")
+    assert err == "paramcodes: error: 6 is not a prime power\n"
+
+
+def test_torus_cross_check_over_an_extension_field(capsys):
+    # GF(9) has no modulus flag here: the first irreducible x^2 + 1 is used
+    code, out, err = run_cli(capsys, "torus", "--q", "9", "--s", "3",
+                             "--degrees", "1..4", "--cross-check")
+    assert (code, err) == (0, "")
+    assert [line.split()[3] for line in out.splitlines()[1:5]] == \
+        ["448", "384", "320", "256"]
+    assert out.splitlines()[-1] == "cross-check ok: pipeline agrees on 4 degrees"
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run_cli(capsys, "verify", *TRIANGLE, "--degrees", "1..2",
                            "--md-budget", "700")

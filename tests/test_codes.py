@@ -258,6 +258,23 @@ def test_verify_sweeps_rows_the_footprint_settled(triangle_set):
             run_pipeline(triangle_set, [2], verify=True)
 
 
+def test_certificate_catches_a_wrong_basis(triangle_matrix, f5):
+    # no elimination backs the lattice route, so --verify must reject a
+    # basis from the wrong lattice on its own: with no lattice generators
+    # the torus relations alone leave 64 standard monomials for 32 points
+    with mock.patch.object(ideals, "lattice_generators", return_value=[]):
+        pset = enumerate_points(triangle_matrix, f5)
+        assert sum(map(len, pset.standard_monomials)) == 64
+        with pytest.raises(InternalInconsistencyError, match="ring degree 64"):
+            run_pipeline(pset, [1], verify=True)
+    # (1, 0, 0) lies outside L: t1 - 1 does not vanish on X*
+    wrong = ideals.lattice_generators(triangle_matrix, 5) + [(1, 0, 0)]
+    with mock.patch.object(ideals, "lattice_generators", return_value=wrong):
+        pset = enumerate_points(triangle_matrix, f5)
+        with pytest.raises(InternalInconsistencyError, match="does not vanish"):
+            run_pipeline(pset, [1], verify=True)
+
+
 # -- the projective sweep against brute force ----------------------------------
 
 class _Columns:

@@ -8,20 +8,17 @@ from paramcodes.gf import FieldSpec
 from paramcodes.groebner import (
     GroebnerBasis,
     buchberger,
+    binomial_basis,
     eliminate,
-    eliminate_binomials,
     homogenize_basis,
     normal_form,
     s_polynomial,
 )
-from paramcodes.ideals import (
-    ExponentMatrix,
-    relation_ideal_generators,
-    relation_ring,
-)
+from paramcodes.ideals import ExponentMatrix, enumerate_points, lattice_generators
 from paramcodes.mpoly import GrevLex, Lex, Polynomial, RingContext, divide
 
 from conftest import field
+from oracles import paper_elimination, relation_ideal_generators, relation_ring
 
 F5 = FieldSpec.of(5)
 
@@ -253,26 +250,53 @@ def relation_instances(draw):
     return q, [rows[i] for i in order]
 
 
+def lattice_relations(matrix, spec):
+    """t^a - 1 for the lattice generators a, and t_i^(q-1) - 1."""
+    r = RingContext(spec, tuple(f"t{i + 1}" for i in range(matrix.s)))
+    units = spec.order - 1
+    torus = [tuple(units * (k == i) for k in range(matrix.s)) for i in range(matrix.s)]
+    one, zero = spec.one, (0,) * matrix.s
+    return r, [Polynomial(r, {a: one, zero: -one})
+               for a in lattice_generators(matrix, spec.order) + torus]
+
+
 @settings(max_examples=60, deadline=None)
-@given(relation_instances(), st.data())
-def test_eliminate_binomials_matches_eliminate(instance, data):
+@given(relation_instances())
+def test_lattice_basis_matches_paper_elimination(instance):
     q, rows = instance
     matrix, spec = ExponentMatrix.of(rows), field(q)
-    big = relation_ring(matrix, spec)
-    gens = relation_ideal_generators(matrix, spec, big)
-    block = data.draw(st.integers(0, matrix.n), label="block")
-    expected = eliminate(gens, big, block)
-    # generator order and the sign of each binomial do not matter
-    shuffled = data.draw(st.permutations(gens), label="order")
-    signs = data.draw(st.lists(st.booleans(), min_size=len(gens),
-                               max_size=len(gens)), label="negate")
-    got = eliminate_binomials([-g if flip else g for g, flip in zip(shuffled, signs)],
-                              big, block)
+    for a in lattice_generators(matrix, q):
+        assert any(a) and all(0 <= x < q - 1 for x in a)
+        assert all(sum(x * v for x, v in zip(a, col)) % (q - 1) == 0
+                   for col in zip(*rows))
+    got = enumerate_points(matrix, spec).affine_basis
+    expected = paper_elimination(matrix, spec)
     assert got.generators == expected.generators
     assert (got.ring, got.order, got.is_reduced) == (expected.ring, expected.order, True)
 
 
-def test_eliminate_binomials_contract():
+@settings(max_examples=60, deadline=None)
+@given(relation_instances(), st.data())
+def test_binomial_basis_matches_eliminate(instance, data):
+    q, rows = instance
+    matrix, spec = ExponentMatrix.of(rows), field(q)
+    # the lattice ideal in t, or the relation ideal in y and t
+    if data.draw(st.booleans(), label="relation ideal"):
+        r = relation_ring(matrix, spec)
+        gens = relation_ideal_generators(matrix, spec, r)
+    else:
+        r, gens = lattice_relations(matrix, spec)
+    expected = eliminate(gens, r, 0)
+    # generator order and the sign of each binomial do not matter
+    shuffled = data.draw(st.permutations(gens), label="order")
+    signs = data.draw(st.lists(st.booleans(), min_size=len(gens),
+                               max_size=len(gens)), label="negate")
+    got = binomial_basis([-g if flip else g for g, flip in zip(shuffled, signs)], r)
+    assert got.generators == expected.generators
+    assert (got.ring, got.order, got.is_reduced) == (r, GrevLex(), True)
+
+
+def test_binomial_basis_contract():
     r = ring("y1 t1")
     for terms in ({(0, 1): 1},                          # a monomial
                   {(1, 0): 1, (0, 1): -1, (0, 0): 1},   # three terms
@@ -280,17 +304,15 @@ def test_eliminate_binomials_contract():
                   {(1, 0): 1, (0, 1): 1},               # a sum, not a difference
                   {(1, 0): 1, (0, 1): -2}):
         with pytest.raises(DomainError):
-            eliminate_binomials([poly(r, terms)], r, 1)
+            binomial_basis([poly(r, terms)], r)
     g = poly(r, {(1, 0): 1, (0, 1): -1})
     with pytest.raises(DomainError):
-        eliminate_binomials([g], r, 2)
-    with pytest.raises(DomainError):
-        eliminate_binomials([g], ring("y1 t2"), 1)
-    # zero generators are skipped; y1 - t1 leaves nothing once y1 is gone
-    assert eliminate_binomials([r.zero(), g], r, 1).generators == ()
-    assert eliminate_binomials([g], r, 0).generators == eliminate([g], r, 0).generators
+        binomial_basis([g], ring("y1 t2"))
+    # zero generators are skipped
+    assert binomial_basis([r.zero()], r).generators == ()
+    assert binomial_basis([r.zero(), g], r).generators == eliminate([g], r, 0).generators
     # in characteristic 2, x^a + x^b is x^a - x^b
     r2 = ring("y1 t1", FieldSpec.of(2))
     gens = [poly(r2, {(1, 0): 1, (0, 1): 1}), poly(r2, {(1, 0): 1, (0, 0): 1})]
-    assert eliminate_binomials(gens, r2, 1).generators == eliminate(gens, r2, 1).generators
-    assert [p.format() for p in eliminate_binomials(gens, r2, 1)] == ["t1 + 1"]
+    assert binomial_basis(gens, r2).generators == eliminate(gens, r2, 0).generators
+    assert [p.format() for p in binomial_basis(gens, r2)] == ["t1 + 1", "y1 + 1"]
