@@ -8,7 +8,7 @@ codeword and, where those differ, a codeword search.
 """
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
-from .gf import FieldElement, FieldSpec
+from .gf import FieldSpec
 from .mpoly import (
     BlockElim,
     GrevLex,
@@ -52,7 +52,6 @@ __all__ = [
     "DomainError",
     "EvaluationMatrix",
     "ExponentMatrix",
-    "FieldElement",
     "FieldSpec",
     "GrevLex",
     "GroebnerBasis",

@@ -252,9 +252,11 @@ def cmd_params(args) -> int:
 def cmd_ideal(args) -> int:
     config = build_config(args, need_degrees=False)
     pset = enumerate_points(config.matrix, config.field())
-    gb = vanishing_ideal_affine(pset)
-    if args.which == "y":
-        gb = vanishing_ideal_projective(gb, verify=config.verify)
+    gb_x = vanishing_ideal_affine(pset)
+    gb_y = vanishing_ideal_projective(gb_x)
+    if config.verify:
+        pset.certify(gb_y)
+    gb = gb_x if args.which == "xstar" else gb_y
     key = gb.order.key
     for g in sorted(gb.generators, key=lambda p: key(p.leading_monomial(gb.order))):
         print(g.format(gb.order))
@@ -332,22 +334,23 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _add_common(sub, degrees_required: bool):
+def _add_common(sub):
     sub.add_argument("--config", help="key-value config file (flags win)")
     sub.add_argument("--q", type=int, help="field order (prime power)")
     sub.add_argument("--modulus",
                      help="extension-field modulus coefficients, constant first")
     sub.add_argument("--matrix",
                      help="exponent rows, ';'-separated: '1 1 0; 0 1 1; 1 0 1'")
+
+
+def _add_table(sub):
+    """The flags of the subcommands that compute code parameters."""
     sub.add_argument("--degrees", help="inclusive degree range, e.g. 1..5")
     sub.add_argument("--md-budget", type=int, dest="md_budget",
                      help="codeword budget for the exhaustive distance sweep "
                           "(0 skips the distance); rows the footprint bound "
                           "settles are exact above it")
-    sub.add_argument("--format", choices=("table", "csv", "json"))
     sub.add_argument("--threads", type=int)
-    sub.add_argument("--verify", action="store_true",
-                     help="enable all cross-checks")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -357,12 +360,18 @@ def make_parser() -> argparse.ArgumentParser:
     commands = parser.add_subparsers(dest="command", required=True)
 
     p = commands.add_parser("params", parents=[], help="full parameter table")
-    _add_common(p, degrees_required=True)
+    _add_common(p)
+    _add_table(p)
+    p.add_argument("--format", choices=("table", "csv", "json"))
+    p.add_argument("--verify", action="store_true",
+                   help="certify the bases and sweep every footprint distance")
     p.set_defaults(handler=cmd_params)
 
     p = commands.add_parser("ideal", help="print a vanishing-ideal basis")
     p.add_argument("which", choices=("xstar", "y"))
-    _add_common(p, degrees_required=False)
+    _add_common(p)
+    p.add_argument("--verify", action="store_true",
+                   help="certify both bases before printing")
     p.set_defaults(handler=cmd_ideal)
 
     p = commands.add_parser("torus", help="closed-form torus table")
@@ -378,7 +387,8 @@ def make_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_torus)
 
     p = commands.add_parser("verify", help="run all cross-module invariants")
-    _add_common(p, degrees_required=True)
+    _add_common(p)
+    _add_table(p)
     p.set_defaults(handler=cmd_verify)
     return parser
 

@@ -106,8 +106,7 @@ def build_evaluation_matrix(pset: ParameterizedSet, d: int,
     monomials = tuple(monomials_up_to_degree(s, d))
     spec = pset.field
     # every coordinate is a unit, so a monomial's value is g^(exponents . logs)
-    logs = spec.log(np.array([[c.rep for c in pt] for pt in pset.affine_points]))
-    rows = spec.exp(np.array(monomials) @ logs.T)
+    rows = spec.exp(np.array(monomials) @ spec.log(pset.points).T)
     rows.flags.writeable = False  # the cached echelon form depends on it
     return EvaluationMatrix(d, monomials, pset, rows)
 
@@ -372,22 +371,13 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
     """Vanishing ideals, Hilbert profile, and per-degree code parameters,
     with the rank-versus-Hilbert consistency check always on.  One walk of
     the standard monomials serves the profile and the footprint bounds.
-    With verify=True every distance the footprint settled within the
-    budget is also swept exhaustively."""
+    With verify=True the bases are certified (`ParameterizedSet.certify`)
+    and every distance the footprint settled within the budget is also
+    swept exhaustively."""
     gb_x = vanishing_ideal_affine(pset)
-    gb_y = vanishing_ideal_projective(gb_x, verify=verify)
+    gb_y = vanishing_ideal_projective(gb_x)
     if verify:
-        if not gb_x.check_buchberger_criterion():
-            raise InternalInconsistencyError(
-                "affine basis fails the Buchberger criterion")
-        lifted = [pt + (pset.field.one,) for pt in pset.affine_points]
-        for gb, points, kind in ((gb_x, pset.affine_points, "affine"),
-                                 (gb_y, lifted, "projective")):
-            for g in gb.generators:
-                for pt in points:
-                    if g.evaluate(pt):
-                        raise InternalInconsistencyError(
-                            f"{kind} generator {g} does not vanish on {pt}")
+        pset.certify(gb_y)
     profile = hilbert_profile(gb_y, levels=pset.standard_monomials)
     m = len(pset)
     if profile.degree_of_ring != m:
@@ -457,8 +447,9 @@ def verify_instance(pset: ParameterizedSet, degrees: Sequence[int],
         return checks
     record("pipeline", True, "rank, Hilbert and affine Hilbert values agree")
 
-    # run_pipeline(verify=True) has raised unless both bases meet the
-    # Buchberger criterion and every generator vanishes on every point
+    # run_pipeline(verify=True) has raised unless ParameterizedSet.certify
+    # passed: both bases meet the Buchberger criterion and every generator
+    # vanishes on every point
     gb_x, gb_y = run.gb_affine, run.gb_projective
     record("buchberger-criterion-affine", True, "every S-polynomial reduces to zero")
     record("buchberger-criterion-projective", True, "homogenized basis re-checked")
@@ -470,7 +461,7 @@ def verify_instance(pset: ParameterizedSet, degrees: Sequence[int],
             return False
         lm, lc = g.leading_term(gb_x.order)
         tail = next(c for m, c in g.terms.items() if m != lm)
-        return lc == 1 and tail == -1
+        return lc == 1 and tail == spec.neg(1)
 
     record("binomial-generators", all(pure_binomial(g) for g in gb_x.generators),
            "affine basis consists of pure-difference binomials")

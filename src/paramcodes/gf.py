@@ -5,7 +5,9 @@ element's coefficients over GF(p), constant term first, modulo the monic
 irreducible modulus that extension fields (k > 1) need.  Prime fields
 therefore use plain residues, 0 and 1 are zero and one, and ascending ints
 give the element order used by every enumeration downstream.  Only this
-module knows the encoding.
+module knows the encoding; there is no element object, so polynomial
+coefficients, points and matrix entries are all such ints, and -1 is
+`neg(1)`, which is p - 1, not q - 1.
 
 Each field builds exp/log tables to the base of its smallest primitive
 element once, so multiplication, inverses and powers are table reads on
@@ -303,129 +305,6 @@ class FieldSpec:
         """Discrete logarithm to the base g, in [0, q-1); a must be nonzero."""
         return (self._lists if type(a) is int else self._arrays).log[a]
 
-    # -- element-level API --------------------------------------------------
-
-    def element(self, value) -> "FieldElement":
-        """An element from a FieldElement, a canonical int (taken mod q), or
-        k coefficients over GF(p), constant term first."""
-        if isinstance(value, FieldElement):
-            if value.spec != self:
-                raise DomainError("element belongs to a different field")
-            return value
-        if isinstance(value, int):
-            return FieldElement(self, value % self.order)
-        coeffs = [int(c) % self.characteristic for c in value]
-        if len(coeffs) != self.extension_degree:
-            raise DomainError(
-                f"need {self.extension_degree} coefficients, got {len(coeffs)}")
-        return FieldElement(self, sum(c * self.characteristic**i
-                                      for i, c in enumerate(coeffs)))
-
-    @property
-    def zero(self) -> "FieldElement":
-        return FieldElement(self, 0)
-
-    @property
-    def one(self) -> "FieldElement":
-        return FieldElement(self, 1)
-
-    def elements(self) -> list["FieldElement"]:
-        """All q elements in ascending canonical order."""
-        return [FieldElement(self, v) for v in range(self.order)]
-
-    def units(self) -> list["FieldElement"]:
-        """The q-1 nonzero elements in ascending canonical order."""
-        return [FieldElement(self, v) for v in range(1, self.order)]
-
     def __str__(self) -> str:
         return f"GF({self.order})"
 
-
-class FieldElement:
-    """Immutable element of a fixed FieldSpec: the field plus the element's
-    canonical int, so operands from different fields are refused."""
-
-    __slots__ = ("spec", "rep")
-
-    def __init__(self, spec: FieldSpec, rep: int):
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "rep", rep)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FieldElement is immutable")
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.spec is not self.spec and other.spec != self.spec:
-                raise DomainError("operands live in different fields")
-            return other
-        if isinstance(other, int):
-            # an int stands for its residue in the prime subfield
-            return FieldElement(self.spec, other % self.spec.characteristic)
-        return NotImplemented
-
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.add(self.rep, other.rep))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(self.rep, other.rep))
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.sub(other.rep, self.rep))
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return FieldElement(self.spec, self.spec.mul(self.rep, other.rep))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return FieldElement(self.spec, self.spec.neg(self.rep))
-
-    def __pow__(self, e: int):
-        return FieldElement(self.spec, self.spec.pow(self.rep, e))
-
-    def inv(self) -> "FieldElement":
-        return FieldElement(self.spec, self.spec.inv(self.rep))
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inv()
-
-    def __bool__(self) -> bool:
-        return self.rep != 0
-
-    def __eq__(self, other) -> bool:
-        if isinstance(other, FieldElement):
-            return self.spec == other.spec and self.rep == other.rep
-        if isinstance(other, int):
-            return self.rep == self._coerce(other).rep
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.spec.order, self.rep))
-
-    def lift(self) -> int:
-        """The canonical int."""
-        return self.rep
-
-    def __repr__(self) -> str:
-        return f"FieldElement({self.rep} in {self.spec})"
-
-    def __str__(self) -> str:
-        return str(self.rep)

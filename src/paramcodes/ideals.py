@@ -10,6 +10,11 @@ relations t_i^(q-1) - 1, which make every t_i a unit.  Generators of L
 come from one integer row reduction, and `groebner.binomial_basis` turns
 the binomials into the reduced GrevLex basis, with no parameter variable
 and no elimination; the tests check it against the paper's elimination.
+
+The points are one read-only int array of canonical field ints, and
+`ParameterizedSet.certify` is the one check of a computed basis: it
+evaluates the generators on those ints, so it does not share the log/exp
+route of the evaluation matrices.
 """
 
 from __future__ import annotations
@@ -20,8 +25,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import DomainError, ResourceLimitError
-from .gf import FieldElement, FieldSpec
+from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
+from .gf import FieldSpec
 from .groebner import GroebnerBasis, binomial_basis, homogenize_basis
 from .hilbert import standard_monomials
 from .mpoly import GrevLex, Polynomial, RingContext, append_variable
@@ -29,8 +34,6 @@ from .mpoly import GrevLex, Polynomial, RingContext, append_variable
 DEFAULT_ENUMERATION_BUDGET = 2**20
 #: Divisibility tests per numpy call when counting footprints.
 _FOOTPRINT_ENTRIES = 1 << 18
-
-Point = tuple  # tuple of FieldElement
 
 
 @dataclass(frozen=True)
@@ -73,17 +76,18 @@ class ExponentMatrix:
         return len(self.rows[0])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ParameterizedSet:
-    """The enumerated points of the set, in canonical order, with the
-    vanishing ideal's basis and standard monomials, each computed once."""
+    """The enumerated points of the set, one read-only m x s array of
+    canonical ints with rows in ascending order, with the vanishing
+    ideal's basis and standard monomials, each computed once."""
 
     matrix: ExponentMatrix
     field: FieldSpec
-    affine_points: tuple[Point, ...]
+    points: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.affine_points)
+        return len(self.points)
 
     @cached_property
     def affine_basis(self) -> GroebnerBasis:
@@ -92,9 +96,34 @@ class ParameterizedSet:
         s, units = self.matrix.s, self.field.order - 1
         ring = RingContext(self.field, tuple(f"t{i + 1}" for i in range(s)))
         torus = [tuple(units * (k == i) for k in range(s)) for i in range(s)]
-        one, zero = self.field.one, (0,) * s
+        minus_one, zero = self.field.neg(1), (0,) * s
         gens = lattice_generators(self.matrix, self.field.order) + torus
-        return binomial_basis([Polynomial(ring, {a: one, zero: -one}) for a in gens], ring)
+        return binomial_basis([Polynomial(ring, {a: 1, zero: minus_one}) for a in gens], ring)
+
+    def certify(self, gb_y: GroebnerBasis) -> None:
+        """Raise InternalInconsistencyError unless the affine basis and
+        gb_y, its homogenization, generate the vanishing ideals.  Both meet
+        the Buchberger criterion and every generator vanishes on every
+        point (gb_y's with a trailing coordinate 1), so the affine basis is
+        a Groebner basis of an ideal J inside I(X*); its standard monomials
+        number |X*|, the dimension of the quotient by I(X*), so J = I(X*)."""
+        gb_x = self.affine_basis
+        for gb, kind in ((gb_x, "affine"), (gb_y, "projective")):
+            if not gb.check_buchberger_criterion():
+                raise InternalInconsistencyError(
+                    f"{kind} basis fails the Buchberger criterion")
+        rows = self.points.tolist()
+        for gb, points, kind in ((gb_x, rows, "affine"),
+                                 (gb_y, [pt + [1] for pt in rows], "projective")):
+            for g in gb.generators:
+                for pt in points:
+                    if g.evaluate(pt):
+                        raise InternalInconsistencyError(
+                            f"{kind} generator {g} does not vanish on {tuple(pt)}")
+        degree = sum(map(len, self.standard_monomials))
+        if degree != len(self):
+            raise InternalInconsistencyError(
+                f"ring degree {degree} differs from the {len(self)} enumerated points")
 
     @cached_property
     def standard_monomials(self) -> list[np.ndarray]:
@@ -136,9 +165,10 @@ def enumerate_points(matrix: ExponentMatrix, field: FieldSpec,
     # exponents reduce mod q-1 so the products stay small
     logs = np.indices((field.order - 1,) * n).reshape(n, -1)
     exps = np.array([[e % (field.order - 1) for e in row] for row in matrix.rows])
-    points = sorted(set(map(tuple, field.exp(exps @ logs).T.tolist())))
-    affine = tuple(tuple(FieldElement(field, c) for c in pt) for pt in points)
-    return ParameterizedSet(matrix, field, affine)
+    # sorted(set(...)) rather than np.unique, whose first call imports numpy.ma
+    points = np.array(sorted(set(map(tuple, field.exp(exps @ logs).T.tolist()))))
+    points.flags.writeable = False
+    return ParameterizedSet(matrix, field, points)
 
 
 def lattice_generators(matrix: ExponentMatrix, q: int) -> list[tuple[int, ...]]:
@@ -169,12 +199,11 @@ def vanishing_ideal_affine(pset: ParameterizedSet) -> GroebnerBasis:
     return pset.affine_basis
 
 
-def vanishing_ideal_projective(affine_gb: GroebnerBasis,
-                               verify: bool = False) -> GroebnerBasis:
+def vanishing_ideal_projective(affine_gb: GroebnerBasis) -> GroebnerBasis:
     """Homogenize the affine basis with a fresh trailing variable; the
     result generates the vanishing ideal of the projective lift."""
     s = affine_gb.ring.num_vars
     extended = affine_gb.ring.with_extra_variable(f"t{s + 1}")
     lifted = tuple(append_variable(g, extended) for g in affine_gb.generators)
     gb = GroebnerBasis(lifted, GrevLex(), extended, is_reduced=affine_gb.is_reduced)
-    return homogenize_basis(gb, hom_var=s, verify=verify)
+    return homogenize_basis(gb, hom_var=s)

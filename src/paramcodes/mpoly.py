@@ -1,8 +1,9 @@
 """Sparse multivariate polynomials over GF(q) with pluggable monomial orders.
 
 Monomials are plain exponent tuples (one non-negative int per ring
-variable); polynomials map monomials to nonzero field elements.  Three
-orders are supported: Lex, GrevLex, and the block elimination order that
+variable); polynomials map monomials to nonzero canonical ints of the
+ring's field (see `gf`) and do their arithmetic through it.  Three orders
+are supported: Lex, GrevLex, and the block elimination order that
 compares GrevLex on a leading variable block first.
 """
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, Optional, Sequence
 
 from .errors import DomainError
-from .gf import FieldElement, FieldSpec
+from .gf import FieldSpec
 
 Monomial = tuple  # exponent tuple, length = ring.num_vars
 
@@ -116,23 +117,22 @@ class RingContext:
         return Polynomial(self, {})
 
     def one(self) -> "Polynomial":
-        return self.constant(self.field.one)
+        return self.constant(1)
 
-    def constant(self, c) -> "Polynomial":
-        c = self.field.element(c)
-        zero_mono = (0,) * self.num_vars
-        return Polynomial(self, {zero_mono: c} if c else {})
+    def constant(self, c: int) -> "Polynomial":
+        """The constant c, an int taken mod q."""
+        return Polynomial(self, {(0,) * self.num_vars: c % self.field.order})
 
     def var(self, i: int) -> "Polynomial":
         exps = [0] * self.num_vars
         exps[i] = 1
-        return Polynomial(self, {tuple(exps): self.field.one})
+        return Polynomial(self, {tuple(exps): 1})
 
-    def monomial(self, exps: Sequence[int], coeff=1) -> "Polynomial":
+    def monomial(self, exps: Sequence[int], coeff: int = 1) -> "Polynomial":
+        """coeff * t^exps, coeff an int taken mod q."""
         if len(exps) != self.num_vars:
             raise DomainError("exponent tuple length does not match ring")
-        c = self.field.element(coeff)
-        return Polynomial(self, {tuple(int(e) for e in exps): c} if c else {})
+        return Polynomial(self, {tuple(int(e) for e in exps): coeff % self.field.order})
 
     def with_extra_variable(self, name: str) -> "RingContext":
         return RingContext(self.field, self.names + (name,))
@@ -145,11 +145,12 @@ class RingContext:
 
 
 class Polynomial:
-    """Immutable sparse polynomial: dict from exponent tuple to nonzero coeff."""
+    """Immutable sparse polynomial: dict from exponent tuple to nonzero
+    canonical int."""
 
     __slots__ = ("ring", "terms")
 
-    def __init__(self, ring: RingContext, terms: Mapping[Monomial, FieldElement]):
+    def __init__(self, ring: RingContext, terms: Mapping[Monomial, int]):
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "terms", {m: c for m, c in terms.items() if c})
 
@@ -164,49 +165,33 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check_ring(other)
+        add = self.ring.field.add
         terms = dict(self.terms)
         for m, c in other.terms.items():
             acc = terms.get(m)
-            acc = c if acc is None else acc + c
-            if acc:
-                terms[m] = acc
-            elif m in terms:
-                del terms[m]
+            terms[m] = c if acc is None else add(acc, c)
         return Polynomial(self.ring, terms)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
-        self._check_ring(other)
-        terms = dict(self.terms)
-        for m, c in other.terms.items():
-            acc = terms.get(m)
-            acc = -c if acc is None else acc - c
-            if acc:
-                terms[m] = acc
-            elif m in terms:
-                del terms[m]
-        return Polynomial(self.ring, terms)
+        return self + -other
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.ring, {m: -c for m, c in self.terms.items()})
+        neg = self.ring.field.neg
+        return Polynomial(self.ring, {m: neg(c) for m, c in self.terms.items()})
 
     def __mul__(self, other) -> "Polynomial":
-        if isinstance(other, (int, FieldElement)):
-            c = self.ring.field.element(other)
-            if not c:
-                return self.ring.zero()
-            return Polynomial(self.ring, {m: v * c for m, v in self.terms.items()})
+        spec = self.ring.field
+        if isinstance(other, int):
+            c = other % spec.order
+            return Polynomial(self.ring, {m: spec.mul(v, c) for m, v in self.terms.items()})
         self._check_ring(other)
         terms: dict = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 m = mono_mul(m1, m2)
                 acc = terms.get(m)
-                prod = c1 * c2
-                acc = prod if acc is None else acc + prod
-                if acc:
-                    terms[m] = acc
-                elif m in terms:
-                    del terms[m]
+                prod = spec.mul(c1, c2)
+                terms[m] = prod if acc is None else spec.add(acc, prod)
         return Polynomial(self.ring, terms)
 
     __rmul__ = __mul__
@@ -230,7 +215,7 @@ class Polynomial:
             return -1
         return max(sum(m) for m in self.terms)
 
-    def leading_term(self, order: MonomialOrder) -> tuple[Monomial, FieldElement]:
+    def leading_term(self, order: MonomialOrder) -> tuple[Monomial, int]:
         if not self.terms:
             raise DomainError("the zero polynomial has no leading term")
         m = max(self.terms, key=order.key)
@@ -243,28 +228,28 @@ class Polynomial:
         if not self.terms:
             return self
         _, lc = self.leading_term(order)
-        if lc == self.ring.field.one:
+        if lc == 1:
             return self
-        inv = lc.inv()
-        return Polynomial(self.ring, {m: c * inv for m, c in self.terms.items()})
+        return self * self.ring.field.inv(lc)
 
     def is_homogeneous(self) -> bool:
         degrees = {sum(m) for m in self.terms}
         return len(degrees) <= 1
 
-    def evaluate(self, point: Sequence[FieldElement]) -> FieldElement:
+    def evaluate(self, point: Sequence[int]) -> int:
+        """The value at a point given by canonical ints."""
         if len(point) != self.ring.num_vars:
             raise DomainError(
                 f"point has {len(point)} coordinates, ring has {self.ring.num_vars}")
         spec = self.ring.field
         total = 0
         for m, c in self.terms.items():
-            value = c.rep
+            value = c
             for coord, e in zip(point, m):
                 if e:
-                    value = spec.mul(value, spec.pow(coord.rep, e))
+                    value = spec.mul(value, spec.pow(coord, e))
             total = spec.add(total, value)
-        return FieldElement(spec, total)
+        return total
 
     def sorted_terms(self, order: MonomialOrder, reverse: bool = True):
         key = order.key
@@ -279,10 +264,11 @@ class Polynomial:
             return "0"
         order = order or GrevLex()
         spec = self.ring.field
+        minus_one = spec.neg(1)
         parts: list[str] = []
         for m, c in self.sorted_terms(order):
             body = self._format_mono(m)
-            if c == -1 and spec.characteristic > 2:
+            if c == minus_one and spec.characteristic > 2:
                 sign, mag = "-", body or "1"
             elif c == 1:
                 sign, mag = "+", body or "1"
@@ -341,10 +327,11 @@ def _divide_impl(f, divisors, order, want_quotients):
         return ([], f) if want_quotients else (None, f)
 
     key = order.key
+    spec = ring.field
     data = []
     for g in divisors:
         lm, lc = g.leading_term(order)
-        data.append((g.terms, lm, lc.inv()))
+        data.append((g.terms, lm, spec.inv(lc)))
 
     work = dict(f.terms)
     rem: dict = {}
@@ -354,20 +341,20 @@ def _divide_impl(f, divisors, order, want_quotients):
         c = work[m]
         for i, (gterms, glm, glc_inv) in enumerate(data):
             if mono_divides(glm, m):
-                qc = c * glc_inv
+                qc = spec.mul(c, glc_inv)
                 qm = mono_div(m, glm)
                 for gm, gc in gterms.items():
                     mm = mono_mul(gm, qm)
                     acc = work.get(mm)
-                    delta = qc * gc
-                    acc = -delta if acc is None else acc - delta
+                    delta = spec.mul(qc, gc)
+                    acc = spec.neg(delta) if acc is None else spec.sub(acc, delta)
                     if acc:
                         work[mm] = acc
                     elif mm in work:
                         del work[mm]
                 if quots is not None:
                     prev = quots[i].get(qm)
-                    quots[i][qm] = qc if prev is None else prev + qc
+                    quots[i][qm] = qc if prev is None else spec.add(prev, qc)
                 break
         else:
             rem[m] = c
@@ -396,17 +383,14 @@ def homogenize(f: Polynomial, target_degree: int, hom_var: int) -> Polynomial:
 
 def dehomogenize(f: Polynomial, hom_var: int) -> Polynomial:
     """Set hom_var = 1 (exponent dropped, terms merged)."""
+    add = f.ring.field.add
     terms: dict = {}
     for m, c in f.terms.items():
         flat = list(m)
         flat[hom_var] = 0
         flat = tuple(flat)
         acc = terms.get(flat)
-        acc = c if acc is None else acc + c
-        if acc:
-            terms[flat] = acc
-        elif flat in terms:
-            del terms[flat]
+        terms[flat] = c if acc is None else add(acc, c)
     return Polynomial(f.ring, terms)
 
 

@@ -12,7 +12,7 @@ from itertools import combinations
 from math import comb
 
 from paramcodes.errors import ResourceLimitError
-from paramcodes.gf import FieldElement, FieldSpec
+from paramcodes.gf import FieldSpec
 from paramcodes.groebner import GroebnerBasis, eliminate
 from paramcodes.linalg import right_kernel_basis
 from paramcodes.mpoly import Polynomial, RingContext, monomials_up_to_degree
@@ -79,11 +79,11 @@ def evaluation_rows(pset, degree: int, ring: RingContext):
     rows = []
     for m in monos:
         row = []
-        for pt in pset.affine_points:
+        for pt in pset.points.tolist():
             value = 1
             for coord, e in zip(pt, m):
                 if e:
-                    value = spec.mul(value, spec.pow(coord.rep, e))
+                    value = spec.mul(value, spec.pow(coord, e))
             row.append(value)
         rows.append(row)
     return monos, rows
@@ -101,8 +101,7 @@ def point_interpolation_ideal(pset, degree: int) -> list[Polynomial]:
     kernel = right_kernel_basis(transposed, spec)
     polys = []
     for vec in kernel:
-        terms = {m: FieldElement(spec, int(c)) for m, c in zip(monos, vec)
-                 if c}
+        terms = {m: int(c) for m, c in zip(monos, vec) if c}
         polys.append(Polynomial(ring, terms))
     return polys
 
@@ -118,17 +117,17 @@ def relation_ideal_generators(matrix, field: FieldSpec,
                               ring: RingContext) -> list[Polynomial]:
     """t_i - y^{v_i} for each row, plus the unit-group relations y_j^{q-1} - 1."""
     n, s = matrix.n, matrix.s
-    one = field.one
+    minus_one = field.neg(1)
     gens = []
     for i, row in enumerate(matrix.rows):
         t_exps = [0] * (n + s)
         t_exps[n + i] = 1
-        gens.append(Polynomial(ring, {tuple(t_exps): one,
-                                      tuple(row) + (0,) * s: -one}))
+        gens.append(Polynomial(ring, {tuple(t_exps): 1,
+                                      tuple(row) + (0,) * s: minus_one}))
     for j in range(n):
         y_exps = [0] * (n + s)
         y_exps[j] = field.order - 1
-        gens.append(Polynomial(ring, {tuple(y_exps): one, (0,) * (n + s): -one}))
+        gens.append(Polynomial(ring, {tuple(y_exps): 1, (0,) * (n + s): minus_one}))
     return gens
 
 

@@ -1,8 +1,11 @@
 import json
+from unittest import mock
 
 import pytest
 
+from paramcodes import ideals
 from paramcodes.cli import main, parse_degrees
+from paramcodes.ideals import ExponentMatrix
 
 TRIANGLE = ["--q", "5", "--matrix", "1 1 0; 0 1 1; 1 0 1"]
 
@@ -67,6 +70,50 @@ def test_ideal_output(capsys):
         "t1^2*t2^2 - t3^2*t4^2",
         "t1^4 - t4^4",
     ]
+
+
+def test_ideal_output_over_an_odd_extension_field(capsys):
+    # -1 is the int 2 in GF(9), not 8, so every binomial prints as a difference
+    gf9 = ["--q", "9", "--modulus", "1 0 1", "--matrix", "1 1 0; 0 1 1; 1 0 1"]
+    for verify in ((), ("--verify",)):
+        code, out, err = run_cli(capsys, "ideal", "xstar", *gf9, *verify)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "t3^8 - 1",
+            "t2^4*t3^4 - t1^4",
+            "t1^4*t3^4 - t2^4",
+            "t2^8 - 1",
+            "t1^4*t2^4 - t3^4",
+            "t1^8 - 1",
+        ]
+        code, out, err = run_cli(capsys, "ideal", "y", *gf9, *verify)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "t3^8 - t4^8",
+            "t2^4*t3^4 - t1^4*t4^4",
+            "t1^4*t3^4 - t2^4*t4^4",
+            "t2^8 - t4^8",
+            "t1^4*t2^4 - t3^4*t4^4",
+            "t1^8 - t4^8",
+        ]
+
+
+@pytest.mark.parametrize("which", ["xstar", "y"])
+@pytest.mark.parametrize("extra, message", [
+    (None, "ring degree 64"),
+    ((1, 0, 0), "does not vanish"),
+], ids=["no-lattice", "outside-lattice"])
+def test_ideal_verify_refuses_a_wrong_basis(capsys, which, extra, message):
+    # with no lattice generators the torus relations leave 64 standard
+    # monomials for the 32 points; (1, 0, 0) lies outside L, so t1 - 1 does
+    # not vanish on X*.  Either way nothing is printed.
+    right = ideals.lattice_generators(ExponentMatrix.of([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 5)
+    wrong = [] if extra is None else right + [extra]
+    with mock.patch.object(ideals, "lattice_generators", return_value=wrong):
+        code, out, err = run_cli(capsys, "ideal", which, *TRIANGLE, "--verify")
+    assert (code, out) == (3, "")
+    assert err.startswith("paramcodes: INTERNAL INCONSISTENCY: ")
+    assert message in err
 
 
 def test_ideal_torus_single_variable(capsys):
@@ -203,6 +250,23 @@ def test_torus_rejects_bad_search_limits(capsys, flag, value, message):
     _, _, params_err = run_cli(capsys, "params", *TRIANGLE, "--degrees", "1",
                                flag, value)
     assert params_err == err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (("ideal", "xstar", *TRIANGLE, "--degrees", "1..2"), "--degrees"),
+    (("ideal", "y", *TRIANGLE, "--md-budget", "700"), "--md-budget"),
+    (("ideal", "xstar", *TRIANGLE, "--format", "csv"), "--format"),
+    (("ideal", "y", *TRIANGLE, "--threads", "1"), "--threads"),
+    (("verify", *TRIANGLE, "--degrees", "1..2", "--format", "csv"), "--format"),
+    (("verify", *TRIANGLE, "--degrees", "1..2", "--verify"), "--verify"),
+], ids=lambda v: v if isinstance(v, str) else v[0])
+def test_flags_a_subcommand_would_ignore_are_refused(capsys, argv, flag):
+    with pytest.raises(SystemExit) as excinfo:
+        main(list(argv))
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 1 and captured.out == ""
+    assert captured.err.startswith("usage: paramcodes ")
+    assert f"error: unrecognized arguments: {flag}" in captured.err
 
 
 def test_resource_exit_code(capsys):

@@ -28,7 +28,7 @@ def ring(names, spec=F5):
 
 
 def poly(r, termdict):
-    return Polynomial(r, {m: r.field.element(c) for m, c in termdict.items()})
+    return Polynomial(r, {m: c % r.field.order for m, c in termdict.items()})
 
 
 def triangle_relations():
@@ -160,7 +160,7 @@ def test_homogenize_basis_golden(triangle_set):
     from paramcodes.ideals import vanishing_ideal_affine, vanishing_ideal_projective
 
     gb_x = vanishing_ideal_affine(triangle_set)
-    gb_y = vanishing_ideal_projective(gb_x, verify=True)
+    gb_y = vanishing_ideal_projective(gb_x)
     assert set(gb_y.generators) == golden_projective_basis(gb_y.ring)
     assert all(g.is_homogeneous() for g in gb_y.generators)
 
@@ -212,12 +212,12 @@ def test_buchberger_matches_sympy_groebner():
     gb = buchberger(gens, GrevLex())
     assert gb.check_buchberger_criterion()
     symbols = sympy.symbols(big.names)
-    exprs = [sum(c.lift() * sympy.prod(v**e for v, e in zip(symbols, m))
+    exprs = [sum(c * sympy.prod(v**e for v, e in zip(symbols, m))
                  for m, c in g.terms.items()) for g in gens]
     reference = sympy.groebner(exprs, *symbols, modulus=5, order="grevlex")
     expected = {frozenset((m, int(c) % 5) for m, c in f.terms())
                 for f in reference.polys}
-    got = {frozenset((m, c.lift()) for m, c in g.terms.items())
+    got = {frozenset(g.terms.items())
            for g in gb.generators}
     assert len(gb) == len(reference.polys)
     assert got == expected
@@ -255,8 +255,8 @@ def lattice_relations(matrix, spec):
     r = RingContext(spec, tuple(f"t{i + 1}" for i in range(matrix.s)))
     units = spec.order - 1
     torus = [tuple(units * (k == i) for k in range(matrix.s)) for i in range(matrix.s)]
-    one, zero = spec.one, (0,) * matrix.s
-    return r, [Polynomial(r, {a: one, zero: -one})
+    minus_one, zero = spec.neg(1), (0,) * matrix.s
+    return r, [Polynomial(r, {a: 1, zero: minus_one})
                for a in lattice_generators(matrix, spec.order) + torus]
 
 

@@ -35,17 +35,17 @@ def test_matrix_validation():
 
 def test_enumerate_triangle_set(triangle_set):
     assert len(triangle_set) == 32
-    # all coordinates are units; points deduplicated and sorted
-    for pt in triangle_set.affine_points:
-        assert all(pt)
-    lifts = [tuple(c.lift() for c in pt) for pt in triangle_set.affine_points]
-    assert lifts == sorted(lifts)
-    assert len(set(lifts)) == 32
+    # one read-only int array; all coordinates are units; points
+    # deduplicated and sorted
+    points = triangle_set.points
+    assert points.shape == (32, 3) and not points.flags.writeable
+    assert points.all()
+    rows = points.tolist()
+    assert rows == sorted(rows)
+    assert len(set(map(tuple, rows))) == 32
     # projective lift is bijective
-    projective = [pt + (F5.one,) for pt in triangle_set.affine_points]
-    assert len(projective) == 32
+    projective = [tuple(pt) + (1,) for pt in rows]
     assert len(set(projective)) == 32
-    assert all(pt[-1] == F5.one for pt in projective)
 
 
 @pytest.mark.parametrize("q,s", [(5, 2), (3, 3), (11, 2)])
@@ -57,7 +57,7 @@ def test_enumerate_torus_full_size(q, s):
 def test_enumerate_binary_field_single_point():
     pset = enumerate_points(ExponentMatrix.of([[1, 1], [1, 0]]), FieldSpec.of(2))
     assert len(pset) == 1
-    assert all(c == FieldSpec.of(2).one for c in pset.affine_points[0])
+    assert pset.points.tolist() == [[1, 1]]
 
 
 def test_enumeration_budget():
@@ -132,7 +132,7 @@ def test_affine_ideal_torus_one_dim():
 def test_affine_generators_vanish_everywhere(triangle_set):
     gb = vanishing_ideal_affine(triangle_set)
     for g in gb.generators:
-        for pt in triangle_set.affine_points:
+        for pt in triangle_set.points.tolist():
             assert not g.evaluate(pt)
 
 
@@ -149,8 +149,8 @@ def test_projective_ideal_golden(triangle_set):
         "t1^4 - t4^4",
     ])
     for g in gb_y.generators:
-        for pt in triangle_set.affine_points:
-            assert not g.evaluate(pt + (F5.one,))
+        for pt in triangle_set.points.tolist():
+            assert not g.evaluate(pt + [1])
 
 
 def test_projective_ideal_torus():
@@ -187,7 +187,7 @@ def test_interpolation_oracle_torus_q3():
     assert len(pset) == 4
     polys = point_interpolation_ideal(pset, 2)
     for f in polys:
-        for pt in pset.affine_points:
+        for pt in pset.points.tolist():
             assert not f.evaluate(pt)
     # t1^2 - 1 and t2^2 - 1 vanish and must lie in the oracle's span
     spec = pset.field
@@ -198,13 +198,13 @@ def test_interpolation_oracle_torus_q3():
     for f in polys:
         row = [0] * len(monos)
         for m, c in f.terms.items():
-            row[index[m]] = c.rep
+            row[index[m]] = c
         kernel_rows.append(row)
     kernel_rank = rank(kernel_rows, spec)
     for target in ({(2, 0): 1, (0, 0): -1}, {(0, 2): 1, (0, 0): -1}):
         vec = [0] * len(monos)
         for m, c in target.items():
-            vec[index[m]] = spec.element(c).rep
+            vec[index[m]] = c % spec.order
         # in the row space iff adjoining it leaves the rank unchanged
         assert rank(kernel_rows + [vec], spec) == kernel_rank
 
@@ -218,8 +218,8 @@ def test_zero_membership_both_directions():
     for _ in range(40):
         terms = {(rng.randrange(6),): rng.randrange(5)
                  for _ in range(rng.randrange(1, 4))}
-        f = Polynomial(ring, {m: F5.element(c) for m, c in terms.items()})
-        vanishes = all(not f.evaluate(pt) for pt in pset.affine_points)
+        f = Polynomial(ring, terms)
+        vanishes = all(not f.evaluate(pt) for pt in pset.points.tolist())
         assert (not normal_form(f, gb)) == vanishes
     # backward direction on oracle-built members
     for g in point_interpolation_ideal(pset, 5):
@@ -231,7 +231,7 @@ def test_low_degree_vanishing_forces_zero(q, n):
     # a nonzero polynomial with every per-variable degree < q-1 cannot
     # vanish on the whole unit torus: exhaustive over >= 250 samples each
     spec = field(q)
-    units = spec.units()
+    units = range(1, q)
     ring = RingContext(spec, tuple(f"y{i+1}" for i in range(n)))
     rng = random.Random(q * 100 + n)
     exps = list(itertools.product(range(q - 1), repeat=n))
@@ -240,7 +240,7 @@ def test_low_degree_vanishing_forces_zero(q, n):
         for _ in range(rng.randrange(1, 5)):
             m = rng.choice(exps)
             c = rng.randrange(1, q)
-            terms[m] = spec.element(c)
+            terms[m] = c
         f = Polynomial(ring, terms)
         if not f:
             continue
