@@ -102,8 +102,9 @@ def _check_search_limits(md_budget: int, threads: Optional[int]) -> None:
         raise UsageError("threads must be >= 1")
 
 
-def parse_config_file(path: str) -> dict:
-    """Flat key-value lines; 'matrix' repeats, one row per line."""
+def parse_config_file(path: str, args: argparse.Namespace) -> dict:
+    """Flat key-value lines; 'matrix' repeats, one row per line.  A key
+    whose flag the subcommand of `args` lacks is refused."""
     values: dict = {"matrix": []}
     try:
         with open(path, encoding="utf-8") as handle:
@@ -121,6 +122,10 @@ def parse_config_file(path: str) -> dict:
         key, rest = key.strip(), rest.strip()
         if not rest:
             raise UsageError(f"{path}:{lineno}: key {key!r} has no value")
+        if key in ("degrees", "md-budget", "format", "threads") \
+                and not hasattr(args, key.replace("-", "_")):
+            raise UsageError(
+                f"{path}:{lineno}: key {key!r} does not apply to {args.command}")
         try:
             if key == "q":
                 values["q"] = int(rest)
@@ -149,7 +154,7 @@ def build_config(args, need_degrees: bool) -> RunConfig:
     """Merge config file and flags; flags win."""
     values: dict = {}
     if getattr(args, "config", None):
-        values = parse_config_file(args.config)
+        values = parse_config_file(args.config, args)
     if getattr(args, "q", None) is not None:
         values["q"] = args.q
     for flag, parse in (("modulus", _int_list), ("matrix", parse_matrix_flag),

@@ -4,8 +4,9 @@ end-to-end parameter pipeline with its cross-checks.
 
 Matrices are numpy arrays of canonical field ints.  Every point lies in
 the torus, so an entry is g^(exponents . logs of the point) and the whole
-matrix is one integer product read through the field's exp table.  Each
-matrix is reduced to echelon form once; dimension and distance share it.
+matrix is one integer product read through the field's exp table.  A lower
+degree's matrix is the first rows of a higher one, so each echelon form is
+extended from the degree below; dimension and distance share it.
 
 Minimum distance is certified in this order.  First two bounds that need
 no search: the footprint of the standard monomials Delta of the vanishing
@@ -67,12 +68,15 @@ _BLOCK_WRITE_ENTRIES = 1 << 18
 @dataclass(frozen=True, eq=False)
 class EvaluationMatrix:
     """Monomials of degree <= d evaluated at every point, as a numpy array
-    of canonical field ints; the row space is the code."""
+    of canonical field ints; the row space is the code.  `below`, if set,
+    is the echelon form of the first `below_rows` rows."""
 
     degree: int
     monomials: tuple[Monomial, ...]
     pset: ParameterizedSet
     rows: np.ndarray
+    below: Optional[tuple[np.ndarray, list[int]]] = None
+    below_rows: int = 0
 
     @property
     def field(self) -> FieldSpec:
@@ -88,15 +92,20 @@ class EvaluationMatrix:
     @cached_property
     def echelon(self) -> tuple[np.ndarray, list[int]]:
         """The reduced row echelon form and its pivots, computed once."""
-        return linalg.rref(self.rows, self.field)
+        empty = (np.zeros((0, self.num_points), dtype=np.int32), [])
+        return linalg.extend_rref(*(self.below or empty),
+                                  self.rows[self.below_rows:], self.field)
 
 
 def build_evaluation_matrix(pset: ParameterizedSet, d: int,
-                            budget: int = DEFAULT_MATRIX_BUDGET) -> EvaluationMatrix:
+                            budget: int = DEFAULT_MATRIX_BUDGET,
+                            below: Optional[EvaluationMatrix] = None) -> EvaluationMatrix:
     """Rows in ascending graded/GrevLex monomial order, columns following
-    the canonical point order."""
+    the canonical point order; the echelon form extends that of `below`."""
     if d < 0:
         raise DomainError("degree must be non-negative")
+    if below and (below.pset is not pset or below.degree >= d):
+        raise DomainError("only a lower degree on the same points extends")
     s = pset.matrix.s
     num_monomials, m = comb(s + d, s), len(pset)
     if num_monomials * m > budget:
@@ -108,7 +117,8 @@ def build_evaluation_matrix(pset: ParameterizedSet, d: int,
     # every coordinate is a unit, so a monomial's value is g^(exponents . logs)
     rows = spec.exp(np.array(monomials) @ spec.log(pset.points).T)
     rows.flags.writeable = False  # the cached echelon form depends on it
-    return EvaluationMatrix(d, monomials, pset, rows)
+    base = (below.echelon, len(below.monomials)) if below else ()
+    return EvaluationMatrix(d, monomials, pset, rows, *base)
 
 
 def code_dimension(matrix: EvaluationMatrix) -> int:
@@ -371,9 +381,10 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
     """Vanishing ideals, Hilbert profile, and per-degree code parameters,
     with the rank-versus-Hilbert consistency check always on.  One walk of
     the standard monomials serves the profile and the footprint bounds.
-    With verify=True the bases are certified (`ParameterizedSet.certify`)
-    and every distance the footprint settled within the budget is also
-    swept exhaustively."""
+    Each echelon form extends the previous degree's if that is lower.
+    With verify=True the bases are certified (`ParameterizedSet.certify`),
+    every echelon form is recomputed by `linalg.rref`, and every distance
+    the footprint settled within the budget is also swept exhaustively."""
     gb_x = vanishing_ideal_affine(pset)
     gb_y = vanishing_ideal_projective(gb_x)
     if verify:
@@ -384,10 +395,17 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
         raise InternalInconsistencyError(
             f"ring degree {profile.degree_of_ring} differs from the "
             f"{m} enumerated points")
-    rows = []
+    rows, matrix = [], None
     for d in degrees:
-        matrix = build_evaluation_matrix(pset, d, budget=matrix_budget)
+        matrix = build_evaluation_matrix(
+            pset, d, budget=matrix_budget,
+            below=matrix if matrix and matrix.degree < d else None)
         dim = code_dimension(matrix)
+        if verify:
+            echelon, pivots = linalg.rref(matrix.rows, pset.field)
+            if pivots != matrix.echelon[1] or (echelon != matrix.echelon[0]).any():
+                raise InternalInconsistencyError(
+                    f"echelon form at degree {d} differs from a reduction from scratch")
         if d >= 1:
             h = profile.values.get(d, profile.degree_of_ring)
             if dim != h:

@@ -3,6 +3,8 @@
 Matrices are 2-D numpy arrays of canonical field ints (any sequence of
 rows is accepted); each elimination step updates whole rows at once with
 the FieldSpec array arithmetic, so one code path covers every field.
+`extend_rref` adds rows to an echelon form without reducing the old rows
+again; the RREF of a row space is unique, so it equals `rref` of them all.
 """
 
 from __future__ import annotations
@@ -20,16 +22,17 @@ def rref(rows: Sequence[Sequence[int]], spec: FieldSpec) -> tuple[np.ndarray, li
     Returns (nonzero rows with monic pivots, pivot column indices); the
     number of pivots is the rank.  Pivot rows are taken in column order,
     each from the first row at or below the current one that is nonzero
-    in that column.
+    in that column; columns zero there are skipped in one step.
     """
     work = np.atleast_2d(np.array(rows, dtype=np.int32))
     pivots: list[int] = []
-    pivot_row = 0
-    for col in range(work.shape[1]):
-        found = np.flatnonzero(work[pivot_row:, col])
-        if not found.size:
-            continue
-        found = pivot_row + found[0]
+    pivot_row = col = 0
+    while pivot_row < work.shape[0]:
+        live = np.flatnonzero(work[pivot_row:, col:].any(axis=0))
+        if not live.size:
+            break
+        col += int(live[0])
+        found = pivot_row + np.flatnonzero(work[pivot_row:, col])[0]
         work[[pivot_row, found]] = work[[found, pivot_row]]
         lead = int(work[pivot_row, col])
         if lead != 1:
@@ -44,9 +47,33 @@ def rref(rows: Sequence[Sequence[int]], spec: FieldSpec) -> tuple[np.ndarray, li
                                           spec.mul(factors[:, None], row[None, :]))
         pivots.append(col)
         pivot_row += 1
-        if pivot_row == work.shape[0]:
-            break
+        col += 1
     return work[:pivot_row], pivots
+
+
+def _product(coeffs: np.ndarray, rows: np.ndarray, spec: FieldSpec) -> np.ndarray:
+    """The matrix product coeffs . rows over GF(q)."""
+    if spec.extension_degree == 1:
+        # exact in int64: k products below p^2 <= 2^32 each, and k < 2^31
+        # for any k x k block that fits in memory
+        return coeffs.astype(np.int64) @ rows.astype(np.int64) % spec.characteristic
+    total = np.zeros((len(coeffs), rows.shape[1]), dtype=rows.dtype)
+    for column, row in zip(coeffs.T, rows):
+        total = spec.add(total, spec.mul(column[:, None], row))
+    return total
+
+
+def extend_rref(echelon: np.ndarray, pivots: list[int], rows: np.ndarray,
+                spec: FieldSpec) -> tuple[np.ndarray, list[int]]:
+    """rref of a reduced echelon form with its pivots stacked on new rows:
+    clear the old pivots from the new rows, reduce what is left, and clear
+    the new pivots from the old rows."""
+    new = spec.sub(rows, _product(rows[:, pivots], echelon, spec))
+    new, new_pivots = rref(new, spec)
+    old = spec.sub(echelon, _product(echelon[:, new_pivots], new, spec))
+    merged = pivots + new_pivots
+    return (np.concatenate((old, new), dtype=np.int32)[np.argsort(merged)],
+            sorted(merged))
 
 
 def rank(rows: Sequence[Sequence[int]], spec: FieldSpec) -> int:

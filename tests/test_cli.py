@@ -210,6 +210,33 @@ def test_config_errors(tmp_path, capsys):
     assert "unknown key" in err
 
 
+@pytest.mark.parametrize("argv, line", [
+    (("ideal", "xstar"), "degrees 1..3"),
+    (("ideal", "y"), "md-budget 5"),
+    (("ideal", "xstar"), "format csv"),
+    (("ideal", "y"), "threads 4"),
+    (("verify",), "format csv"),
+], ids=["ideal-degrees", "ideal-md-budget", "ideal-format", "ideal-threads",
+        "verify-format"])
+def test_config_keys_a_subcommand_would_ignore_are_refused(tmp_path, capsys,
+                                                           argv, line):
+    config = tmp_path / "extra.cfg"
+    config.write_text(f"q 5\nmatrix 1 1 0\nmatrix 0 1 1\nmatrix 1 0 1\n{line}\n")
+    code, out, err = run_cli(capsys, *argv, "--config", str(config))
+    key = line.split()[0]
+    assert code == 1 and out == ""
+    assert err == (f"paramcodes: error: {config}:5: key {key!r} does not "
+                   f"apply to {argv[0]}\n")
+
+
+def test_verify_reads_its_keys_from_a_config(tmp_path, capsys):
+    config = tmp_path / "verify.cfg"
+    config.write_text("q 5\nmatrix 1 1 0\nmatrix 0 1 1\nmatrix 1 0 1\n"
+                      "degrees 1..2\nmd-budget 700\nthreads 1\n")
+    code, out, _ = run_cli(capsys, "verify", "--config", str(config))
+    assert code == 0 and "checks passed" in out
+
+
 def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "params", "--q", "5", "--degrees", "1..2")
     assert code == 1 and "matrix" in err

@@ -275,6 +275,39 @@ def test_certificate_catches_a_wrong_basis(triangle_matrix, f5):
             run_pipeline(pset, [1], verify=True)
 
 
+@pytest.mark.parametrize("q", [5, 9], ids=["triangle-gf5", "triangle-gf9"])
+def test_pipeline_extends_only_a_lower_degree(triangle_matrix, q):
+    pset = enumerate_points(triangle_matrix, field(q))
+    degrees = [3, 1, 3, 0]
+    with mock.patch.object(codes, "build_evaluation_matrix",
+                           wraps=build_evaluation_matrix) as build:
+        run = run_pipeline(pset, degrees)
+    below = [call.kwargs["below"] for call in build.call_args_list]
+    assert [b and b.degree for b in below] == [None, None, 1, None]
+    assert run.table == tuple(run_pipeline(pset, [d]).table[0] for d in degrees)
+    with pytest.raises(DomainError, match="lower degree"):
+        build_evaluation_matrix(pset, 1, below=build_evaluation_matrix(pset, 1))
+
+
+def test_verify_recomputes_every_echelon_form(triangle_set):
+    # an extension that leaves the new pivot columns in the old rows still
+    # spans the code, so the table stands; only the reduction from scratch
+    # that verify adds notices
+    def no_back_substitution(echelon, pivots, rows, spec):
+        new = spec.sub(rows, linalg._product(rows[:, pivots], echelon, spec))
+        new, new_pivots = linalg.rref(new, spec)
+        merged = pivots + new_pivots
+        return (np.concatenate((echelon, new), dtype=np.int32)[np.argsort(merged)],
+                sorted(merged))
+
+    with mock.patch.object(linalg, "extend_rref", no_back_substitution):
+        run = run_pipeline(triangle_set, [1, 2, 3], md_budget=700)
+        assert [p.dimension for p in run.table] == [4, 10, 20]
+        with pytest.raises(InternalInconsistencyError,
+                           match="degree 2 differs from a reduction from scratch"):
+            run_pipeline(triangle_set, [1, 2, 3], md_budget=700, verify=True)
+
+
 # -- the projective sweep against brute force ----------------------------------
 
 class _Columns:

@@ -1,9 +1,11 @@
 """Property tests of the exact linear algebra over prime and extension fields."""
 
-import numpy as np
-from hypothesis import given, settings, strategies as st
+from functools import lru_cache
 
-from paramcodes.linalg import rank, rref, right_kernel_basis
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+from paramcodes.linalg import extend_rref, rank, rref, right_kernel_basis
 
 from conftest import field
 
@@ -57,3 +59,49 @@ def test_kernel_vectors_are_annihilated(case):
     assert len(basis) == rows.shape[1] - rank(rows, spec)
     for v in basis:
         assert all(dot(spec, v, row) == 0 for row in rows)
+
+
+# GF(65521) makes products near 2^32, which an int32 product would overflow
+EXTEND_ORDERS = [2, 3, 5, 13, 65521, 4, 8, 9, 16]
+cached_field = lru_cache(field)
+
+
+@st.composite
+def stacked_blocks(draw):
+    """A block A and new rows B; each row of either is random, zero, or a
+    combination of the rows of A drawn before it (so A can have lower rank
+    and B can lie in the span of A)."""
+    q = draw(st.sampled_from(EXTEND_ORDERS))
+    spec = cached_field(q)
+    ncols = draw(st.integers(1, 8))
+    element = st.integers(0, q - 1)
+    rows = []
+    nrows_a = draw(st.integers(0, 6))
+    for i in range(nrows_a + draw(st.integers(0, 5))):
+        kind = draw(st.sampled_from(["random", "zero", "span"]))
+        if kind == "random":
+            row = draw(st.lists(element, min_size=ncols, max_size=ncols))
+        elif kind == "zero":
+            row = [0] * ncols
+        else:
+            earlier = np.array(rows[:min(i, nrows_a)], dtype=np.int64).reshape(-1, ncols)
+            coeffs = draw(st.lists(element, min_size=len(earlier), max_size=len(earlier)))
+            row = [dot(spec, coeffs, column) for column in earlier.T]
+        rows.append(row)
+    rows = np.array(rows, dtype=np.int64).reshape(-1, ncols)
+    return spec, rows[:nrows_a], rows[nrows_a:]
+
+
+@settings(max_examples=300, deadline=None)
+@given(stacked_blocks())
+@example((cached_field(9), np.array([[1, 2, 0], [0, 0, 5]]),  # no new rows
+          np.zeros((0, 3), dtype=np.int64)))
+@example((cached_field(65521), np.array([[65520, 3, 65519]]),
+          np.array([[65519, 65520, 7], [65520, 3, 65519]])))
+def test_extend_rref_equals_rref_of_the_stack(case):
+    spec, a, b = case
+    echelon, pivots = extend_rref(*rref(a, spec), b, spec)
+    expected, expected_pivots = rref(np.vstack((a, b)), spec)
+    assert pivots == expected_pivots
+    assert echelon.dtype == expected.dtype
+    assert np.array_equal(echelon, expected)
