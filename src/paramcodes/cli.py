@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import os
 import sys
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -37,6 +38,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_RESOURCE = 2
 EXIT_INCONSISTENT = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE: the reader of standard output closed it
 
 
 class UsageError(Exception):
@@ -402,7 +404,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = make_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:
+        # stdout's reader has gone; with fd 1 on devnull the flush at
+        # interpreter exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except UsageError as exc:
         print(f"paramcodes: error: {exc}", file=sys.stderr)
         return EXIT_USAGE

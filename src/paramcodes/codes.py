@@ -5,8 +5,10 @@ end-to-end parameter pipeline with its cross-checks.
 Matrices are numpy arrays of canonical field ints.  Every point lies in
 the torus, so an entry is g^(exponents . logs of the point) and the whole
 matrix is one integer product read through the field's exp table.  A lower
-degree's matrix is the first rows of a higher one, so each echelon form is
-extended from the degree below; dimension and distance share it.
+degree's matrix is the first rows of a higher one, so each degree adds only
+its new rows: the monomials above the degree below are listed and evaluated,
+and the echelon form is extended from the one below; dimension and distance
+share it.
 
 Minimum distance is certified in this order.  First two bounds that need
 no search: the footprint of the standard monomials Delta of the vanishing
@@ -101,7 +103,8 @@ def build_evaluation_matrix(pset: ParameterizedSet, d: int,
                             budget: int = DEFAULT_MATRIX_BUDGET,
                             below: Optional[EvaluationMatrix] = None) -> EvaluationMatrix:
     """Rows in ascending graded/GrevLex monomial order, columns following
-    the canonical point order; the echelon form extends that of `below`."""
+    the canonical point order; the rows, monomials and echelon form extend
+    those of `below`."""
     if d < 0:
         raise DomainError("degree must be non-negative")
     if below and (below.pset is not pset or below.degree >= d):
@@ -112,10 +115,13 @@ def build_evaluation_matrix(pset: ParameterizedSet, d: int,
         raise ResourceLimitError(
             f"evaluation matrix with {num_monomials} x {m} entries exceeds "
             f"the budget {budget}")
-    monomials = tuple(monomials_up_to_degree(s, d))
+    # the order is graded, so the monomials above below's degree follow its rows
+    monomials = tuple(monomials_up_to_degree(s, d, below.degree + 1 if below else 0))
     spec = pset.field
     # every coordinate is a unit, so a monomial's value is g^(exponents . logs)
     rows = spec.exp(np.array(monomials) @ spec.log(pset.points).T)
+    if below:
+        monomials, rows = below.monomials + monomials, np.concatenate((below.rows, rows))
     rows.flags.writeable = False  # the cached echelon form depends on it
     base = (below.echelon, len(below.monomials)) if below else ()
     return EvaluationMatrix(d, monomials, pset, rows, *base)

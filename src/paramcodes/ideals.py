@@ -132,23 +132,32 @@ class ParameterizedSet:
         return standard_monomials(self.affine_basis.leading_monomials(),
                                   self.matrix.s)
 
+    @cached_property
+    def _footprint_minima(self) -> list[int]:
+        """The footprint minimum of each degree of Delta reached so far."""
+        return []
+
     def footprint(self, d: int) -> int:
         """Footprint lower bound on the minimum distance of the degree-d
         code (Geil and Hoeholdt, IEEE-IT 2000): the fewest standard
         monomials that one of degree <= d divides.  A nonzero codeword is
         f(X) for an f whose normal form leads with some M in Delta of degree
-        <= d, and f has at most |Delta| - #{N in Delta : M | N} zeros on X."""
+        <= d, and f has at most |Delta| - #{N in Delta : M | N} zeros on X.
+        The count for M does not depend on d, so each degree's minimum is
+        computed once, when a call first reaches that degree, and kept."""
         delta = np.concatenate(self.standard_monomials)
-        leads = np.concatenate(self.standard_monomials[:d + 1])
         step = max(1, _FOOTPRINT_ENTRIES // len(delta))
-        best = len(delta)
-        for start in range(0, len(leads), step):
-            chunk = leads[start:start + step]
-            divides = np.ones((len(chunk), len(delta)), dtype=bool)
-            for i in range(delta.shape[1]):
-                divides &= chunk[:, i, None] <= delta[None, :, i]
-            best = min(best, int(divides.sum(axis=1).min()))
-        return best
+        minima = self._footprint_minima
+        for leads in self.standard_monomials[len(minima):d + 1]:
+            best = len(delta)
+            for start in range(0, len(leads), step):
+                chunk = leads[start:start + step]
+                divides = np.ones((len(chunk), len(delta)), dtype=bool)
+                for i in range(delta.shape[1]):
+                    divides &= chunk[:, i, None] <= delta[None, :, i]
+                best = min(best, int(divides.sum(axis=1).min()))
+            minima.append(best)
+        return min(minima[:d + 1])
 
 
 def enumerate_points(matrix: ExponentMatrix, field: FieldSpec,

@@ -51,10 +51,10 @@ def monomials_of_degree(num_vars: int, degree: int) -> Iterator[Monomial]:
             yield (head,) + tail
 
 
-def monomials_up_to_degree(num_vars: int, degree: int) -> list[Monomial]:
-    """All monomials of total degree <= degree, ascending GrevLex."""
+def monomials_up_to_degree(num_vars: int, degree: int, lowest: int = 0) -> list[Monomial]:
+    """All monomials of total degree lowest .. degree, ascending GrevLex."""
     out: list[Monomial] = []
-    for d in range(degree + 1):
+    for d in range(lowest, degree + 1):
         out.extend(monomials_of_degree(num_vars, d))
     key = GrevLex().key
     out.sort(key=key)

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import pytest
@@ -321,3 +325,21 @@ def test_unknown_subcommand_usage_exit():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 1
+
+
+def test_a_reader_that_closed_stdout_ends_the_run_quietly():
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "paramcodes.cli", "params", *TRIANGLE,
+             "--degrees", "1..5", "--format", "csv", "--md-budget", "700"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=120)
+    finally:
+        os.close(write)
+    stderr = proc.stderr.decode()
+    assert "Traceback" not in stderr and "Exception ignored" not in stderr
+    assert proc.returncode == 141

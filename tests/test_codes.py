@@ -278,6 +278,15 @@ def test_certificate_catches_a_wrong_basis(triangle_matrix, f5):
 @pytest.mark.parametrize("q", [5, 9], ids=["triangle-gf5", "triangle-gf9"])
 def test_pipeline_extends_only_a_lower_degree(triangle_matrix, q):
     pset = enumerate_points(triangle_matrix, field(q))
+    # footprints kept per degree answer calls in any order, repeats included
+    delta = [m for level in pset.standard_monomials for m in level.tolist()]
+
+    def multiples(lead):
+        return sum(all(a <= b for a, b in zip(lead, n)) for n in delta)
+
+    order = [5, 0, 3, 5, 1]
+    assert [pset.footprint(d) for d in order] == [
+        min(multiples(lead) for lead in delta if sum(lead) <= d) for d in order]
     degrees = [3, 1, 3, 0]
     with mock.patch.object(codes, "build_evaluation_matrix",
                            wraps=build_evaluation_matrix) as build:
@@ -289,12 +298,27 @@ def test_pipeline_extends_only_a_lower_degree(triangle_matrix, q):
         build_evaluation_matrix(pset, 1, below=build_evaluation_matrix(pset, 1))
 
 
+@pytest.mark.parametrize("rows,q,lower,d", [
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 5, 2, 3),
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 9, 2, 3),
+    ([[1, 1, 0], [0, 1, 1], [1, 0, 1]], 5, 1, 4),
+], ids=["triangle-gf5", "torus-gf9", "jump-1-to-4"])
+def test_evaluation_matrix_extends_the_rows_below(rows, q, lower, d):
+    pset = enumerate_points(ExponentMatrix.of(rows), field(q))
+    alone = build_evaluation_matrix(pset, d)
+    extended = build_evaluation_matrix(pset, d, below=build_evaluation_matrix(pset, lower))
+    assert extended.monomials == alone.monomials
+    assert extended.rows.dtype == alone.rows.dtype
+    assert np.array_equal(extended.rows, alone.rows)
+    assert not extended.rows.flags.writeable
+
+
 def test_verify_recomputes_every_echelon_form(triangle_set):
     # an extension that leaves the new pivot columns in the old rows still
     # spans the code, so the table stands; only the reduction from scratch
     # that verify adds notices
     def no_back_substitution(echelon, pivots, rows, spec):
-        new = spec.sub(rows, linalg._product(rows[:, pivots], echelon, spec))
+        new = linalg._subtract_product(rows, rows[:, pivots], echelon, spec)
         new, new_pivots = linalg.rref(new, spec)
         merged = pivots + new_pivots
         return (np.concatenate((echelon, new), dtype=np.int32)[np.argsort(merged)],

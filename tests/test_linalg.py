@@ -3,6 +3,7 @@
 from functools import lru_cache
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from paramcodes.linalg import extend_rref, rank, rref, right_kernel_basis
@@ -104,4 +105,22 @@ def test_extend_rref_equals_rref_of_the_stack(case):
     expected, expected_pivots = rref(np.vstack((a, b)), spec)
     assert pivots == expected_pivots
     assert echelon.dtype == expected.dtype
+    assert np.array_equal(echelon, expected)
+
+
+@pytest.mark.parametrize("num_pivots", [1, 2])
+def test_extend_rref_at_the_int32_boundary(num_pivots):
+    # over GF(46337), (p-1)^2 + p < 2^31 < 2(p-1)^2: a product over one old
+    # pivot fits int32 and one over two does not.  Each pivot column of B
+    # holds 1, so each negated coefficient is p-1, and it meets p-1 in the
+    # last column of A; that column stays free, so a wrapped sum shows.
+    p = 46337
+    spec = cached_field(p)
+    a = np.zeros((num_pivots, num_pivots + 2), dtype=np.int64)
+    a[:, :num_pivots] = np.eye(num_pivots)
+    a[:, -1] = p - 1
+    b = np.array([[1] * (num_pivots + 1) + [p - 1]])
+    echelon, pivots = extend_rref(*rref(a, spec), b, spec)
+    expected, expected_pivots = rref(np.vstack((a, b)), spec)
+    assert pivots == expected_pivots
     assert np.array_equal(echelon, expected)
