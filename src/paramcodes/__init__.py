@@ -1,9 +1,10 @@
 """Parameters of parameterized affine codes over finite fields.
 
 The pipeline: enumerate the point set cut out by an exponent matrix,
-compute its vanishing ideal as a lattice ideal in the coordinates,
-homogenize to the projective closure, read length and dimension off the
-Hilbert function, and certify the minimum distance by the footprint bound, a witness
+read its vanishing ideal and standard monomials off one walk over the
+classes of exponent vectors that agree on the set, homogenize to the
+projective closure, read length and dimension off the Hilbert function,
+and certify the minimum distance by the footprint bound, a witness
 codeword and, where those differ, a codeword search.
 """
 

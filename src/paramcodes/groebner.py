@@ -1,24 +1,18 @@
-"""Buchberger engines: S-polynomials, reduced Groebner bases, block
-elimination, and homogenization of a whole basis.
+"""Buchberger's algorithm, reduced Groebner bases, block elimination, and
+homogenization of a whole basis.
 
 `buchberger` and `eliminate` take any polynomials.  Their pair queue uses
 the normal strategy (smallest lcm total degree first, then pair index) and
-skips pairs by the coprimality and chain criteria; they are the references
-the binomial engine and the lattice route are tested against.
-
-`binomial_basis` returns the same reduced GrevLex basis for ideals
-generated by pure-difference binomials x^a - x^b.  The vanishing ideal of
-a parameterized set is one: a lattice ideal plus the torus relations
-(Renteria, Simis and Villarreal, FFA 2011).  Its S-pairs and remainders
-are again such binomials, so the engine works on exponent pairs alone,
-tests divisibility against all live leading monomials in one numpy
-comparison, and prunes pairs by the Gebauer-Moeller update (criteria B, M
-and F) whenever an element is added.
+skips pairs by the coprimality and chain criteria.  The vanishing ideal of
+a parameterized set does not go through them: `ideals.class_walk` reads
+its reduced basis off the exponent classes with no S-pair, and the tests
+check that basis against `eliminate` on the paper's generators.
 
 Output bases are inter-reduced and monic, sorted by ascending leading
 monomial, so identical ideals yield identical bases regardless of
-generator order.  No engine checks its own output: the vanishing ideal is
-certified in one place, `ideals.ParameterizedSet.certify`.
+generator order.  No routine checks its own output: the vanishing ideal
+is certified in one place, `ideals.ParameterizedSet.certify`, which uses
+`GroebnerBasis.check_buchberger_criterion`.
 """
 
 from __future__ import annotations
@@ -26,8 +20,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .errors import DomainError
 from .mpoly import (
@@ -192,135 +184,6 @@ def eliminate(gens: Sequence[Polynomial], ring: RingContext,
         if all(not any(m[:block_size]) for m in g.terms):
             kept.append(restrict_variables(g, subring, block_size))
     return GroebnerBasis(tuple(kept), GrevLex(), subring, is_reduced=True)
-
-
-def binomial_basis(gens: Sequence[Polynomial], ring: RingContext) -> GroebnerBasis:
-    """Reduced GrevLex basis of an ideal generated by pure-difference
-    binomials x^a - x^b, the one `buchberger` returns.
-
-    Every S-polynomial and every remainder of such binomials is again one,
-    so the computation runs on (lead, tail) exponent pairs and builds
-    polynomials only for the returned basis."""
-    minus_one = ring.field.neg(1)
-    engine = _BinomialBuchberger(ring.num_vars)
-    for g in gens:
-        if g.ring != ring:
-            raise DomainError("generator lives in a different ring")
-        if not g:
-            continue
-        if len(g.terms) != 2 or set(g.terms.values()) != {1, minus_one}:
-            raise DomainError(f"{g} is not a pure-difference binomial x^a - x^b")
-        engine.insert(_orient(*g.terms))
-    engine.run()
-    basis = sorted(engine.reduced_basis(), key=lambda pair: GrevLex.key(pair[0]))
-    return GroebnerBasis(
-        tuple(Polynomial(ring, {lead: 1, tail: minus_one}) for lead, tail in basis),
-        GrevLex(), ring, is_reduced=True)
-
-
-def _orient(a: Monomial, b: Monomial) -> Optional[tuple[Monomial, Monomial]]:
-    """(lead, tail) of x^a - x^b up to sign; None when it is zero."""
-    if a == b:
-        return None
-    return (a, b) if GrevLex.key(a) > GrevLex.key(b) else (b, a)
-
-
-def _shift(m: Monomial, lead: Monomial, tail: Monomial) -> Monomial:
-    """m * tail / lead: the term that replaces m when x^lead - x^tail
-    reduces it."""
-    return tuple(x - a + b for x, a, b in zip(m, lead, tail))
-
-
-class _BinomialBuchberger:
-    """Buchberger's algorithm on binomials x^lead - x^tail, lead > tail
-    under GrevLex, with the Gebauer-Moeller pair update.
-
-    Elements are never deleted.  An element is live while no later lead
-    divides its lead; reduction uses the live leads only, and new S-pairs
-    are formed with live elements only.  Every element enters top-reduced,
-    so the live leads never divide one another: the live set is a minimal
-    basis."""
-
-    def __init__(self, num_vars: int):
-        self.leads: list[Monomial] = []
-        self.tails: list[Monomial] = []
-        self.lead_rows = np.zeros((0, num_vars), dtype=np.int64)
-        self.live = np.zeros(0, dtype=np.int64)
-        self.live_rows = self.lead_rows
-        # pending S-pairs, one row each: lcm degree, i, j, lcm exponents
-        self.pairs = np.zeros((0, 3 + num_vars), dtype=np.int64)
-
-    def _divisor(self, m: Monomial) -> Optional[int]:
-        """The first live element whose lead divides m, if any."""
-        hits = np.flatnonzero((self.live_rows <= m).all(axis=1))
-        return int(self.live[hits[0]]) if hits.size else None
-
-    def insert(self, binomial) -> None:
-        """Top-reduce a binomial (or None) and add what is left."""
-        while binomial is not None:
-            lead, tail = binomial
-            i = self._divisor(lead)
-            if i is None:
-                self._add(lead, tail)
-                return
-            binomial = _orient(_shift(lead, self.leads[i], self.tails[i]), tail)
-
-    def _add(self, lead: Monomial, tail: Monomial) -> None:
-        """Append a top-reduced element and update the pairs and the live set
-        by criteria B, M and F (Gebauer and Moeller, JSC 1988)."""
-        new = len(self.leads)
-        self.leads.append(lead)
-        self.tails.append(tail)
-        h = np.array(lead, dtype=np.int64)
-        rows = self.lead_rows = np.vstack([self.lead_rows, h])
-        # B: a pending pair (i, j) is redundant when lead(h) divides its lcm
-        # and that lcm differs from both lcm(i, h) and lcm(j, h)
-        pairs = self.pairs
-        lcm = pairs[:, 3:]
-        redundant = ((h <= lcm).all(axis=1)
-                     & (np.maximum(rows[pairs[:, 1]], h) != lcm).any(axis=1)
-                     & (np.maximum(rows[pairs[:, 2]], h) != lcm).any(axis=1))
-        pairs = pairs[~redundant]
-        live, live_rows = self.live, self.live_rows
-        if live.size:
-            lcms = np.maximum(live_rows, h)
-            coprime = ~np.minimum(live_rows, h).any(axis=1)
-            distinct, first, inverse = np.unique(
-                lcms, axis=0, return_index=True, return_inverse=True)
-            # F: one pair per distinct lcm, none where some pair with that lcm
-            # has coprime leads (its S-polynomial reduces to zero)
-            with_coprime = np.zeros(len(distinct), dtype=bool)
-            with_coprime[inverse.reshape(-1)[coprime]] = True
-            # M: none whose lcm another new pair's lcm properly divides
-            divided = (distinct[:, None, :] <= distinct[None, :, :]).all(axis=2)
-            minimal = divided.sum(axis=0) == 1
-            chosen = np.sort(first[minimal & ~with_coprime])
-            fresh = np.column_stack([lcms[chosen].sum(axis=1), live[chosen],
-                                     np.full(chosen.size, new), lcms[chosen]])
-            pairs = np.vstack([pairs, fresh])
-        self.pairs = pairs
-        stays = ~(h <= live_rows).all(axis=1)
-        self.live = np.append(live[stays], new)
-        self.live_rows = np.vstack([live_rows[stays], h])
-
-    def run(self) -> None:
-        """Process the pending S-pairs, smallest lcm degree first."""
-        while len(self.pairs):
-            k = int(np.argmin(self.pairs[:, 0]))
-            _, i, j, *lcm = self.pairs[k].tolist()
-            self.pairs = np.delete(self.pairs, k, axis=0)
-            self.insert(_orient(_shift(lcm, self.leads[i], self.tails[i]),
-                                    _shift(lcm, self.leads[j], self.tails[j])))
-
-    def reduced_basis(self) -> list[tuple[Monomial, Monomial]]:
-        """The live elements with fully reduced tails: the reduced basis."""
-        out = []
-        for i in self.live.tolist():
-            tail = self.tails[i]
-            while (d := self._divisor(tail)) is not None:
-                tail = _shift(tail, self.leads[d], self.tails[d])
-            out.append((self.leads[i], tail))
-        return out
 
 
 def homogenize_basis(gb: GroebnerBasis, hom_var: int) -> GroebnerBasis:

@@ -4,10 +4,15 @@ the standard monomials (those no leading monomial divides) in one walk.
 The homogenizing variable comes last under GrevLex and divides no leading
 monomial of the projective basis, so the Hilbert value at d is the number
 of affine standard monomials of degree <= d, and the ring degree, their
-number, is the number of points of a vanishing ideal.  The walk returns
-the standard monomials themselves, level by level, so the footprint bound
-on the minimum distance (`ideals.ParameterizedSet.footprint`) reads the
-same arrays.
+number, is the number of points of a vanishing ideal.
+
+`standard_monomials` walks them from any list of leading monomials.  The
+pipeline does not need it: `ideals.class_walk` returns the standard
+monomials of a point set together with its basis, and `hilbert_profile`
+takes those levels.  So this walk is the independent count behind
+`ideals.ParameterizedSet.certify` and the affine Hilbert values that
+`--verify` compares with each rank, and it serves the Hilbert values of
+a bare basis.
 """
 
 from __future__ import annotations
@@ -92,9 +97,9 @@ def hilbert_profile(gb_y: GroebnerBasis,
                     levels: Optional[list[np.ndarray]] = None) -> HilbertProfile:
     """The Hilbert function up to its first repeated value: it grows up to
     the top degree of the standard monomials and stays at their number.
-    A caller that already holds those monomials, as `standard_monomials`
-    of the affine leads returns them, passes them as `levels` and saves
-    the walk."""
+    A caller that already holds those monomials, one array per degree as
+    `ParameterizedSet.standard_monomials` holds them, passes them as
+    `levels` and saves the walk."""
     leads = _affine_leads(gb_y)
     names = gb_y.ring.names[:-1]
     # finitely many standard monomials iff each variable has a pure power

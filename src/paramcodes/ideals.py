@@ -3,18 +3,23 @@
 An exponent matrix V (s rows of n non-negative integers) parameterizes a
 point set X* inside the affine torus: each parameter tuple x in (K*)^n
 maps to the point whose i-th coordinate is the i-th row's monomial
-evaluated at x.  Its vanishing ideal is a lattice ideal in the coordinates
-alone (Renteria, Simis and Villarreal, FFA 2011): I(X*) is generated by
-t^a - 1 for a in L = {a in Z^s : a^T V = 0 mod q-1} and by the torus
-relations t_i^(q-1) - 1, which make every t_i a unit.  Generators of L
-come from one integer row reduction, and `groebner.binomial_basis` turns
-the binomials into the reduced GrevLex basis, with no parameter variable
-and no elimination; the tests check it against the paper's elimination.
+evaluated at x.  On X* the monomial t^a is the character x^(a^T V), so t^a
+and t^b are the same function exactly when a^T V = b^T V mod q-1, and
+monomials of distinct classes are linearly independent.  So I(X*) is
+spanned by the binomials t^a - t^b within a class: the lattice ideal of
+L = {a : a^T V = 0 mod q-1} plus the torus relations (Renteria, Simis and
+Villarreal, FFA 2011).  Its reduced GrevLex basis needs no S-pair.  The
+standard monomials are the GrevLex-least monomial of each class, the
+leading monomials are the least non-standard ones, and each tail is the
+standard monomial of its lead's class.  `class_walk` finds all of them in
+one walk, degree by degree; the tests check its basis against the
+paper's elimination.
 
 The points are one read-only int array of canonical field ints, and
 `ParameterizedSet.certify` is the one check of a computed basis: it
 evaluates the generators on those ints, so it does not share the log/exp
-route of the evaluation matrices.
+route of the evaluation matrices, and it walks the standard monomials of
+the basis with `hilbert.standard_monomials`, not with the class walk.
 """
 
 from __future__ import annotations
@@ -27,13 +32,13 @@ import numpy as np
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .gf import FieldSpec
-from .groebner import GroebnerBasis, binomial_basis, homogenize_basis
+from .groebner import GroebnerBasis, homogenize_basis
 from .hilbert import standard_monomials
-from .mpoly import GrevLex, Polynomial, RingContext, append_variable
+from .mpoly import GrevLex, Monomial, Polynomial, RingContext, append_variable
 
 DEFAULT_ENUMERATION_BUDGET = 2**20
-#: Divisibility tests per numpy call when counting footprints.
-_FOOTPRINT_ENTRIES = 1 << 18
+#: Divisibility tests per numpy call, which bounds their temporaries.
+_CHUNK_ENTRIES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -80,25 +85,39 @@ class ExponentMatrix:
 class ParameterizedSet:
     """The enumerated points of the set, one read-only m x s array of
     canonical ints with rows in ascending order, with the vanishing
-    ideal's basis and standard monomials, each computed once."""
+    ideal's basis and standard monomials, each computed once.  `budget`
+    is the enumeration budget the set was made under; it also bounds the
+    class walk's table, which has one entry per parameter tuple."""
 
     matrix: ExponentMatrix
     field: FieldSpec
     points: np.ndarray
+    budget: int = DEFAULT_ENUMERATION_BUDGET
 
     def __len__(self) -> int:
         return len(self.points)
 
     @cached_property
+    def _walk(self) -> tuple[list[tuple[Monomial, Monomial]], list[np.ndarray]]:
+        """The class walk of the set's matrix, done once."""
+        return class_walk(self.matrix, self.field.order, self.budget)
+
+    @cached_property
     def affine_basis(self) -> GroebnerBasis:
-        """Reduced GrevLex basis of all polynomials vanishing on the set;
-        every generator is a binomial."""
-        s, units = self.matrix.s, self.field.order - 1
-        ring = RingContext(self.field, tuple(f"t{i + 1}" for i in range(s)))
-        torus = [tuple(units * (k == i) for k in range(s)) for i in range(s)]
-        minus_one, zero = self.field.neg(1), (0,) * s
-        gens = lattice_generators(self.matrix, self.field.order) + torus
-        return binomial_basis([Polynomial(ring, {a: 1, zero: minus_one}) for a in gens], ring)
+        """Reduced GrevLex basis of all polynomials vanishing on the set:
+        t^lead - t^tail for each lead and tail of the class walk."""
+        ring = RingContext(self.field, tuple(f"t{i + 1}" for i in range(self.matrix.s)))
+        minus_one = self.field.neg(1)
+        return GroebnerBasis(
+            tuple(Polynomial(ring, {lead: 1, tail: minus_one}) for lead, tail in self._walk[0]),
+            GrevLex(), ring, is_reduced=True)
+
+    @property
+    def standard_monomials(self) -> list[np.ndarray]:
+        """Delta, the monomials no leading monomial of the affine basis
+        divides, one exponent array per degree in ascending GrevLex order;
+        there are len(self)."""
+        return self._walk[1]
 
     def certify(self, gb_y: GroebnerBasis) -> None:
         """Raise InternalInconsistencyError unless the affine basis and
@@ -106,7 +125,9 @@ class ParameterizedSet:
         the Buchberger criterion and every generator vanishes on every
         point (gb_y's with a trailing coordinate 1), so the affine basis is
         a Groebner basis of an ideal J inside I(X*); its standard monomials
-        number |X*|, the dimension of the quotient by I(X*), so J = I(X*)."""
+        number |X*|, the dimension of the quotient by I(X*), so J = I(X*).
+        They are walked from the basis alone and must be the class walk's,
+        which the footprints read."""
         gb_x = self.affine_basis
         for gb, kind in ((gb_x, "affine"), (gb_y, "projective")):
             if not gb.check_buchberger_criterion():
@@ -120,17 +141,15 @@ class ParameterizedSet:
                     if g.evaluate(pt):
                         raise InternalInconsistencyError(
                             f"{kind} generator {g} does not vanish on {tuple(pt)}")
-        degree = sum(map(len, self.standard_monomials))
+        levels = standard_monomials(gb_x.leading_monomials(), self.matrix.s)
+        degree = sum(map(len, levels))
         if degree != len(self):
             raise InternalInconsistencyError(
                 f"ring degree {degree} differs from the {len(self)} enumerated points")
-
-    @cached_property
-    def standard_monomials(self) -> list[np.ndarray]:
-        """Delta, the monomials no leading monomial of the affine basis
-        divides, one exponent array per degree; there are len(self)."""
-        return standard_monomials(self.affine_basis.leading_monomials(),
-                                  self.matrix.s)
+        if [set(map(tuple, level.tolist())) for level in levels] != \
+                [set(map(tuple, level.tolist())) for level in self.standard_monomials]:
+            raise InternalInconsistencyError(
+                "the class walk's standard monomials differ from the basis's")
 
     @cached_property
     def _footprint_minima(self) -> list[int]:
@@ -146,15 +165,12 @@ class ParameterizedSet:
         The count for M does not depend on d, so each degree's minimum is
         computed once, when a call first reaches that degree, and kept."""
         delta = np.concatenate(self.standard_monomials)
-        step = max(1, _FOOTPRINT_ENTRIES // len(delta))
+        step = max(1, _CHUNK_ENTRIES // len(delta))
         minima = self._footprint_minima
         for leads in self.standard_monomials[len(minima):d + 1]:
             best = len(delta)
             for start in range(0, len(leads), step):
-                chunk = leads[start:start + step]
-                divides = np.ones((len(chunk), len(delta)), dtype=bool)
-                for i in range(delta.shape[1]):
-                    divides &= chunk[:, i, None] <= delta[None, :, i]
+                divides = _divides(leads[start:start + step], delta)
                 best = min(best, int(divides.sum(axis=1).min()))
             minima.append(best)
         return min(minima[:d + 1])
@@ -164,43 +180,111 @@ def enumerate_points(matrix: ExponentMatrix, field: FieldSpec,
                      budget: int = DEFAULT_ENUMERATION_BUDGET) -> ParameterizedSet:
     """Evaluate the parameterizing monomials on every unit tuple, dedupe,
     and sort points by their canonical ints."""
-    n = matrix.n
-    total = (field.order - 1) ** n
+    n, q = matrix.n, field.order
+    total = (q - 1) ** n
     if total > budget:
         raise ResourceLimitError(
             f"(q-1)^n = {total} parameter tuples exceeds the enumeration "
             f"budget {budget}")
     # the parameters g^l, l in [0, q-1)^n, give the coordinates g^(v_i . l);
     # exponents reduce mod q-1 so the products stay small
-    logs = np.indices((field.order - 1,) * n).reshape(n, -1)
-    exps = np.array([[e % (field.order - 1) for e in row] for row in matrix.rows])
-    # sorted(set(...)) rather than np.unique, whose first call imports numpy.ma
-    points = np.array(sorted(set(map(tuple, field.exp(exps @ logs).T.tolist()))))
+    logs = np.indices((q - 1,) * n).reshape(n, -1)
+    exps = np.array([[e % (q - 1) for e in row] for row in matrix.rows])
+    points = field.exp(exps @ logs).T.astype(np.int64)
+    # sort the base-q codes of the points and keep the first of each run;
+    # np.unique would do it, but its first call imports numpy.ma.  Codes
+    # that int64 cannot hold are Python ints.
+    radix = np.array([q ** i for i in reversed(range(matrix.s))],
+                     dtype=np.int64 if q ** matrix.s < 2**63 else object)
+    codes = points @ radix
+    order = np.argsort(codes)
+    codes = codes[order]
+    first = np.ones(len(codes), dtype=bool)
+    first[1:] = codes[1:] != codes[:-1]
+    points = points[order[first]]
     points.flags.writeable = False
-    return ParameterizedSet(matrix, field, points)
+    return ParameterizedSet(matrix, field, points, budget)
 
 
-def lattice_generators(matrix: ExponentMatrix, q: int) -> list[tuple[int, ...]]:
-    """Generators of L/(q-1)Z^s, L = {a in Z^s : a^T V = 0 mod q-1}, with
-    entries in [0, q-1) and no zero vector.
+def class_walk(matrix: ExponentMatrix, q: int,
+               budget: int = DEFAULT_ENUMERATION_BUDGET
+               ) -> tuple[list[tuple[Monomial, Monomial]], list[np.ndarray]]:
+    """The reduced GrevLex basis of I(X*) as (lead, tail) exponent pairs
+    in ascending order of lead, and its standard monomials, one array per
+    degree in ascending GrevLex order.
 
-    The rows of [V | I_s] over [(q-1) I_n | 0] span the pairs
-    (a^T V + (q-1) b, a).  Euclid's algorithm on each V column in turn
-    leaves one row with a nonzero entry there, which is set aside; the
-    rows whose V part is then zero span {(0, a) : a in L}."""
-    n, s, units = matrix.n, matrix.s, q - 1
-    rows = [list(v) + [int(k == i) for k in range(s)]
-            for i, v in enumerate(matrix.rows)]
-    rows += [[units * (k == j) for k in range(n)] + [0] * s for j in range(n)]
-    for col in range(n):
-        while len(active := [r for r in rows if r[col]]) > 1:
-            pivot = min(active, key=lambda r: abs(r[col]))
-            for r in active:
-                if r is not pivot:
-                    c = r[col] // pivot[col]
-                    r[:] = [x - c * y for x, y in zip(r, pivot)]
-        rows = [r for r in rows if not r[col]]
-    return [a for a in (tuple(x % units for x in r[n:]) for r in rows) if any(a)]
+    The class of t^a is a^T V mod q-1, coded in base q-1; a table over all
+    (q-1)^n codes holds the index of each class's standard monomial, so
+    it is checked against `budget` before it is allocated.  Degree D's
+    candidates are t_j times each standard monomial of degree D-1 whose
+    last variable is at most j, with multiples of earlier leads dropped:
+    each monomial with all divisors standard comes once, and in ascending
+    GrevLex order, taking j from the last variable down.  The first
+    candidate of a class not seen before is standard; every other
+    candidate is a lead, and its tail is the standard monomial of its
+    class.  The walk ends at the first degree with no standard monomial."""
+    s, n, units = matrix.s, matrix.n, q - 1
+    classes = units ** n
+    if classes > budget:
+        raise ResourceLimitError(
+            f"(q-1)^n = {classes} exponent classes exceeds the class table "
+            f"budget {budget}")
+    # each row: the exponents of a monomial, then its class a^T V mod q-1;
+    # step j multiplies by t_j
+    steps = np.hstack([np.eye(s, dtype=np.int64),
+                       np.array(matrix.rows, dtype=np.int64) % units])
+    radix = units ** np.arange(n, dtype=np.int64)
+    standard_of = np.full(classes, -1, dtype=np.int64)
+    standard_of[0] = 0
+    level = np.zeros((1, s + n), dtype=np.int64)
+    last = np.zeros(1, dtype=np.int64)  # each row's last variable; 0 for 1
+    levels, leads, tails = [level[:, :s]], np.zeros((0, s), dtype=np.int64), []
+    variables = np.arange(s - 1, -1, -1)
+    count = 1  # standard monomials so far
+    while True:
+        # a level in ascending GrevLex order lists its rows by descending last
+        # variable, so those whose last variable is at most j are a suffix,
+        # which starts after the rows whose last variable is above j
+        starts = (last > variables[:, None]).sum(axis=1)
+        last = np.repeat(variables, len(level) - starts)
+        rows = np.concatenate([level[i:] for i in starts.tolist()]) + steps[last]
+        rows[:, s:] %= units
+        if len(leads):  # drop the multiples of earlier leads
+            step = max(1, _CHUNK_ENTRIES // len(leads))
+            keep = np.concatenate([~_divides(leads, rows[i:i + step, :s]).any(axis=0)
+                                   for i in range(0, len(rows), step)])
+            rows, last = rows[keep], last[keep]
+        keys = rows[:, s:] @ radix
+        # sort by class, ties by position: keys * len + position is unique
+        # and below classes * len(keys)
+        order = np.argsort(keys * len(keys) + np.arange(len(keys)))
+        sorted_keys = keys[order]
+        first = standard_of[sorted_keys] < 0
+        first[1:] &= sorted_keys[1:] != sorted_keys[:-1]
+        new = np.empty(len(keys), dtype=bool)
+        new[order] = first
+        fresh = int(first.sum())
+        standard_of[keys[new]] = np.arange(count, count + fresh)
+        count += fresh
+        if fresh < len(keys):
+            leads = np.concatenate([leads, rows[~new, :s]])
+            tails.append(standard_of[keys[~new]])
+        if not fresh:
+            break
+        level, last = rows[new], last[new]
+        levels.append(level[:, :s])
+    tails = np.concatenate(levels)[np.concatenate(tails)]
+    pairs = sorted(zip(map(tuple, leads.tolist()), map(tuple, tails.tolist())),
+                   key=lambda pair: GrevLex.key(pair[0]))
+    return pairs, levels
+
+
+def _divides(divisors: np.ndarray, monomials: np.ndarray) -> np.ndarray:
+    """Entry (i, j) says whether divisors[i] divides monomials[j]."""
+    out = divisors[:, 0, None] <= monomials[None, :, 0]
+    for i in range(1, divisors.shape[1]):
+        out &= divisors[:, i, None] <= monomials[None, :, i]
+    return out
 
 
 def vanishing_ideal_affine(pset: ParameterizedSet) -> GroebnerBasis:

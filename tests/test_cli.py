@@ -103,17 +103,20 @@ def test_ideal_output_over_an_odd_extension_field(capsys):
 
 
 @pytest.mark.parametrize("which", ["xstar", "y"])
-@pytest.mark.parametrize("extra, message", [
-    (None, "ring degree 64"),
-    ((1, 0, 0), "does not vanish"),
+@pytest.mark.parametrize("rows, message", [
+    ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], "ring degree 64"),
+    ([[0, 0, 0], [0, 1, 1], [1, 0, 1]], "does not vanish"),
 ], ids=["no-lattice", "outside-lattice"])
-def test_ideal_verify_refuses_a_wrong_basis(capsys, which, extra, message):
-    # with no lattice generators the torus relations leave 64 standard
-    # monomials for the 32 points; (1, 0, 0) lies outside L, so t1 - 1 does
-    # not vanish on X*.  Either way nothing is printed.
-    right = ideals.lattice_generators(ExponentMatrix.of([[1, 1, 0], [0, 1, 1], [1, 0, 1]]), 5)
-    wrong = [] if extra is None else right + [extra]
-    with mock.patch.object(ideals, "lattice_generators", return_value=wrong):
+def test_ideal_verify_refuses_a_wrong_basis(capsys, which, rows, message):
+    # a class walk over the wrong matrix returns a true Groebner basis of the
+    # wrong ideal.  Over the torus every exponent vector mod 4 is a class of
+    # its own, as if L held nothing, which leaves 64 standard monomials for
+    # the 32 points; with the first row zero, t1 joins the class of 1,
+    # although (1, 0, 0) lies outside L, so t1 - 1 does not vanish on X*.
+    # Either way nothing is printed.
+    walk = ideals.class_walk
+    with mock.patch.object(ideals, "class_walk", lambda matrix, q, budget:
+                           walk(ExponentMatrix.of(rows), q, budget)):
         code, out, err = run_cli(capsys, "ideal", which, *TRIANGLE, "--verify")
     assert (code, out) == (3, "")
     assert err.startswith("paramcodes: INTERNAL INCONSISTENCY: ")

@@ -239,8 +239,8 @@ def test_methods_along_the_triangle(triangle_set):
 
 def test_pipeline_walks_delta_once(triangle_matrix, f5):
     pset = enumerate_points(triangle_matrix, f5)
-    with mock.patch("paramcodes.ideals.standard_monomials",
-                    wraps=ideals.standard_monomials) as from_pset, \
+    with mock.patch("paramcodes.ideals.class_walk",
+                    wraps=ideals.class_walk) as from_pset, \
             mock.patch("paramcodes.hilbert.standard_monomials",
                        wraps=hilbert.standard_monomials) as from_profile:
         run = run_pipeline(pset, range(1, 6))
@@ -259,19 +259,43 @@ def test_verify_sweeps_rows_the_footprint_settled(triangle_set):
 
 
 def test_certificate_catches_a_wrong_basis(triangle_matrix, f5):
-    # no elimination backs the lattice route, so --verify must reject a
-    # basis from the wrong lattice on its own: with no lattice generators
-    # the torus relations alone leave 64 standard monomials for 32 points
-    with mock.patch.object(ideals, "lattice_generators", return_value=[]):
+    # no elimination backs the class walk, so --verify must reject a basis
+    # walked over the wrong classes on its own: over the torus, as if L held
+    # nothing, the torus relations alone leave 64 standard monomials for 32
+    # points
+    walk = ideals.class_walk
+
+    def walk_over(rows):
+        return mock.patch.object(ideals, "class_walk", lambda matrix, q, budget:
+                                 walk(ExponentMatrix.of(rows), q, budget))
+
+    with walk_over([[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
         pset = enumerate_points(triangle_matrix, f5)
         assert sum(map(len, pset.standard_monomials)) == 64
         with pytest.raises(InternalInconsistencyError, match="ring degree 64"):
             run_pipeline(pset, [1], verify=True)
-    # (1, 0, 0) lies outside L: t1 - 1 does not vanish on X*
-    wrong = ideals.lattice_generators(triangle_matrix, 5) + [(1, 0, 0)]
-    with mock.patch.object(ideals, "lattice_generators", return_value=wrong):
+    # with the first row zero, t1 joins the class of 1 although (1, 0, 0)
+    # lies outside L: t1 - 1 does not vanish on X*
+    with walk_over([[0, 0, 0], [0, 1, 1], [1, 0, 1]]):
         pset = enumerate_points(triangle_matrix, f5)
         with pytest.raises(InternalInconsistencyError, match="does not vanish"):
+            run_pipeline(pset, [1], verify=True)
+
+
+def test_certificate_compares_the_class_walks_levels(triangle_matrix, f5):
+    # the footprints read the class walk's levels, not the basis, so a walk
+    # with the right basis and as many standard monomials, but not the right
+    # ones, passes the pipeline and fails verify
+    walk = ideals.class_walk
+
+    def shifted(matrix, q, budget):
+        pairs, levels = walk(matrix, q, budget)
+        return pairs, levels[:-1] + [levels[-1] + [1, 0, 0]]
+
+    with mock.patch.object(ideals, "class_walk", shifted):
+        pset = enumerate_points(triangle_matrix, f5)
+        run_pipeline(pset, [1])
+        with pytest.raises(InternalInconsistencyError, match="standard monomials differ"):
             run_pipeline(pset, [1], verify=True)
 
 

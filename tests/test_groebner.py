@@ -8,17 +8,25 @@ from paramcodes.gf import FieldSpec
 from paramcodes.groebner import (
     GroebnerBasis,
     buchberger,
-    binomial_basis,
     eliminate,
     homogenize_basis,
     normal_form,
     s_polynomial,
 )
-from paramcodes.ideals import ExponentMatrix, enumerate_points, lattice_generators
+from paramcodes.hilbert import standard_monomials
+from paramcodes.ideals import ExponentMatrix, enumerate_points
 from paramcodes.mpoly import GrevLex, Lex, Polynomial, RingContext, divide
 
 from conftest import field
-from oracles import paper_elimination, relation_ideal_generators, relation_ring
+from oracles import (
+    binomial_basis,
+    lattice_basis,
+    lattice_generators,
+    lattice_relations,
+    paper_elimination,
+    relation_ideal_generators,
+    relation_ring,
+)
 
 F5 = FieldSpec.of(5)
 
@@ -250,29 +258,27 @@ def relation_instances(draw):
     return q, [rows[i] for i in order]
 
 
-def lattice_relations(matrix, spec):
-    """t^a - 1 for the lattice generators a, and t_i^(q-1) - 1."""
-    r = RingContext(spec, tuple(f"t{i + 1}" for i in range(matrix.s)))
-    units = spec.order - 1
-    torus = [tuple(units * (k == i) for k in range(matrix.s)) for i in range(matrix.s)]
-    minus_one, zero = spec.neg(1), (0,) * matrix.s
-    return r, [Polynomial(r, {a: 1, zero: minus_one})
-               for a in lattice_generators(matrix, spec.order) + torus]
-
-
 @settings(max_examples=60, deadline=None)
 @given(relation_instances())
 def test_lattice_basis_matches_paper_elimination(instance):
+    # prime and extension fields, q = 2, zero and repeated rows, s > n; the
+    # class walk's basis is the lattice route's and the paper's elimination's
     q, rows = instance
     matrix, spec = ExponentMatrix.of(rows), field(q)
     for a in lattice_generators(matrix, q):
         assert any(a) and all(0 <= x < q - 1 for x in a)
         assert all(sum(x * v for x, v in zip(a, col)) % (q - 1) == 0
                    for col in zip(*rows))
-    got = enumerate_points(matrix, spec).affine_basis
+    pset = enumerate_points(matrix, spec)
     expected = paper_elimination(matrix, spec)
-    assert got.generators == expected.generators
-    assert (got.ring, got.order, got.is_reduced) == (expected.ring, expected.order, True)
+    for got in (lattice_basis(matrix, spec), pset.affine_basis):
+        assert got.generators == expected.generators
+        assert (got.ring, got.order, got.is_reduced) == (expected.ring, expected.order, True)
+    # Delta of the walk is the basis's, level by level
+    walked = standard_monomials(pset.affine_basis.leading_monomials(), matrix.s)
+    assert [set(map(tuple, level.tolist())) for level in pset.standard_monomials] == \
+        [set(map(tuple, level.tolist())) for level in walked]
+    assert sum(map(len, walked)) == len(pset)
 
 
 @settings(max_examples=60, deadline=None)

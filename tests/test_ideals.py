@@ -1,14 +1,18 @@
 import itertools
 import random
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from paramcodes import ideals
 from paramcodes.cli import main
 from paramcodes.errors import DomainError, ResourceLimitError
 from paramcodes.gf import FieldSpec
 from paramcodes.groebner import normal_form
 from paramcodes.ideals import (
     ExponentMatrix,
+    class_walk,
     enumerate_points,
     vanishing_ideal_affine,
     vanishing_ideal_projective,
@@ -64,6 +68,44 @@ def test_enumeration_budget():
     with pytest.raises(ResourceLimitError, match="budget"):
         enumerate_points(ExponentMatrix.of([[1, 1, 1]]), FieldSpec.of(101),
                          budget=1000)
+
+
+@pytest.mark.parametrize("q, rows", [
+    (13, [[1, 0, 0], [0, 1, 0], [0, 0, 1]]),
+    (9, [[2, 2], [3, 0], [0, 0]]),
+    (257, [[2 * i] for i in range(1, 9)]),  # 257^8 > 2^63: codes as Python ints
+], ids=["torus-gf13", "repeats-gf9", "wide-codes-gf257"])
+def test_enumeration_sorts_and_dedupes(q, rows):
+    spec = field(q)
+    pset = enumerate_points(ExponentMatrix.of(rows), spec)
+    expected = set()
+    for x in itertools.product(range(1, q), repeat=len(rows[0])):
+        point = []
+        for row in rows:
+            value = 1
+            for xj, e in zip(x, row):
+                value = spec.mul(value, spec.pow(xj, e))
+            point.append(value)
+        expected.add(tuple(point))
+    assert pset.points.tolist() == sorted(map(list, expected))
+    assert pset.points.dtype == np.int64 and not pset.points.flags.writeable
+
+
+def test_class_table_budget():
+    # the table holds (q-1)^n entries and is checked before anything is
+    # allocated: 65536^4 = 2^64 entries could not be allocated at all
+    with mock.patch.object(np, "full", side_effect=AssertionError("allocated")), \
+            pytest.raises(ResourceLimitError, match="class table budget"):
+        class_walk(ExponentMatrix.of([[1, 1, 1, 1]]), 65537)
+    torus = ExponentMatrix.torus(2)
+    with pytest.raises(ResourceLimitError, match="144 exponent classes"):
+        class_walk(torus, 13, budget=143)
+    assert sum(map(len, class_walk(torus, 13, budget=144)[1])) == 144
+    # a set walks under the budget it was enumerated under
+    pset = enumerate_points(torus, field(13), budget=144)
+    with mock.patch.object(ideals, "class_walk", wraps=ideals.class_walk) as walk:
+        assert len(pset.affine_basis.generators) == 2
+    walk.assert_called_once_with(torus, 13, 144)
 
 
 def test_affine_ideal_golden(triangle_set):
