@@ -1,41 +1,41 @@
 """Parameters of parameterized affine codes over finite fields.
 
 The pipeline: enumerate the point set cut out by an exponent matrix,
-read its vanishing ideal and standard monomials off one walk over the
-classes of exponent vectors that agree on the set, homogenize to the
-projective closure, read length and dimension off the Hilbert function,
-and certify the minimum distance by the footprint bound, a witness
-codeword and, where those differ, a codeword search.
+read its vanishing ideal, a basis of pure binomials, and its standard
+monomials off one walk over the classes of exponent vectors that agree on
+the set, homogenize to the projective closure, read length and dimension
+off the Hilbert function, and certify the minimum distance by the
+footprint bound, a witness codeword and, where those differ, a codeword
+search.  The basis is certified by counting: binomials that vanish on the
+set and have as many standard monomials as it has points form a Groebner
+basis of its vanishing ideal.
 """
+
+import os
+
+# The package does no floating-point linear algebra, so OpenBLAS needs no
+# worker thread; an idle one was seen taking CPU time during short runs.
+# This must be set before numpy first loads; a value set by the caller wins.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .gf import FieldSpec
-from .mpoly import (
-    BlockElim,
-    GrevLex,
-    Lex,
-    MonomialOrder,
-    Polynomial,
-    RingContext,
-    divide,
-    homogenize,
-)
-from .groebner import GroebnerBasis, buchberger, eliminate, homogenize_basis, normal_form, s_polynomial
 from .ideals import (
+    Binomial,
+    BinomialBasis,
     ExponentMatrix,
     ParameterizedSet,
     enumerate_points,
     vanishing_ideal_affine,
     vanishing_ideal_projective,
 )
-from .hilbert import HilbertProfile, affine_hilbert_value, hilbert_profile, hilbert_value, ring_degree
+from .hilbert import HilbertProfile, affine_hilbert_value, hilbert_profile, hilbert_value
 from .codes import (
     CodeParameters,
     EvaluationMatrix,
     MinDistance,
     build_evaluation_matrix,
     code_dimension,
-    is_mds,
     minimum_distance,
     parameter_table,
     run_pipeline,
@@ -48,41 +48,27 @@ from .codes import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlockElim",
+    "Binomial",
+    "BinomialBasis",
     "CodeParameters",
     "DomainError",
     "EvaluationMatrix",
     "ExponentMatrix",
     "FieldSpec",
-    "GrevLex",
-    "GroebnerBasis",
     "HilbertProfile",
     "InternalInconsistencyError",
-    "Lex",
     "MinDistance",
-    "MonomialOrder",
     "ParameterizedSet",
-    "Polynomial",
     "ResourceLimitError",
-    "RingContext",
     "affine_hilbert_value",
-    "buchberger",
     "build_evaluation_matrix",
     "code_dimension",
-    "divide",
-    "eliminate",
     "enumerate_points",
     "hilbert_profile",
     "hilbert_value",
-    "homogenize",
-    "homogenize_basis",
-    "is_mds",
     "minimum_distance",
-    "normal_form",
     "parameter_table",
-    "ring_degree",
     "run_pipeline",
-    "s_polynomial",
     "torus_dimension",
     "torus_min_distance",
     "vanishing_ideal_affine",

@@ -264,9 +264,8 @@ def cmd_ideal(args) -> int:
     if config.verify:
         pset.certify(gb_y)
     gb = gb_x if args.which == "xstar" else gb_y
-    key = gb.order.key
-    for g in sorted(gb.generators, key=lambda p: key(p.leading_monomial(gb.order))):
-        print(g.format(gb.order))
+    for g in gb:
+        print(gb.format(g))
     return EXIT_OK
 
 

@@ -6,26 +6,29 @@ monomial of the projective basis, so the Hilbert value at d is the number
 of affine standard monomials of degree <= d, and the ring degree, their
 number, is the number of points of a vanishing ideal.
 
-`standard_monomials` walks them from any list of leading monomials.  The
-pipeline does not need it: `ideals.class_walk` returns the standard
-monomials of a point set together with its basis, and `hilbert_profile`
-takes those levels.  So this walk is the independent count behind
-`ideals.ParameterizedSet.certify` and the affine Hilbert values that
-`--verify` compares with each rank, and it serves the Hilbert values of
-a bare basis.
+The functions here read only the leads of a `BinomialBasis`: the Hilbert
+function of an ideal is that of its leading monomials.  `standard_monomials`
+walks them from any list of leading monomials.  The pipeline does not need
+it: `ideals.class_walk` returns the standard monomials of a point set
+together with its basis, and `hilbert_profile` takes those levels.  So this
+walk is the independent count of the counting certificate in
+`ideals.ParameterizedSet.certify` and of the affine Hilbert values that
+`--verify` compares with each rank, and it serves the Hilbert values of a
+bare basis.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import TYPE_CHECKING, Optional, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InternalInconsistencyError
-from .groebner import GroebnerBasis
-from .mpoly import Monomial
+
+if TYPE_CHECKING:
+    from .ideals import BinomialBasis, Monomial
 
 
 @dataclass(frozen=True)
@@ -64,36 +67,45 @@ def standard_monomials(leads: list[Monomial], num_vars: int,
         level[np.arange(len(level)), last] += 1
 
 
-def _affine_leads(gb_y: GroebnerBasis) -> list[Monomial]:
+def require_finite(leads: list[Monomial], names: Sequence[str]) -> None:
+    """Raise InternalInconsistencyError unless the standard monomials of
+    the leads are finitely many: each variable needs a pure power among
+    them, or a walk of them never ends."""
+    for i, name in enumerate(names):
+        if not any(sum(m) == m[i] for m in leads):
+            raise InternalInconsistencyError(
+                f"no leading monomial is a power of {name}; "
+                "the basis cannot cut out a finite point set")
+
+
+def _affine_leads(gb_y: BinomialBasis) -> list[Monomial]:
     """Leading monomials of a homogeneous basis without the last variable,
     which must divide none of them."""
-    for g in gb_y.generators:
-        if not g.is_homogeneous():
-            raise DomainError("basis has a non-homogeneous generator")
-    lms = gb_y.leading_monomials()
-    if any(m[-1] for m in lms):
+    if any(sum(g.lead) != sum(g.tail) for g in gb_y):
+        raise DomainError("basis has a non-homogeneous generator")
+    leads = gb_y.leads
+    if any(m[-1] for m in leads):
         raise DomainError("the last variable divides a leading monomial")
-    return [m[:-1] for m in lms]
+    return [m[:-1] for m in leads]
 
 
-def hilbert_value(gb_y: GroebnerBasis, d: int) -> int:
+def hilbert_value(gb_y: BinomialBasis, d: int) -> int:
     """Dimension of the degree-d graded piece of the quotient ring."""
     if d < 0:
         raise DomainError("degree must be non-negative")
     leads = _affine_leads(gb_y)
-    return sum(map(len, standard_monomials(leads, gb_y.ring.num_vars - 1, top=d)))
+    return sum(map(len, standard_monomials(leads, len(gb_y.names) - 1, top=d)))
 
 
-def affine_hilbert_value(gb_x: GroebnerBasis, d: int) -> int:
+def affine_hilbert_value(gb_x: BinomialBasis, d: int) -> int:
     """Dimension of the space of degree-<=d polynomials modulo the affine
     ideal: standard monomials of degree up to d."""
     if d < 0:
         raise DomainError("degree must be non-negative")
-    leads = gb_x.leading_monomials()
-    return sum(map(len, standard_monomials(leads, gb_x.ring.num_vars, top=d)))
+    return sum(map(len, standard_monomials(gb_x.leads, len(gb_x.names), top=d)))
 
 
-def hilbert_profile(gb_y: GroebnerBasis,
+def hilbert_profile(gb_y: BinomialBasis,
                     levels: Optional[list[np.ndarray]] = None) -> HilbertProfile:
     """The Hilbert function up to its first repeated value: it grows up to
     the top degree of the standard monomials and stays at their number.
@@ -101,21 +113,11 @@ def hilbert_profile(gb_y: GroebnerBasis,
     `ParameterizedSet.standard_monomials` holds them, passes them as
     `levels` and saves the walk."""
     leads = _affine_leads(gb_y)
-    names = gb_y.ring.names[:-1]
-    # finitely many standard monomials iff each variable has a pure power
-    for i, name in enumerate(names):
-        if not any(sum(m) == m[i] for m in leads):
-            raise InternalInconsistencyError(
-                f"no leading monomial is a power of {name}; "
-                "the basis cannot cut out a finite point set")
+    names = gb_y.names[:-1]
+    require_finite(leads, names)
     if levels is None:
         levels = standard_monomials(leads, len(names))
     counts = list(itertools.accumulate(map(len, levels))) or [0]
     counts.append(counts[-1])
     return HilbertProfile(dict(enumerate(counts)), stabilized_at=len(counts) - 2,
                           degree_of_ring=counts[-1])
-
-
-def ring_degree(gb_y: GroebnerBasis) -> int:
-    """The stabilized Hilbert value (= number of points of the variety)."""
-    return hilbert_profile(gb_y).degree_of_ring

@@ -15,26 +15,33 @@ standard monomial of its lead's class.  `class_walk` finds all of them in
 one walk, degree by degree; the tests check its basis against the
 paper's elimination.
 
+Every basis here is a `BinomialBasis`, a tuple of (lead, tail) exponent
+pairs, each the pure binomial t^lead - t^tail; homogenizing one pads each
+tail with the new variable.
+
 The points are one read-only int array of canonical field ints, and
-`ParameterizedSet.certify` is the one check of a computed basis: it
-evaluates the generators on those ints, so it does not share the log/exp
-route of the evaluation matrices, and it walks the standard monomials of
-the basis with `hilbert.standard_monomials`, not with the class walk.
+`ParameterizedSet.certify` is the one check of a computed basis.  It
+counts rather than reduces: binomials that vanish on X*, with leads
+above their tails and with exactly |X*| standard monomials, form a
+Groebner basis of I(X*).  It evaluates the generators by field
+multiplication on those ints, so it does not share the log/exp route of
+the evaluation matrices, and it walks the standard monomials of the
+basis with `hilbert.standard_monomials`, not with the class walk.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .gf import FieldSpec
-from .groebner import GroebnerBasis, homogenize_basis
-from .hilbert import standard_monomials
-from .mpoly import GrevLex, Monomial, Polynomial, RingContext, append_variable
+from .hilbert import require_finite, standard_monomials
+
+Monomial = tuple[int, ...]  # exponent tuple, one entry per variable
 
 DEFAULT_ENUMERATION_BUDGET = 2**20
 #: Divisibility tests per numpy call, which bounds their temporaries.
@@ -81,6 +88,54 @@ class ExponentMatrix:
         return len(self.rows[0])
 
 
+def _grevlex_key(m: Monomial) -> tuple:
+    """Sort key of the graded reverse lexicographic order."""
+    return (sum(m), tuple(-e for e in reversed(m)))
+
+
+class Binomial(NamedTuple):
+    """t^lead - t^tail."""
+
+    lead: Monomial
+    tail: Monomial
+
+    @property
+    def terms(self) -> tuple[Monomial, Monomial]:
+        """The two monomials, lead first."""
+        return (self.lead, self.tail)
+
+
+@dataclass(frozen=True)
+class BinomialBasis:
+    """Pure binomials t^lead - t^tail in the named variables over a field,
+    in ascending GrevLex order of lead, each lead GrevLex-greater than its
+    tail: the reduced GrevLex basis of a vanishing ideal."""
+
+    generators: tuple[Binomial, ...]
+    names: tuple[str, ...]
+    field: FieldSpec
+
+    def __iter__(self):
+        return iter(self.generators)
+
+    def __len__(self):
+        return len(self.generators)
+
+    @property
+    def leads(self) -> list[Monomial]:
+        return [g.lead for g in self.generators]
+
+    def format(self, g: Binomial) -> str:
+        """g as text, lead first; -1 is 1 in characteristic 2, where g
+        prints as a sum."""
+        sign = " - " if self.field.characteristic > 2 else " + "
+        return self._format_monomial(g.lead) + sign + self._format_monomial(g.tail)
+
+    def _format_monomial(self, m: Monomial) -> str:
+        return "*".join(name if e == 1 else f"{name}^{e}"
+                        for name, e in zip(self.names, m) if e) or "1"
+
+
 @dataclass(frozen=True, eq=False)
 class ParameterizedSet:
     """The enumerated points of the set, one read-only m x s array of
@@ -98,19 +153,16 @@ class ParameterizedSet:
         return len(self.points)
 
     @cached_property
-    def _walk(self) -> tuple[list[tuple[Monomial, Monomial]], list[np.ndarray]]:
+    def _walk(self) -> tuple[list[Binomial], list[np.ndarray]]:
         """The class walk of the set's matrix, done once."""
         return class_walk(self.matrix, self.field.order, self.budget)
 
     @cached_property
-    def affine_basis(self) -> GroebnerBasis:
+    def affine_basis(self) -> BinomialBasis:
         """Reduced GrevLex basis of all polynomials vanishing on the set:
         t^lead - t^tail for each lead and tail of the class walk."""
-        ring = RingContext(self.field, tuple(f"t{i + 1}" for i in range(self.matrix.s)))
-        minus_one = self.field.neg(1)
-        return GroebnerBasis(
-            tuple(Polynomial(ring, {lead: 1, tail: minus_one}) for lead, tail in self._walk[0]),
-            GrevLex(), ring, is_reduced=True)
+        names = tuple(f"t{i + 1}" for i in range(self.matrix.s))
+        return BinomialBasis(tuple(self._walk[0]), names, self.field)
 
     @property
     def standard_monomials(self) -> list[np.ndarray]:
@@ -119,29 +171,37 @@ class ParameterizedSet:
         there are len(self)."""
         return self._walk[1]
 
-    def certify(self, gb_y: GroebnerBasis) -> None:
-        """Raise InternalInconsistencyError unless the affine basis and
-        gb_y, its homogenization, generate the vanishing ideals.  Both meet
-        the Buchberger criterion and every generator vanishes on every
-        point (gb_y's with a trailing coordinate 1), so the affine basis is
-        a Groebner basis of an ideal J inside I(X*); its standard monomials
-        number |X*|, the dimension of the quotient by I(X*), so J = I(X*).
-        They are walked from the basis alone and must be the class walk's,
-        which the footprints read."""
-        gb_x = self.affine_basis
-        for gb, kind in ((gb_x, "affine"), (gb_y, "projective")):
-            if not gb.check_buchberger_criterion():
-                raise InternalInconsistencyError(
-                    f"{kind} basis fails the Buchberger criterion")
-        rows = self.points.tolist()
-        for gb, points, kind in ((gb_x, rows, "affine"),
-                                 (gb_y, [pt + [1] for pt in rows], "projective")):
-            for g in gb.generators:
-                for pt in points:
-                    if g.evaluate(pt):
-                        raise InternalInconsistencyError(
-                            f"{kind} generator {g} does not vanish on {tuple(pt)}")
-        levels = standard_monomials(gb_x.leading_monomials(), self.matrix.s)
+    def certify(self, gb_y: BinomialBasis) -> None:
+        """Raise InternalInconsistencyError unless the affine basis G and
+        gb_y, its homogenization, are Groebner bases of the vanishing
+        ideals.  Let J be the ideal of G and L its leads.  Each lead is
+        GrevLex-greater than its tail, so L lies in lt(J); each generator
+        vanishes on every point, so J lies in I(X*).  Then
+        |X*| <= dim S/J = dim S/lt(J) <= dim S/(L) = |Delta(L)|, and
+        |Delta(L)| = |X*| makes lt(J) = (L) and J = I(X*): G is a Groebner
+        basis of I(X*), and by the homogenization theorem gb_y is one of the
+        projective ideal.  gb_y's generators are checked the same way, on
+        the points with a trailing coordinate 1.  Delta(L) is finite only
+        when each variable has a pure power in L, which is checked before
+        Delta(L) is walked from the basis alone; it must equal the class
+        walk's levels, which the footprints read."""
+        gb_x, spec = self.affine_basis, self.field
+        lifted = np.hstack([self.points, np.ones((len(self), 1), dtype=np.int64)])
+        for gb, points, kind in ((gb_x, self.points, "affine"),
+                                 (gb_y, lifted, "projective")):
+            for g in gb:
+                if _grevlex_key(g.lead) <= _grevlex_key(g.tail):
+                    raise InternalInconsistencyError(
+                        f"{kind} generator {gb.format(g)} has a lead not above "
+                        "its tail under GrevLex")
+                differ = np.flatnonzero(_monomial_values(points, g.lead, spec)
+                                        != _monomial_values(points, g.tail, spec))
+                if differ.size:
+                    point = tuple(points[differ[0]].tolist())
+                    raise InternalInconsistencyError(
+                        f"{kind} generator {gb.format(g)} does not vanish on {point}")
+        require_finite(gb_x.leads, gb_x.names)
+        levels = standard_monomials(gb_x.leads, self.matrix.s)
         degree = sum(map(len, levels))
         if degree != len(self):
             raise InternalInconsistencyError(
@@ -208,7 +268,7 @@ def enumerate_points(matrix: ExponentMatrix, field: FieldSpec,
 
 def class_walk(matrix: ExponentMatrix, q: int,
                budget: int = DEFAULT_ENUMERATION_BUDGET
-               ) -> tuple[list[tuple[Monomial, Monomial]], list[np.ndarray]]:
+               ) -> tuple[list[Binomial], list[np.ndarray]]:
     """The reduced GrevLex basis of I(X*) as (lead, tail) exponent pairs
     in ascending order of lead, and its standard monomials, one array per
     degree in ascending GrevLex order.
@@ -274,8 +334,8 @@ def class_walk(matrix: ExponentMatrix, q: int,
         level, last = rows[new], last[new]
         levels.append(level[:, :s])
     tails = np.concatenate(levels)[np.concatenate(tails)]
-    pairs = sorted(zip(map(tuple, leads.tolist()), map(tuple, tails.tolist())),
-                   key=lambda pair: GrevLex.key(pair[0]))
+    pairs = sorted(map(Binomial, map(tuple, leads.tolist()), map(tuple, tails.tolist())),
+                   key=lambda g: _grevlex_key(g.lead))
     return pairs, levels
 
 
@@ -287,16 +347,28 @@ def _divides(divisors: np.ndarray, monomials: np.ndarray) -> np.ndarray:
     return out
 
 
-def vanishing_ideal_affine(pset: ParameterizedSet) -> GroebnerBasis:
+def _monomial_values(points: np.ndarray, m: Monomial, spec: FieldSpec) -> np.ndarray:
+    """t^m at every point, a product of powers of the coordinates."""
+    values = np.ones(len(points), dtype=np.int64)
+    for column, e in zip(points.T, m):
+        if e:
+            values = spec.mul(values, spec.pow(column, e))
+    return values
+
+
+def vanishing_ideal_affine(pset: ParameterizedSet) -> BinomialBasis:
     """The set's cached `affine_basis`."""
     return pset.affine_basis
 
 
-def vanishing_ideal_projective(affine_gb: GroebnerBasis) -> GroebnerBasis:
-    """Homogenize the affine basis with a fresh trailing variable; the
-    result generates the vanishing ideal of the projective lift."""
-    s = affine_gb.ring.num_vars
-    extended = affine_gb.ring.with_extra_variable(f"t{s + 1}")
-    lifted = tuple(append_variable(g, extended) for g in affine_gb.generators)
-    gb = GroebnerBasis(lifted, GrevLex(), extended, is_reduced=affine_gb.is_reduced)
-    return homogenize_basis(gb, hom_var=s)
+def vanishing_ideal_projective(affine: BinomialBasis) -> BinomialBasis:
+    """Homogenize the affine basis with a fresh trailing variable, which
+    pads each tail up to its lead's degree; the result generates the
+    vanishing ideal of the projective lift.  The leads keep their order and
+    stay leads: the padded tail has the lead's degree and, where it gained
+    the last variable, is the smaller under GrevLex."""
+    s = len(affine.names)
+    return BinomialBasis(
+        tuple(Binomial(g.lead + (0,), g.tail + (sum(g.lead) - sum(g.tail),))
+              for g in affine),
+        affine.names + (f"t{s + 1}",), affine.field)

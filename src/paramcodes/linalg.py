@@ -13,6 +13,9 @@ int32 when it cannot reach 2^31, else int64 (GF(65521), say).  numpy runs
 `@` on integers as a scalar loop, while einsum without `optimize` runs its
 own vector loop and never calls BLAS, so the product stays exact; in int32
 it is about 3x faster than in int64, which AVX2 cannot multiply natively.
+The row addition and `% p` run in place on the product, and `extend_rref`
+writes the old and new rows straight into their pivot order, so no
+temporary of the merged form's size is made besides the form itself.
 """
 
 from __future__ import annotations
@@ -68,7 +71,10 @@ def _subtract_product(rows: np.ndarray, coeffs: np.ndarray, other: np.ndarray,
         # p-1: below 2^31 under this test, so int32 cannot overflow
         dtype = np.int32 if len(other) * (p - 1) ** 2 < 2**31 - p else np.int64
         negated = (p - coeffs.astype(dtype)) % p
-        return (np.einsum("ij,jk->ik", negated, other.astype(dtype)) + rows) % p
+        total = np.einsum("ij,jk->ik", negated, other.astype(dtype, copy=False))
+        total += rows
+        total %= p
+        return total
     total = np.zeros((len(coeffs), other.shape[1]), dtype=other.dtype)
     for column, row in zip(coeffs.T, other):
         total = spec.add(total, spec.mul(column[:, None], row))
@@ -84,22 +90,9 @@ def extend_rref(echelon: np.ndarray, pivots: list[int], rows: np.ndarray,
     new, new_pivots = rref(new, spec)
     old = _subtract_product(echelon, echelon[:, new_pivots], new, spec)
     merged = pivots + new_pivots
-    return (np.concatenate((old, new), dtype=np.int32)[np.argsort(merged)],
-            sorted(merged))
-
-
-def rank(rows: Sequence[Sequence[int]], spec: FieldSpec) -> int:
-    return len(rref(rows, spec)[1])
-
-
-def right_kernel_basis(rows: Sequence[Sequence[int]], spec: FieldSpec) -> list[np.ndarray]:
-    """Basis of {v : M v = 0}, one vector per free column."""
-    echelon, pivots = rref(rows, spec)
-    ncols = echelon.shape[1]
-    basis = []
-    for free in sorted(set(range(ncols)) - set(pivots)):
-        v = np.zeros(ncols, dtype=np.int32)
-        v[free] = 1
-        v[pivots] = spec.neg(echelon[:, free])
-        basis.append(v)
-    return basis
+    # each row goes straight to its place in pivot order
+    place = np.argsort(np.argsort(merged))
+    out = np.empty((len(merged), echelon.shape[1]), dtype=np.int32)
+    out[place[:len(pivots)]] = old
+    out[place[len(pivots):]] = new
+    return out, sorted(merged)

@@ -1,18 +1,17 @@
 """Buchberger's algorithm, reduced Groebner bases, block elimination, and
-homogenization of a whole basis.
+homogenization of a whole basis: the general engine of the tests.
 
 `buchberger` and `eliminate` take any polynomials.  Their pair queue uses
 the normal strategy (smallest lcm total degree first, then pair index) and
-skips pairs by the coprimality and chain criteria.  The vanishing ideal of
-a parameterized set does not go through them: `ideals.class_walk` reads
-its reduced basis off the exponent classes with no S-pair, and the tests
-check that basis against `eliminate` on the paper's generators.
+skips pairs by the coprimality and chain criteria.  The package never runs
+them: `paramcodes.ideals.class_walk` reads the reduced basis of a vanishing
+ideal off the exponent classes as binomials, and the tests check that basis
+against `eliminate` on the paper's generators and against
+`GroebnerBasis.check_buchberger_criterion`.
 
 Output bases are inter-reduced and monic, sorted by ascending leading
 monomial, so identical ideals yield identical bases regardless of
-generator order.  No routine checks its own output: the vanishing ideal
-is certified in one place, `ideals.ParameterizedSet.certify`, which uses
-`GroebnerBasis.check_buchberger_criterion`.
+generator order.
 """
 
 from __future__ import annotations
@@ -21,8 +20,9 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional, Sequence
 
-from .errors import DomainError
-from .mpoly import (
+from paramcodes.errors import DomainError
+
+from mpoly import (
     BlockElim,
     GrevLex,
     MonomialOrder,
@@ -36,6 +36,7 @@ from .mpoly import (
     mono_lcm,
     mono_mul,
     reduce_mod,
+    restrict_variables,
 )
 
 
@@ -170,8 +171,6 @@ def eliminate(gens: Sequence[Polynomial], ring: RingContext,
               block_size: int) -> GroebnerBasis:
     """Groebner basis of the elimination ideal after dropping the first
     *block_size* variables, re-tagged to the smaller ring, under GrevLex."""
-    from .mpoly import restrict_variables
-
     if not 0 <= block_size < ring.num_vars:
         raise DomainError(
             f"block size {block_size} out of range for {ring.num_vars} variables")
@@ -189,7 +188,7 @@ def eliminate(gens: Sequence[Polynomial], ring: RingContext,
 def homogenize_basis(gb: GroebnerBasis, hom_var: int) -> GroebnerBasis:
     """Homogenize each generator at its own degree with the (fresh, last)
     variable; the result is a Groebner basis under GrevLex without
-    recomputation (`ideals.ParameterizedSet.certify` re-checks it)."""
+    recomputation."""
     if gb.order != GrevLex():
         raise DomainError("input basis must be reduced under GrevLex")
     if hom_var != gb.ring.num_vars - 1:

@@ -1,19 +1,25 @@
-"""Sparse multivariate polynomials over GF(q) with pluggable monomial orders.
+"""Sparse multivariate polynomials over GF(q) with pluggable monomial
+orders: the general engine the tests check the package against.
+
+The package holds every vanishing ideal as pure binomials
+(`paramcodes.ideals.BinomialBasis`); this engine, with `groebner`, is the
+independent route to the same bases (the paper's elimination), to their
+Buchberger criterion and to membership by division.
 
 Monomials are plain exponent tuples (one non-negative int per ring
 variable); polynomials map monomials to nonzero canonical ints of the
-ring's field (see `gf`) and do their arithmetic through it.  Three orders
-are supported: Lex, GrevLex, and the block elimination order that
-compares GrevLex on a leading variable block first.
+ring's field (see `paramcodes.gf`) and do their arithmetic through it.
+Three orders are supported: Lex, GrevLex, and the block elimination order
+that compares GrevLex on a leading variable block first.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
-from .errors import DomainError
-from .gf import FieldSpec
+from paramcodes.errors import DomainError
+from paramcodes.gf import FieldSpec
 
 Monomial = tuple  # exponent tuple, length = ring.num_vars
 
@@ -39,26 +45,6 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_degree(a: Monomial) -> int:
     return sum(a)
-
-
-def monomials_of_degree(num_vars: int, degree: int) -> Iterator[Monomial]:
-    """All exponent tuples of the given total degree (stars and bars)."""
-    if num_vars == 1:
-        yield (degree,)
-        return
-    for head in range(degree, -1, -1):
-        for tail in monomials_of_degree(num_vars - 1, degree - head):
-            yield (head,) + tail
-
-
-def monomials_up_to_degree(num_vars: int, degree: int, lowest: int = 0) -> list[Monomial]:
-    """All monomials of total degree lowest .. degree, ascending GrevLex."""
-    out: list[Monomial] = []
-    for d in range(lowest, degree + 1):
-        out.extend(monomials_of_degree(num_vars, d))
-    key = GrevLex().key
-    out.sort(key=key)
-    return out
 
 
 # -- monomial orders ---------------------------------------------------------

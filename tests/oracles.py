@@ -1,11 +1,11 @@
 """Independent oracles used by the tests.
 
 Everything here recomputes quantities by definition (exhaustive spans,
-evaluation kernels, the paper's elimination of the parameters, and the
-lattice route: generators of the lattice L = {a : a^T V = 0 mod q-1} and
-a binomial Buchberger engine), deliberately avoiding the package's
-optimized paths, so test expectations never come from the code under
-test.
+evaluation kernels, the paper's elimination of the parameters with the
+general engine of `mpoly` and `groebner`, and the lattice route:
+generators of the lattice L = {a : a^T V = 0 mod q-1} and a binomial
+Buchberger engine), deliberately avoiding the package's optimized paths,
+so test expectations never come from the code under test.
 """
 
 from __future__ import annotations
@@ -16,13 +16,14 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from paramcodes.codes import monomials_up_to_degree
 from paramcodes.errors import DomainError, ResourceLimitError
 from paramcodes.gf import FieldSpec
-from paramcodes.groebner import GroebnerBasis, eliminate
-from paramcodes.ideals import ExponentMatrix
-from paramcodes.linalg import right_kernel_basis
-from paramcodes.mpoly import (GrevLex, Monomial, Polynomial, RingContext,
-                              monomials_up_to_degree)
+from paramcodes.ideals import BinomialBasis, ExponentMatrix
+from paramcodes.linalg import rref
+
+from groebner import GroebnerBasis, eliminate
+from mpoly import GrevLex, Monomial, Polynomial, RingContext
 
 SPAN_GUARD = 300_000
 
@@ -76,6 +77,28 @@ def standard_count_by_inclusion_exclusion(lms, num_vars: int, degree: int) -> in
             lcm = tuple(max(column) for column in zip(*subset))
             total += (-1) ** size * multiples(lcm)
     return total
+
+
+def right_kernel_basis(rows: Sequence[Sequence[int]], spec: FieldSpec) -> list[np.ndarray]:
+    """Basis of {v : M v = 0}, one vector per free column."""
+    echelon, pivots = rref(rows, spec)
+    ncols = echelon.shape[1]
+    basis = []
+    for free in sorted(set(range(ncols)) - set(pivots)):
+        v = np.zeros(ncols, dtype=np.int32)
+        v[free] = 1
+        v[pivots] = spec.neg(echelon[:, free])
+        basis.append(v)
+    return basis
+
+
+def polynomial_basis(basis: BinomialBasis) -> GroebnerBasis:
+    """A binomial basis as the engine's polynomials t^lead - t^tail."""
+    ring = RingContext(basis.field, basis.names)
+    minus_one = basis.field.neg(1)
+    return GroebnerBasis(
+        tuple(Polynomial(ring, {g.lead: 1, g.tail: minus_one}) for g in basis),
+        GrevLex(), ring, is_reduced=True)
 
 
 def evaluation_rows(pset, degree: int, ring: RingContext):

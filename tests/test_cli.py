@@ -123,6 +123,18 @@ def test_ideal_verify_refuses_a_wrong_basis(capsys, which, rows, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, lines", [
+    # characteristic 2: -1 = 1, so every binomial prints as a sum
+    (("y", "--q", "8", "--modulus", "1 1 0 1", "--matrix", "1 2; 3 1"),
+     ["t2^7 + t3^7", "t1^7 + t3^7"]),
+    (("xstar", "--q", "2", "--matrix", "1 1; 0 1"), ["t2 + 1", "t1 + 1"]),
+], ids=["y-gf8", "xstar-gf2"])
+def test_ideal_verify_golden_in_characteristic_two(capsys, argv, lines):
+    code, out, err = run_cli(capsys, "ideal", argv[0], "--verify", *argv[1:])
+    assert (code, err) == (0, "")
+    assert out.splitlines() == lines
+
+
 def test_ideal_torus_single_variable(capsys):
     code, out, _ = run_cli(capsys, "ideal", "xstar", "--q", "7",
                            "--matrix", "1")
@@ -178,6 +190,30 @@ def test_verify_subcommand(capsys):
                            "--md-budget", "700")
     assert code == 0
     assert "all" in out and "checks passed" in out
+
+
+def test_verify_golden_lines(capsys):
+    code, out, err = run_cli(capsys, "verify", *TRIANGLE, "--degrees", "1..5",
+                             "--md-budget", "700")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "ok   pipeline: rank, Hilbert and affine Hilbert values agree",
+        "ok   buchberger-criterion-affine: every S-polynomial reduces to zero",
+        "ok   buchberger-criterion-projective: homogenized basis re-checked",
+        "ok   binomial-generators: affine basis consists of pure-difference binomials",
+        "ok   vanishing-affine: every affine generator vanishes on every point",
+        "ok   vanishing-projective: every projective generator vanishes on every "
+        "representative",
+        "ok   homogeneous-basis: projective generators homogeneous",
+        "ok   dehomogenize-recovers-affine: setting the new variable to 1 gives "
+        "back the affine basis",
+        "ok   degree-equals-point-count: ring degree 32, points 32",
+        "ok   stabilization-bound: stabilized at 5",
+        "ok   dimension-monotone: dimension non-decreasing in the degree",
+        "ok   distance-monotone: exact distance non-increasing in the degree",
+        "ok   singleton-bound: 1 <= distance <= length - dimension + 1",
+        "all 13 checks passed",
+    ]
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

@@ -1,3 +1,4 @@
+import signal
 from math import comb
 from unittest import mock
 
@@ -12,7 +13,6 @@ from paramcodes.codes import (
     MinDistance,
     build_evaluation_matrix,
     code_dimension,
-    is_mds,
     minimum_distance,
     parameter_table,
     run_pipeline,
@@ -23,7 +23,13 @@ from paramcodes.codes import (
 )
 from paramcodes.errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from paramcodes.gf import FieldSpec
-from paramcodes.ideals import ExponentMatrix, ParameterizedSet, enumerate_points
+from paramcodes.ideals import (
+    Binomial,
+    BinomialBasis,
+    ExponentMatrix,
+    ParameterizedSet,
+    enumerate_points,
+)
 
 from conftest import field
 from oracles import brute_min_distance, brute_weight_distribution
@@ -282,6 +288,38 @@ def test_certificate_catches_a_wrong_basis(triangle_matrix, f5):
             run_pipeline(pset, [1], verify=True)
 
 
+def test_certificate_needs_a_pure_power_of_every_variable():
+    # t2^4 - 1 alone is a Groebner basis that vanishes on the GF(5) torus,
+    # but no lead bounds t1, so its standard monomials t1^k never end: the
+    # certificate refuses it before walking them
+    pset = torus_set(5, 2)
+    broken = BinomialBasis((Binomial((0, 4), (0, 0)),), ("t1", "t2"), F5)
+
+    def endless(signum, frame):
+        raise AssertionError("certify is still walking after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, endless)
+    signal.alarm(5)
+    try:
+        with mock.patch.object(ParameterizedSet, "affine_basis", broken):
+            with pytest.raises(InternalInconsistencyError, match="power of t1"):
+                pset.certify(ideals.vanishing_ideal_projective(broken))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def test_certificate_needs_each_lead_above_its_tail():
+    # t1^6 - 1 written tail first vanishes on X* all the same, but 1 is no
+    # leading monomial of it
+    pset = enumerate_points(ExponentMatrix.of([[1]]), FieldSpec.of(7))
+    swapped = BinomialBasis((Binomial((0,), (6,)),), ("t1",), pset.field)
+    with mock.patch.object(ParameterizedSet, "affine_basis", swapped):
+        with pytest.raises(InternalInconsistencyError,
+                           match="affine generator 1 - t1\\^6 has a lead not above"):
+            pset.certify(ideals.vanishing_ideal_projective(swapped))
+
+
 def test_certificate_compares_the_class_walks_levels(triangle_matrix, f5):
     # the footprints read the class walk's levels, not the basis, so a walk
     # with the right basis and as many standard monomials, but not the right
@@ -406,7 +444,7 @@ def full_rank_codes(draw):
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=m, max_size=m),
                          min_size=k, max_size=k))
     spec = field(q)
-    assume(linalg.rank(rows, spec) == k)
+    assume(len(linalg.rref(rows, spec)[1]) == k)
     return spec, rows
 
 
@@ -489,18 +527,18 @@ def test_is_mds_reed_solomon():
     params = CodeParameters(2, len(pset), dim, md)
     assert (len(pset), dim, md.value) == (6, 3, 4)
     assert md.value == brute_min_distance(E.rep_rows(), field(7))
-    assert is_mds(params)
+    assert params.mds is True
 
 
 def test_is_mds_repetition_and_triangle(triangle_set):
     E0 = build_evaluation_matrix(triangle_set, 0)
     p0 = CodeParameters(0, 32, code_dimension(E0), minimum_distance(E0))
-    assert is_mds(p0)
+    assert p0.mds is True
     E1 = build_evaluation_matrix(triangle_set, 1)
     p1 = CodeParameters(1, 32, 4, minimum_distance(E1))
-    assert p1.min_distance.value == 23 and not is_mds(p1)
-    with pytest.raises(DomainError):
-        is_mds(CodeParameters(3, 32, 20, MinDistance.bounded(1, 13)))
+    assert p1.min_distance.value == 23 and p1.mds is False
+    # an inexact distance leaves the question open
+    assert CodeParameters(3, 32, 20, MinDistance.bounded(1, 13)).mds is None
 
 
 # -- weight-preserving column scaling (affine/projective bridge) -----------------

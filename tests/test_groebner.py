@@ -5,7 +5,16 @@ from hypothesis import given, settings, strategies as st
 
 from paramcodes.errors import DomainError
 from paramcodes.gf import FieldSpec
-from paramcodes.groebner import (
+from paramcodes.hilbert import standard_monomials
+from paramcodes.ideals import (
+    ExponentMatrix,
+    enumerate_points,
+    vanishing_ideal_affine,
+    vanishing_ideal_projective,
+)
+
+from conftest import field
+from groebner import (
     GroebnerBasis,
     buchberger,
     eliminate,
@@ -13,17 +22,14 @@ from paramcodes.groebner import (
     normal_form,
     s_polynomial,
 )
-from paramcodes.hilbert import standard_monomials
-from paramcodes.ideals import ExponentMatrix, enumerate_points
-from paramcodes.mpoly import GrevLex, Lex, Polynomial, RingContext, divide
-
-from conftest import field
+from mpoly import GrevLex, Lex, Polynomial, RingContext, append_variable, divide, reduce_mod
 from oracles import (
     binomial_basis,
     lattice_basis,
     lattice_generators,
     lattice_relations,
     paper_elimination,
+    polynomial_basis,
     relation_ideal_generators,
     relation_ring,
 )
@@ -75,7 +81,6 @@ def test_s_polynomial_identical_and_coprime():
     # coprime leading monomials: S-polynomial reduces to zero mod {f, g}
     g = poly(r, {(0, 3): 1, (0, 0): 2})
     s = s_polynomial(f, g, Lex())
-    from paramcodes.mpoly import reduce_mod
     assert not reduce_mod(s, [f, g], Lex())
     with pytest.raises(DomainError):
         s_polynomial(f, r.zero(), Lex())
@@ -152,9 +157,7 @@ def test_eliminate_contract():
 
 
 def test_normal_form_membership(triangle_set):
-    from paramcodes.ideals import vanishing_ideal_affine
-
-    gb = vanishing_ideal_affine(triangle_set)
+    gb = polynomial_basis(vanishing_ideal_affine(triangle_set))
     for g in gb.generators:
         assert not normal_form(g, gb)
     assert normal_form(gb.ring.one(), gb) == gb.ring.one()
@@ -165,10 +168,8 @@ def test_normal_form_membership(triangle_set):
 
 
 def test_homogenize_basis_golden(triangle_set):
-    from paramcodes.ideals import vanishing_ideal_affine, vanishing_ideal_projective
-
     gb_x = vanishing_ideal_affine(triangle_set)
-    gb_y = vanishing_ideal_projective(gb_x)
+    gb_y = polynomial_basis(vanishing_ideal_projective(gb_x))
     assert set(gb_y.generators) == golden_projective_basis(gb_y.ring)
     assert all(g.is_homogeneous() for g in gb_y.generators)
 
@@ -271,14 +272,35 @@ def test_lattice_basis_matches_paper_elimination(instance):
                    for col in zip(*rows))
     pset = enumerate_points(matrix, spec)
     expected = paper_elimination(matrix, spec)
-    for got in (lattice_basis(matrix, spec), pset.affine_basis):
+    for got in (lattice_basis(matrix, spec), polynomial_basis(pset.affine_basis)):
         assert got.generators == expected.generators
         assert (got.ring, got.order, got.is_reduced) == (expected.ring, expected.order, True)
     # Delta of the walk is the basis's, level by level
-    walked = standard_monomials(pset.affine_basis.leading_monomials(), matrix.s)
+    walked = standard_monomials(pset.affine_basis.leads, matrix.s)
     assert [set(map(tuple, level.tolist())) for level in pset.standard_monomials] == \
         [set(map(tuple, level.tolist())) for level in walked]
     assert sum(map(len, walked)) == len(pset)
+
+
+@settings(max_examples=60, deadline=None)
+@given(relation_instances())
+def test_binomial_bases_print_and_homogenize_like_the_engine(instance):
+    # the package formats and homogenizes its (lead, tail) pairs itself: the
+    # lines must be the engine's for the paper's elimination and for its
+    # homogenization, which meets the Buchberger criterion
+    q, rows = instance
+    matrix, spec = ExponentMatrix.of(rows), field(q)
+    gb_x = enumerate_points(matrix, spec).affine_basis
+    gb_y = vanishing_ideal_projective(gb_x)
+    expected = paper_elimination(matrix, spec)
+    assert [gb_x.format(g) for g in gb_x] == [g.format(GrevLex()) for g in expected]
+    ring = expected.ring.with_extra_variable(f"t{matrix.s + 1}")
+    lifted = GroebnerBasis(tuple(append_variable(g, ring) for g in expected),
+                           GrevLex(), ring)
+    homogenized = homogenize_basis(lifted, matrix.s)
+    assert [gb_y.format(g) for g in gb_y] == [g.format(GrevLex()) for g in homogenized]
+    assert polynomial_basis(gb_y).generators == homogenized.generators
+    assert polynomial_basis(gb_y).check_buchberger_criterion()
 
 
 @settings(max_examples=60, deadline=None)

@@ -3,25 +3,26 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from paramcodes.codes import monomials_of_degree
 from paramcodes.errors import DomainError, InternalInconsistencyError
 from paramcodes.gf import FieldSpec
-from paramcodes.groebner import GroebnerBasis
 from paramcodes.hilbert import (
     HilbertProfile,
     affine_hilbert_value,
     hilbert_profile,
     hilbert_value,
-    ring_degree,
 )
 from paramcodes.ideals import (
+    Binomial,
+    BinomialBasis,
     ExponentMatrix,
     enumerate_points,
     vanishing_ideal_affine,
     vanishing_ideal_projective,
 )
-from paramcodes.mpoly import GrevLex, Polynomial, RingContext, mono_divides, monomials_of_degree
 
 from conftest import field
+from mpoly import mono_divides
 from oracles import standard_count_by_inclusion_exclusion
 
 F5 = FieldSpec.of(5)
@@ -45,9 +46,12 @@ def profile_by_enumeration(lms, num_vars, limit):
     raise AssertionError(f"no repeat by degree {limit}")
 
 
-def monomial_basis(lms, ring):
-    gens = tuple(Polynomial(ring, {m: 1}) for m in lms)
-    return GroebnerBasis(gens, GrevLex(), ring)
+def monomial_basis(lms, names):
+    """A homogeneous basis with the leads lms, each tail the last variable
+    to its lead's degree: the Hilbert functions read only the leads, so
+    they see the monomial ideal of lms."""
+    gens = tuple(Binomial(m, (0,) * (len(m) - 1) + (sum(m),)) for m in lms)
+    return BinomialBasis(gens, tuple(names), F5)
 
 
 @pytest.fixture(scope="module")
@@ -58,8 +62,7 @@ def triangle_bases(triangle_set):
 
 
 def test_zero_ideal_counts_all_monomials():
-    ring = RingContext(F5, ("t1", "t2", "t3"))
-    empty = GroebnerBasis((), GrevLex(), ring, is_reduced=True)
+    empty = BinomialBasis((), ("t1", "t2", "t3"), F5)
     for d in range(6):
         assert hilbert_value(empty, d) == comb(2 + d, 2)
         assert affine_hilbert_value(empty, d) == comb(3 + d, 3)
@@ -78,15 +81,15 @@ def test_torus11_hilbert_value(torus11_set):
 
 def test_ring_degree(triangle_bases, torus11_set):
     _, gb_y = triangle_bases
-    assert ring_degree(gb_y) == 32
+    assert hilbert_profile(gb_y).degree_of_ring == 32
     torus_y = vanishing_ideal_projective(vanishing_ideal_affine(torus11_set))
-    assert ring_degree(torus_y) == 100
+    assert hilbert_profile(torus_y).degree_of_ring == 100
 
 
 def test_ring_degree_single_point():
     pset = enumerate_points(ExponentMatrix.of([[1], [3]]), FieldSpec.of(2))
     gb_y = vanishing_ideal_projective(vanishing_ideal_affine(pset))
-    assert ring_degree(gb_y) == 1
+    assert hilbert_profile(gb_y).degree_of_ring == 1
 
 
 def test_affine_equals_projective_from_degree_one(triangle_bases):
@@ -112,8 +115,8 @@ def test_profile_monotone_and_stabilization_bound(triangle_bases, torus11_set):
 
 def test_inclusion_exclusion_matches_enumeration(triangle_bases):
     _, gb_y = triangle_bases
-    lms = gb_y.leading_monomials()
-    n = gb_y.ring.num_vars
+    lms = gb_y.leads
+    n = len(gb_y.names)
     for d in range(8):
         assert hilbert_value(gb_y, d) == count_standard(lms, n, d) == \
             standard_count_by_inclusion_exclusion(lms, n, d)
@@ -135,17 +138,17 @@ def point_sets(draw):
 def test_walk_matches_enumeration_on_point_sets(pset):
     gb_x = vanishing_ideal_affine(pset)
     gb_y = vanishing_ideal_projective(gb_x)
-    n = gb_y.ring.num_vars
-    expected = profile_by_enumeration(gb_y.leading_monomials(), n, len(pset) + 1)
+    n = len(gb_y.names)
+    expected = profile_by_enumeration(gb_y.leads, n, len(pset) + 1)
     assert hilbert_profile(gb_y) == expected
     assert expected.degree_of_ring == len(pset)
-    affine = [count_standard(gb_x.leading_monomials(), n - 1, e)
+    affine = [count_standard(gb_x.leads, n - 1, e)
               for e in range(expected.stabilized_at + 2)]
     for d in range(expected.stabilized_at + 2):
         assert hilbert_value(gb_y, d) == expected.values[d]
         assert affine_hilbert_value(gb_x, d) == sum(affine[:d + 1])
     # the walk's levels are the standard monomials themselves
-    lms = gb_x.leading_monomials()
+    lms = gb_x.leads
     assert [sorted(map(tuple, level.tolist())) for level in pset.standard_monomials] == [
         [m for m in sorted(monomials_of_degree(n - 1, e))
          if not any(mono_divides(lm, m) for lm in lms)]
@@ -161,9 +164,9 @@ def test_walk_matches_enumeration_on_monomial_ideals(instance):
     # redundant ones and the unit ideal included
     n, lms = instance
     names = tuple(f"t{i}" for i in range(1, n + 2))
-    gb_x = monomial_basis(lms, RingContext(F5, names[:-1]))
+    gb_x = monomial_basis(lms, names[:-1])
     lms_y = [m + (0,) for m in lms]
-    gb_y = monomial_basis(lms_y, RingContext(F5, names))
+    gb_y = monomial_basis(lms_y, names)
     for d in range(6):
         assert hilbert_value(gb_y, d) == count_standard(lms_y, n + 1, d)
         assert affine_hilbert_value(gb_x, d) == \
@@ -177,28 +180,23 @@ def test_walk_matches_enumeration_on_monomial_ideals(instance):
 
 
 def test_non_homogeneous_generator_rejected():
-    ring = RingContext(F5, ("t1", "t2"))
-    f = Polynomial(ring, {(1, 0): 1, (0, 0): 4})
-    gb = GroebnerBasis((f,), GrevLex(), ring, is_reduced=True)
+    gb = BinomialBasis((Binomial((1, 0), (0, 0)),), ("t1", "t2"), F5)
     with pytest.raises(DomainError):
         hilbert_value(gb, 2)
 
 
 def test_missing_pure_power_rejected():
     # the zero ideal in two variables never stabilizes
-    ring = RingContext(F5, ("t1", "t2"))
-    empty = GroebnerBasis((), GrevLex(), ring, is_reduced=True)
+    empty = BinomialBasis((), ("t1", "t2"), F5)
     with pytest.raises(InternalInconsistencyError):
-        ring_degree(empty)
+        hilbert_profile(empty)
     # t1^2 bounds t1 but no lead is a power of t2
-    ring = RingContext(F5, ("t1", "t2", "t3"))
     with pytest.raises(InternalInconsistencyError, match="power of t2"):
-        hilbert_profile(monomial_basis([(2, 0, 0), (1, 1, 0)], ring))
+        hilbert_profile(monomial_basis([(2, 0, 0), (1, 1, 0)], ("t1", "t2", "t3")))
 
 
 def test_last_variable_in_a_lead_rejected():
-    ring = RingContext(F5, ("t1", "t2"))
-    gb = monomial_basis([(1, 1)], ring)
+    gb = monomial_basis([(1, 1)], ("t1", "t2"))
     with pytest.raises(DomainError):
         hilbert_value(gb, 2)
     with pytest.raises(DomainError):

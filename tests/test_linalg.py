@@ -6,9 +6,10 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from paramcodes.linalg import extend_rref, rank, rref, right_kernel_basis
+from paramcodes.linalg import extend_rref, rref
 
 from conftest import field
+from oracles import right_kernel_basis
 
 ORDERS = [2, 3, 5, 7, 4, 8, 9, 16, 25]
 
@@ -45,7 +46,7 @@ def test_rref_properties(case):
         assert row[col] == 1
         assert [int(x) for x in echelon[:, col]] == [int(j == i) for j in range(len(pivots))]
     # row rank equals column rank
-    assert len(pivots) == rank(rows.T.tolist(), spec)
+    assert len(pivots) == len(rref(rows.T.tolist(), spec)[1])
     # every input row is the combination of echelon rows its pivot entries give
     for row in rows:
         coeffs = row[pivots]
@@ -57,7 +58,7 @@ def test_rref_properties(case):
 def test_kernel_vectors_are_annihilated(case):
     spec, rows = case
     basis = right_kernel_basis(rows, spec)
-    assert len(basis) == rows.shape[1] - rank(rows, spec)
+    assert len(basis) == rows.shape[1] - len(rref(rows, spec)[1])
     for v in basis:
         assert all(dot(spec, v, row) == 0 for row in rows)
 
