@@ -180,12 +180,26 @@ class ParameterizedSet:
         |X*| <= dim S/J = dim S/lt(J) <= dim S/(L) = |Delta(L)|, and
         |Delta(L)| = |X*| makes lt(J) = (L) and J = I(X*): G is a Groebner
         basis of I(X*), and by the homogenization theorem gb_y is one of the
-        projective ideal.  gb_y's generators are checked the same way, on
-        the points with a trailing coordinate 1.  Delta(L) is finite only
-        when each variable has a pure power in L, which is checked before
-        Delta(L) is walked from the basis alone; it must equal the class
-        walk's levels, which the footprints read."""
+        projective ideal, provided each of its generators is homogeneous,
+        has a lead free of the new variable, and gives back its affine
+        generator when that variable is set to 1: together these make it
+        the homogenization.  gb_y's generators are also checked the same way
+        as G's, on the points with a trailing coordinate 1.  Delta(L) is
+        finite only when each variable has a pure power in L, which is
+        checked before Delta(L) is walked from the basis alone; it must
+        equal the class walk's levels, which the footprints read."""
         gb_x, spec = self.affine_basis, self.field
+        if len(gb_y) != len(gb_x):
+            raise InternalInconsistencyError(
+                f"{len(gb_y)} projective generators for {len(gb_x)} affine ones")
+        for g, h in zip(gb_x, gb_y):
+            if sum(h.lead) != sum(h.tail):
+                raise InternalInconsistencyError(
+                    f"projective generator {gb_y.format(h)} is not homogeneous")
+            if h.lead[-1] or (h.lead[:-1], h.tail[:-1]) != g:
+                raise InternalInconsistencyError(
+                    f"projective generator {gb_y.format(h)} is not the "
+                    f"homogenization of {gb_x.format(g)}")
         lifted = np.hstack([self.points, np.ones((len(self), 1), dtype=np.int64)])
         for gb, points, kind in ((gb_x, self.points, "affine"),
                                  (gb_y, lifted, "projective")):

@@ -2,14 +2,15 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
 import pytest
 
-from paramcodes import ideals
+from paramcodes import codes, ideals
 from paramcodes.cli import main, parse_degrees
-from paramcodes.ideals import ExponentMatrix
+from paramcodes.ideals import Binomial, ExponentMatrix
 
 TRIANGLE = ["--q", "5", "--matrix", "1 1 0; 0 1 1; 1 0 1"]
 
@@ -121,6 +122,36 @@ def test_ideal_verify_refuses_a_wrong_basis(capsys, which, rows, message):
     assert (code, out) == (3, "")
     assert err.startswith("paramcodes: INTERNAL INCONSISTENCY: ")
     assert message in err
+
+
+@pytest.mark.parametrize("lead, tail, message", [
+    ((0, 0, 4, 0), (0, 0, 0, 3), "projective generator t3^4 - t4^3 is not homogeneous"),
+    ((0, 0, 4, 0), (0, 0, 1, 3), "projective generator t3^4 - t3*t4^3 is not the "
+                                 "homogenization of t3^4 - 1"),
+    ((0, 0, 4, 1), (0, 0, 0, 5), "projective generator t3^4*t4 - t4^5 is not the "
+                                 "homogenization of t3^4 - 1"),
+], ids=["not-homogeneous", "other-affine-generator", "new-variable-in-lead"])
+def test_verify_refuses_a_projective_basis_that_is_no_homogenization(
+        capsys, lead, tail, message):
+    # each in place of t3^4 - t4^4, with its lead above its tail; the first
+    # and last vanish on the points with a trailing 1, and would reach the
+    # Hilbert profile, which refuses them only as a usage error
+    homogenize = codes.vanishing_ideal_projective
+
+    def broken(gb_x):
+        gb = homogenize(gb_x)
+        return replace(gb, generators=tuple(
+            Binomial(lead, tail) if g == ((0, 0, 4, 0), (0, 0, 0, 4)) else g
+            for g in gb))
+
+    with mock.patch.object(codes, "vanishing_ideal_projective", broken):
+        code, out, err = run_cli(capsys, "verify", *TRIANGLE, "--degrees", "1..2",
+                                 "--md-budget", "700")
+        assert (code, out, err) == (3, f"FAIL pipeline: {message}\n",
+                                    "1 of 1 checks failed\n")
+        code, out, err = run_cli(capsys, "params", *TRIANGLE, "--degrees", "1..2",
+                                 "--verify")
+        assert (code, out, err) == (3, "", f"paramcodes: INTERNAL INCONSISTENCY: {message}\n")
 
 
 @pytest.mark.parametrize("argv, lines", [

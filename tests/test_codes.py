@@ -209,7 +209,12 @@ def test_footprint_and_witness_bracket_the_distance(pset):
         assert 1 <= lower <= upper <= len(pset) - code_dimension(E) + 1
         words = spec.order ** code_dimension(E)
         if words * len(pset) <= 20_000:
-            assert lower <= brute_min_distance(E.rows, spec) <= upper
+            distance = brute_min_distance(E.rows, spec)
+            assert lower <= distance <= upper
+            # the translations of X* put a lightest codeword in the subcode
+            # zero at the first pivot's point
+            if code_dimension(E) >= 2:
+                assert codes._enumerate_weights(E.echelon[0][1:], spec)[0] == distance
         md = minimum_distance(E, budget=100)
         if md.status == "bounded":
             assert (md.lower, md.upper) == (max(lower, 2), upper)
@@ -262,6 +267,46 @@ def test_verify_sweeps_rows_the_footprint_settled(triangle_set):
         assert run.table[0].min_distance.value == 14
         with pytest.raises(InternalInconsistencyError, match="sweep's 8"):
             run_pipeline(triangle_set, [2], verify=True)
+
+
+def test_verify_sweeps_the_whole_code_behind_a_searched_row(triangle_set):
+    # at d = 1 the distance is 23, but the last two echelon rows alone reach
+    # only 24: a sweep two rows short, not one, passes the pipeline and
+    # fails the whole-code sweep that verify adds
+    sweep = codes._enumerate_weights
+
+    def two_rows_short(basis, spec, floor=1, **kwargs):
+        # minimum_distance sweeps with the footprint as floor, verify with 1
+        return sweep(basis[1:] if floor > 1 else basis, spec, floor=floor, **kwargs)
+
+    with mock.patch.object(codes, "_enumerate_weights", two_rows_short):
+        run = run_pipeline(triangle_set, [1])
+        assert (run.table[0].min_distance.value, run.table[0].min_distance.method) == \
+            (24, "search")
+        with pytest.raises(InternalInconsistencyError,
+                           match="search distance 24 at degree 1 differs from the sweep's 23"):
+            run_pipeline(triangle_set, [1], verify=True)
+
+
+def test_one_row_codes_are_swept_whole(triangle_set):
+    # the rows after the first span the zero code when k = 1, so a sweep of
+    # them would report m + 1.  A footprint of 1 sends the degree-0
+    # repetition code to the sweep; a one-point set has a weight-1 witness
+    sweep = codes._enumerate_weights
+
+    def nonempty(basis, spec, **kwargs):
+        assert len(basis), "an empty basis was swept"
+        return sweep(basis, spec, **kwargs)
+
+    point = enumerate_points(ExponentMatrix.of([[4, 0], [0, 4]]), F5)
+    assert len(point) == 1
+    with mock.patch.object(codes, "_enumerate_weights", nonempty):
+        with mock.patch.object(ParameterizedSet, "footprint", return_value=1):
+            md = minimum_distance(build_evaluation_matrix(triangle_set, 0))
+            assert (md.status, md.value, md.method) == ("exact", 32, "search")
+        for d in range(3):
+            md = minimum_distance(build_evaluation_matrix(point, d))
+            assert (md.status, md.value, md.method) == ("exact", 1, "weight-1")
 
 
 def test_certificate_catches_a_wrong_basis(triangle_matrix, f5):
@@ -481,6 +526,25 @@ def test_sweep_single_high_row_and_zero_high_minimum():
     assert np.array_equal(E.echelon[0], rows)
     check_sweep(F5, rows)
     assert weight_distribution(E)[1] == 4
+
+
+def mds_weight_distribution(q, n, k):
+    """Weight distribution of every [n, k] MDS code over GF(q)."""
+    d = n - k + 1
+    return {0: 1} | {w: comb(n, w) * sum((-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1)
+                                         for j in range(w - d + 1))
+                     for w in range(d, n + 1)}
+
+
+@pytest.mark.parametrize("q", [131, 257])
+def test_prime_block_sums_past_the_stored_type(q):
+    # a block of two rows adds two residues, whose sum passes 255 above
+    # p = 127; a Reed-Solomon [6, 3] code is MDS, so its weights are known
+    spec, m, k = FieldSpec.of(q), 6, 3
+    rows = [[spec.pow(x, e) for x in range(1, m + 1)] for e in range(k)]
+    with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", q ** 2):
+        assert weight_distribution(generator_matrix(spec, rows)) == \
+            mds_weight_distribution(q, m, k)
 
 
 # -- closed forms ----------------------------------------------------------------
