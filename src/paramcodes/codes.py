@@ -6,14 +6,19 @@ Length and dimension come from the Hilbert function of the vanishing
 ideal's binomial basis, which verification certifies by counting
 (`ideals.ParameterizedSet.certify`): its generators vanish on the points,
 lead above their tails, and leave exactly as many standard monomials as
-there are points.  The rank of every evaluation matrix is compared with
-the Hilbert value on every run.
+there are points.  The rows of the degree-d evaluation matrix are the
+standard monomials Delta<=d of the class walk, one per exponent class;
+the Hilbert value counts them, so the rank, compared with it on every
+run, proves the walk's classes at each degree distinct.  That they span
+the code of all monomials of degree <= d is what verification proves:
+the certified basis is a GrevLex basis, and GrevLex is graded, so on X*
+each monomial equals a standard monomial of no higher degree.
 
 Matrices are numpy arrays of canonical field ints.  Every point lies in
 the torus, so an entry is g^(exponents . logs of the point) and the whole
 matrix is one integer product read through the field's exp table.  A lower
 degree's matrix is the first rows of a higher one, so each degree adds only
-its new rows: the monomials above the degree below are listed and evaluated,
+its new rows: the standard monomials above the degree below are evaluated,
 and the echelon form is extended from the one below; dimension and distance
 share it.
 
@@ -52,7 +57,7 @@ import threading
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -79,27 +84,11 @@ _BLOCK_WRITE_ENTRIES = 1 << 18
 
 # -- evaluation matrix -------------------------------------------------------
 
-def monomials_of_degree(num_vars: int, degree: int) -> Iterator[Monomial]:
-    """The exponent tuples of one total degree in ascending GrevLex order:
-    the last exponent descending, ties in the same order on the others."""
-    if num_vars == 1:
-        yield (degree,)
-        return
-    for last in range(degree, -1, -1):
-        for rest in monomials_of_degree(num_vars - 1, degree - last):
-            yield rest + (last,)
-
-
-def monomials_up_to_degree(num_vars: int, degree: int, lowest: int = 0) -> list[Monomial]:
-    """All monomials of total degree lowest .. degree, ascending GrevLex."""
-    return [m for d in range(lowest, degree + 1) for m in monomials_of_degree(num_vars, d)]
-
-
 @dataclass(frozen=True, eq=False)
 class EvaluationMatrix:
-    """Monomials of degree <= d evaluated at every point, as a numpy array
-    of canonical field ints; the row space is the code.  `below`, if set,
-    is the echelon form of the first `below_rows` rows."""
+    """The standard monomials of degree <= d evaluated at every point, as a
+    numpy array of canonical field ints; the row space is the code.
+    `below`, if set, is the echelon form of the first `below_rows` rows."""
 
     degree: int
     monomials: tuple[Monomial, ...]
@@ -130,24 +119,24 @@ class EvaluationMatrix:
 def build_evaluation_matrix(pset: ParameterizedSet, d: int,
                             budget: int = DEFAULT_MATRIX_BUDGET,
                             below: Optional[EvaluationMatrix] = None) -> EvaluationMatrix:
-    """Rows in ascending graded/GrevLex monomial order, columns following
+    """Rows are Delta<=d in ascending graded GrevLex order, columns follow
     the canonical point order; the rows, monomials and echelon form extend
-    those of `below`."""
+    those of `below`.  A degree above Delta's top degree adds no row."""
     if d < 0:
         raise DomainError("degree must be non-negative")
     if below and (below.pset is not pset or below.degree >= d):
         raise DomainError("only a lower degree on the same points extends")
-    s = pset.matrix.s
-    num_monomials, m = comb(s + d, s), len(pset)
-    if num_monomials * m > budget:
+    delta = np.concatenate(pset.standard_monomials[:d + 1])
+    if len(delta) * len(pset) > budget:
         raise ResourceLimitError(
-            f"evaluation matrix with {num_monomials} x {m} entries exceeds "
+            f"evaluation matrix with {len(delta)} x {len(pset)} entries exceeds "
             f"the budget {budget}")
-    # the order is graded, so the monomials above below's degree follow its rows
-    monomials = tuple(monomials_up_to_degree(s, d, below.degree + 1 if below else 0))
+    # Delta<=below.degree is a prefix of Delta<=d
+    exponents = delta[len(below.monomials) if below else 0:]
     spec = pset.field
     # every coordinate is a unit, so a monomial's value is g^(exponents . logs)
-    rows = spec.exp(np.array(monomials) @ spec.log(pset.points).T)
+    rows = spec.exp(exponents @ spec.log(pset.points).T)
+    monomials = tuple(map(tuple, exponents.tolist()))
     if below:
         monomials, rows = below.monomials + monomials, np.concatenate((below.rows, rows))
     rows.flags.writeable = False  # the cached echelon form depends on it
@@ -429,12 +418,16 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                  verify: bool = False, threads: int = 1) -> PipelineRun:
     """Vanishing ideals, Hilbert profile, and per-degree code parameters,
     with the rank-versus-Hilbert consistency check always on.  One walk of
-    the standard monomials serves the profile and the footprint bounds.
-    Each echelon form extends the previous degree's if that is lower.
-    With verify=True the bases are certified by counting
-    (`ParameterizedSet.certify`), every echelon form is recomputed by
-    `linalg.rref`, and every distance the footprint or the subcode sweep
-    settled within the budget is checked by sweeping the whole code."""
+    the standard monomials serves the profile, the footprint bounds and
+    the matrix rows, whose number is the Hilbert value: a rank equal to it
+    proves the walk's classes at each degree distinct.  Each echelon form
+    extends the previous degree's if that is lower.  With verify=True the
+    bases are certified by counting (`ParameterizedSet.certify`), which
+    proves that the rows span the code of all monomials (each one equals,
+    on X*, a standard monomial of no higher degree, since GrevLex is
+    graded), every echelon form is recomputed by `linalg.rref`, and every
+    distance the footprint or the subcode sweep settled within the budget
+    is checked by sweeping the whole code."""
     gb_x = vanishing_ideal_affine(pset)
     gb_y = vanishing_ideal_projective(gb_x)
     if verify:

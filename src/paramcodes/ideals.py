@@ -13,7 +13,9 @@ standard monomials are the GrevLex-least monomial of each class, the
 leading monomials are the least non-standard ones, and each tail is the
 standard monomial of its lead's class.  `class_walk` finds all of them in
 one walk, degree by degree; the tests check its basis against the
-paper's elimination.
+paper's elimination.  Its levels, the standard monomials of each degree,
+are the one list of monomials the package uses: they give the Hilbert
+function, the footprint bounds and the rows of the evaluation matrices.
 
 Every basis here is a `BinomialBasis`, a tuple of (lead, tail) exponent
 pairs, each the pure binomial t^lead - t^tail; homogenizing one pads each
@@ -168,7 +170,8 @@ class ParameterizedSet:
     def standard_monomials(self) -> list[np.ndarray]:
         """Delta, the monomials no leading monomial of the affine basis
         divides, one exponent array per degree in ascending GrevLex order;
-        there are len(self)."""
+        there are len(self).  They are the rows of every evaluation matrix
+        and the monomials of the Hilbert function and the footprint."""
         return self._walk[1]
 
     def certify(self, gb_y: BinomialBasis) -> None:
@@ -183,8 +186,11 @@ class ParameterizedSet:
         projective ideal, provided each of its generators is homogeneous,
         has a lead free of the new variable, and gives back its affine
         generator when that variable is set to 1: together these make it
-        the homogenization.  gb_y's generators are also checked the same way
-        as G's, on the points with a trailing coordinate 1.  Delta(L) is
+        the homogenization.  That also makes each of gb_y's generators vanish
+        on the points with a trailing coordinate 1, where it is its affine
+        generator, and lead above its tail under GrevLex: the padded tail has
+        the lead's degree and either a larger power of the new variable or
+        the affine tail, which is below the affine lead.  Delta(L) is
         finite only when each variable has a pure power in L, which is
         checked before Delta(L) is walked from the basis alone; it must
         equal the class walk's levels, which the footprints read."""
@@ -200,20 +206,17 @@ class ParameterizedSet:
                 raise InternalInconsistencyError(
                     f"projective generator {gb_y.format(h)} is not the "
                     f"homogenization of {gb_x.format(g)}")
-        lifted = np.hstack([self.points, np.ones((len(self), 1), dtype=np.int64)])
-        for gb, points, kind in ((gb_x, self.points, "affine"),
-                                 (gb_y, lifted, "projective")):
-            for g in gb:
-                if _grevlex_key(g.lead) <= _grevlex_key(g.tail):
-                    raise InternalInconsistencyError(
-                        f"{kind} generator {gb.format(g)} has a lead not above "
-                        "its tail under GrevLex")
-                differ = np.flatnonzero(_monomial_values(points, g.lead, spec)
-                                        != _monomial_values(points, g.tail, spec))
-                if differ.size:
-                    point = tuple(points[differ[0]].tolist())
-                    raise InternalInconsistencyError(
-                        f"{kind} generator {gb.format(g)} does not vanish on {point}")
+        for g in gb_x:
+            if _grevlex_key(g.lead) <= _grevlex_key(g.tail):
+                raise InternalInconsistencyError(
+                    f"affine generator {gb_x.format(g)} has a lead not above "
+                    "its tail under GrevLex")
+            differ = np.flatnonzero(_monomial_values(self.points, g.lead, spec)
+                                    != _monomial_values(self.points, g.tail, spec))
+            if differ.size:
+                point = tuple(self.points[differ[0]].tolist())
+                raise InternalInconsistencyError(
+                    f"affine generator {gb_x.format(g)} does not vanish on {point}")
         require_finite(gb_x.leads, gb_x.names)
         levels = standard_monomials(gb_x.leads, self.matrix.s)
         degree = sum(map(len, levels))

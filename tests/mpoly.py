@@ -4,7 +4,8 @@ orders: the general engine the tests check the package against.
 The package holds every vanishing ideal as pure binomials
 (`paramcodes.ideals.BinomialBasis`); this engine, with `groebner`, is the
 independent route to the same bases (the paper's elimination), to their
-Buchberger criterion and to membership by division.
+Buchberger criterion and to membership by division.  It also lists every
+monomial up to a degree, where the package lists only the standard ones.
 
 Monomials are plain exponent tuples (one non-negative int per ring
 variable); polynomials map monomials to nonzero canonical ints of the
@@ -16,7 +17,7 @@ that compares GrevLex on a leading variable block first.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Optional, Sequence
+from typing import Iterator, Mapping, Optional, Sequence
 
 from paramcodes.errors import DomainError
 from paramcodes.gf import FieldSpec
@@ -45,6 +46,23 @@ def mono_lcm(a: Monomial, b: Monomial) -> Monomial:
 
 def mono_degree(a: Monomial) -> int:
     return sum(a)
+
+
+def monomials_of_degree(num_vars: int, degree: int) -> Iterator[Monomial]:
+    """The exponent tuples of one total degree in ascending GrevLex order:
+    the last exponent descending, ties in the same order on the others."""
+    if num_vars == 1:
+        yield (degree,)
+        return
+    for last in range(degree, -1, -1):
+        for rest in monomials_of_degree(num_vars - 1, degree - last):
+            yield rest + (last,)
+
+
+def monomials_up_to_degree(num_vars: int, degree: int, lowest: int = 0) -> list[Monomial]:
+    """All monomials of total degree lowest .. degree, ascending GrevLex:
+    every monomial, where the package evaluates only the standard ones."""
+    return [m for d in range(lowest, degree + 1) for m in monomials_of_degree(num_vars, d)]
 
 
 # -- monomial orders ---------------------------------------------------------

@@ -16,14 +16,13 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from paramcodes.codes import monomials_up_to_degree
 from paramcodes.errors import DomainError, ResourceLimitError
 from paramcodes.gf import FieldSpec
 from paramcodes.ideals import BinomialBasis, ExponentMatrix
 from paramcodes.linalg import rref
 
 from groebner import GroebnerBasis, eliminate
-from mpoly import GrevLex, Monomial, Polynomial, RingContext
+from mpoly import GrevLex, Monomial, Polynomial, RingContext, monomials_up_to_degree
 
 SPAN_GUARD = 300_000
 
@@ -102,20 +101,15 @@ def polynomial_basis(basis: BinomialBasis) -> GroebnerBasis:
 
 
 def evaluation_rows(pset, degree: int, ring: RingContext):
-    """Monomials of degree <= degree evaluated on the point set, as
-    canonical ints."""
+    """Every monomial of degree <= degree evaluated on the point set, as
+    an array of canonical ints: each entry a product of powers of the
+    coordinates, not the package's exp/log product."""
     spec = pset.field
     monos = monomials_up_to_degree(ring.num_vars, degree)
-    rows = []
-    for m in monos:
-        row = []
-        for pt in pset.points.tolist():
-            value = 1
-            for coord, e in zip(pt, m):
-                if e:
-                    value = spec.mul(value, spec.pow(coord, e))
-            row.append(value)
-        rows.append(row)
+    rows = np.ones((len(monos), len(pset)), dtype=np.int64)
+    for row, m in zip(rows, monos):
+        for column, e in zip(pset.points.T, m):
+            row[:] = spec.mul(row, spec.pow(column, e))
     return monos, rows
 
 

@@ -32,7 +32,8 @@ from paramcodes.ideals import (
 )
 
 from conftest import field
-from oracles import brute_min_distance, brute_weight_distribution
+from mpoly import RingContext
+from oracles import brute_min_distance, brute_weight_distribution, evaluation_rows
 from test_hilbert import point_sets
 
 F5 = FieldSpec.of(5)
@@ -76,14 +77,49 @@ def test_matrix_budget():
         build_evaluation_matrix(torus_set(11, 2), 5, budget=100)
 
 
-def test_matrix_budget_checked_before_listing_monomials():
-    # comb(3 + 26, 3) = 3654 rows x 8 points; the budget admits one fewer
+def test_matrix_budget_checked_before_evaluating():
+    # the rows are the 8 standard monomials t^a, a in {0, 1}^3, whatever the
+    # degree above 2, and the budget admits one entry fewer than 8 x 8
     pset = torus_set(3, 3)
-    with mock.patch.object(codes, "monomials_up_to_degree",
-                           side_effect=AssertionError("monomials listed")):
+    with mock.patch.object(FieldSpec, "exp",
+                           side_effect=AssertionError("matrix evaluated")):
         with pytest.raises(ResourceLimitError,
-                           match=r"3654 x 8 entries exceeds the budget 29231"):
-            build_evaluation_matrix(pset, 26, budget=3654 * 8 - 1)
+                           match=r"8 x 8 entries exceeds the budget 63"):
+            build_evaluation_matrix(pset, 26, budget=63)
+
+
+@settings(max_examples=30, deadline=None)
+@given(point_sets())
+def test_standard_monomial_rows_span_the_all_monomial_code(pset):
+    # the rows are Delta<=d alone, yet the echelon form is that of every
+    # monomial of degree <= d, one degree past Delta's top included, built
+    # alone and extended from the degree below
+    top, s = len(pset.standard_monomials) - 1, pset.matrix.s
+    ring = RingContext(pset.field, tuple(f"t{i + 1}" for i in range(s)))
+    _, everything = evaluation_rows(pset, top + 1, ring)
+    below = None
+    for d in range(top + 2):
+        expected, pivots = linalg.rref(everything[:comb(s + d, d)], pset.field)
+        alone = build_evaluation_matrix(pset, d)
+        below = build_evaluation_matrix(pset, d, below=below)
+        for E in (alone, below):
+            assert len(E.monomials) == sum(map(len, pset.standard_monomials[:d + 1]))
+            assert E.echelon[1] == pivots
+            assert np.array_equal(E.echelon[0], expected)
+    # past the top degree the extension adds no row
+    assert len(below.monomials) == below.below_rows == len(pset)
+
+
+def test_torus_past_the_all_monomial_budget():
+    # the GF(3) 6-torus at d=17 has C(23, 6) = 100947 monomials but only 64
+    # standard ones, so 64 x 64 entries fit the default budget
+    pset = torus_set(3, 6)
+    (row,) = parameter_table(pset, [17])
+    assert (row.length, row.dimension, row.min_distance.value) == (64, 64, 1)
+    checks = verify_instance(pset, range(18))
+    assert [name for name, ok, _ in checks if not ok] == []
+    assert {"torus-dimension-formula", "torus-distance-formula"} <= \
+        {name for name, _, _ in checks}
 
 
 def test_dimension_examples(triangle_set, torus11_set):

@@ -3,7 +3,6 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from paramcodes.codes import monomials_of_degree
 from paramcodes.errors import DomainError, InternalInconsistencyError
 from paramcodes.gf import FieldSpec
 from paramcodes.hilbert import (
@@ -22,7 +21,7 @@ from paramcodes.ideals import (
 )
 
 from conftest import field
-from mpoly import mono_divides
+from mpoly import mono_divides, monomials_of_degree
 from oracles import standard_count_by_inclusion_exclusion
 
 F5 = FieldSpec.of(5)

@@ -3,7 +3,6 @@ import random
 
 import pytest
 
-from paramcodes.codes import monomials_of_degree, monomials_up_to_degree
 from paramcodes.errors import DomainError
 from paramcodes.gf import FieldSpec
 
@@ -18,6 +17,8 @@ from mpoly import (
     divide,
     homogenize,
     mono_mul,
+    monomials_of_degree,
+    monomials_up_to_degree,
     reduce_mod,
 )
 
@@ -221,8 +222,8 @@ def test_monomial_enumeration():
     assert len(ups) == 10  # C(3+2, 2)
     keys = [GrevLex().key(m) for m in ups]
     assert keys == sorted(keys)
-    # the package lists them in GrevLex order without sorting: the engine's
-    # order on four variables, from a degree above zero
+    # listed in GrevLex order without sorting: the engine's order on four
+    # variables, from a degree above zero
     ups = monomials_up_to_degree(4, 5, lowest=2)
     assert ups == sorted(set(ups), key=GrevLex().key)
     assert len(ups) == 10 + 20 + 35 + 56  # C(d+3, 3) for d = 2..5
