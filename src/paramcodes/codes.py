@@ -14,13 +14,12 @@ the code of all monomials of degree <= d is what verification proves:
 the certified basis is a GrevLex basis, and GrevLex is graded, so on X*
 each monomial equals a standard monomial of no higher degree.
 
-Matrices are numpy arrays of canonical field ints.  Every point lies in
-the torus, so an entry is g^(exponents . logs of the point) and the whole
-matrix is one integer product read through the field's exp table.  A lower
-degree's matrix is the first rows of a higher one, so each degree adds only
-its new rows: the standard monomials above the degree below are evaluated,
-and the echelon form is extended from the one below; dimension and distance
-share it.
+Every point lies in the torus, so an entry of a matrix is g^(exponents .
+logs of the point) and the whole matrix is one integer product read
+through the field's exp table.  A lower degree's matrix is the first rows
+of a higher one, so each degree adds only its new rows: the standard
+monomials above the degree below are evaluated, and the echelon form is
+extended from the one below; dimension and distance share it.
 
 Minimum distance is certified in this order.  First two bounds that need
 no search: the footprint of the standard monomials Delta of the vanishing
@@ -37,17 +36,18 @@ Otherwise, when the number of codewords q^k fits the budget, an exhaustive
 sweep finds the distance, stopping at the first word whose weight reaches
 the lower bound.  Scaling a codeword keeps its weight, so the sweep visits
 one codeword per scalar class: a block of every combination of the first
-rows, stored as uint8 (uint16 above q = 256), is compared with each high
-word whose first nonzero coefficient is 1, and the number of differing
-coordinates is a weight.  On a point set X* the sweep needs only the
-codewords that vanish at the first pivot's point: X* is a group, and
-translating the points by one of its elements permutes them and keeps the
-degree, so it moves a lightest codeword's zero onto that point.  That
-subcode, the echelon rows after the first, has (q^(k-1) - 1)/(q - 1)
-scalar classes, q times fewer than the whole code.  Above the budget the
-distance is reported as the interval between the bounds, never a silent
-wrong number.  The budget caps only the sweep and still counts all q^k
-codewords, so a row can be exact above it.
+rows is compared with each high word whose first nonzero coefficient is 1,
+and the number of differing coordinates is a weight.  The bound is checked
+after each block row and high word, so the block can stay partly
+unwritten.  On a point set X* the sweep needs only the codewords that
+vanish at the first pivot's point: X* is a group, and translating the
+points by one of its elements permutes them and keeps the degree, so it
+moves a lightest codeword's zero onto that point.  That subcode, the
+echelon rows after the first, has (q^(k-1) - 1)/(q - 1) scalar classes, q
+times fewer than the whole code.  Above the budget the distance is
+reported as the interval between the bounds, never a silent wrong number.
+The budget caps only the sweep and still counts all q^k codewords, so a
+row can be exact above it.
 """
 
 from __future__ import annotations
@@ -213,7 +213,8 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
     The first k_lo rows span a block of all q^k_lo low words.  Every high
     word whose first nonzero coefficient is 1 is swept against the whole
     block, and the zero high word against the low words whose last nonzero
-    coefficient is 1."""
+    coefficient is 1.  The floor is checked after each block row and each
+    high word, so the block can stay partly unwritten."""
     k, m = basis.shape
     q = spec.order
     k_lo, block_rows = 0, 1
@@ -229,6 +230,8 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
     # unsigned type holds, so one conditional subtraction of p reduces them
     wide, p = (np.uint16 if q <= 256 else np.uint32), spec.characteristic
     low = np.zeros((m, block_rows), dtype=dtype)
+    zero_high_best = m + 1
+    zero_high_hist = np.zeros(m + 1, dtype=np.int64) if collect else None
     size = 1
     for row in basis[:k_lo]:
         step = max(1, _BLOCK_WRITE_ENTRIES // (m * size))
@@ -241,12 +244,15 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
             else:
                 words = spec.add(products, low[:, None, :size])
             low[:, c * size:(c + len(scalars)) * size] = words.reshape(m, -1)
+        # the zero-high sweep, as each row is written: words size .. 2size - 1
+        # have their last nonzero coefficient, 1, on this row
+        counts = np.count_nonzero(low[:, size:2 * size], axis=0)
+        zero_high_best = min(zero_high_best, int(counts.min()))
+        if collect:
+            zero_high_hist += np.bincount(counts, minlength=m + 1)
+        elif zero_high_best <= floor:
+            return zero_high_best, None
         size *= q
-    # words q^j .. 2q^j - 1 of the block have their last nonzero coefficient,
-    # 1, on row j: the zero-high sweep
-    zero_high = np.count_nonzero(low, axis=0)[
-        [i for j in range(k_lo) for i in range(q**j, 2 * q**j)]]
-    zero_high_best = int(zero_high.min(initial=m + 1))
     high = basis[k_lo:]
     combos = list(_normalised_combos(k - k_lo, q))
     reached = threading.Event()  # some shard has met the floor
@@ -271,8 +277,7 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
                 reached.set()
         return best, hist
 
-    results = [(zero_high_best,
-                np.bincount(zero_high, minlength=m + 1) if collect else None)]
+    results = [(zero_high_best, zero_high_hist)]
     if threads > 1 and len(combos) > 1:
         chunks = [combos[i::threads] for i in range(threads)]
         # imported only here: it loads logging and queue, about 0.9 MB and

@@ -44,7 +44,8 @@ def rref(rows: Sequence[Sequence[int]], spec: FieldSpec) -> tuple[np.ndarray, li
             break
         col += int(live[0])
         found = pivot_row + np.flatnonzero(work[pivot_row:, col])[0]
-        work[[pivot_row, found]] = work[[found, pivot_row]]
+        if found != pivot_row:
+            work[[pivot_row, found]] = work[[found, pivot_row]]
         lead = int(work[pivot_row, col])
         if lead != 1:
             work[pivot_row] = spec.mul(spec.inv(lead), work[pivot_row])

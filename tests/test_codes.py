@@ -212,6 +212,13 @@ def test_early_stopped_sweep_is_exact(triangle_set):
     assert (md.status, md.value, md.method) == ("exact", 8, "search")
     assert sweep.call_args.kwargs["floor"] == 8
     assert codes._enumerate_weights(E.echelon[0], F5)[0] == 8
+    # a weight-8 word lies in the span of the subcode's first 4 rows, so the
+    # sweep stops inside its 6-row block; each of those rows takes one
+    # product, and the rows after them are never written
+    with mock.patch.object(FieldSpec, "mul", autospec=True,
+                           side_effect=FieldSpec.mul) as mul:
+        assert codes._enumerate_weights(E.echelon[0][1:], F5, floor=8)[0] == 8
+    assert mul.call_count <= 4
 
 
 def test_bounds_meet_at_two():
@@ -538,6 +545,28 @@ def test_sweep_matches_brute_force(code, block_rows_target, write_entries):
     with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", block_rows_target), \
             mock.patch.object(codes, "_BLOCK_WRITE_ENTRIES", write_entries):
         check_sweep(*code)
+
+
+# every floor from 1 to the minimum is a lower bound, so the sweep may stop
+# at any block row or high word that reaches it and still report the minimum
+@settings(max_examples=60, deadline=None)
+@given(full_rank_codes(), st.sampled_from([1, 4, codes._BLOCK_ROWS_TARGET]))
+def test_early_stop_reports_the_minimum(code, block_rows_target):
+    spec, rows = code
+    expected = brute_min_distance(rows, spec)
+    # one word per scalar class: the nonzero weights divided by q - 1
+    classes = np.zeros(len(rows[0]) + 1, dtype=np.int64)
+    for w, c in brute_weight_distribution(rows, spec).items():
+        classes[w] = c // (spec.order - 1) if w else 0
+    basis = generator_matrix(spec, rows).echelon[0]
+    with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", block_rows_target):
+        for threads in (1, 3):
+            for floor in range(1, expected + 1):
+                assert codes._enumerate_weights(basis, spec, threads=threads,
+                                                floor=floor)[0] == expected
+                best, hist = codes._enumerate_weights(basis, spec, threads=threads,
+                                                      collect=True, floor=floor)
+                assert best == expected and np.array_equal(hist, classes)
 
 
 def test_sweep_single_row_code():
