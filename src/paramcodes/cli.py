@@ -26,7 +26,7 @@ from .codes import (
     verify_instance,
 )
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
-from .gf import FieldSpec, _check_irreducible, _factor_prime_power
+from .gf import MAX_FIELD_ORDER, FieldSpec, _check_irreducible, _factor_prime_power
 from .ideals import (
     ExponentMatrix,
     enumerate_points,
@@ -224,7 +224,7 @@ def render_rows(rows: Sequence[CodeParameters], fmt: str) -> str:
         payload = []
         for p in rows:
             md = p.min_distance
-            delta = md.exact_value
+            delta = md.value
             if md.status == "bounded":
                 delta = {"lower": md.lower, "upper": md.upper}
             payload.append({
@@ -276,7 +276,10 @@ def cmd_torus(args) -> int:
         raise UsageError("torus dimension s must be >= 1")
     _check_search_limits(args.md_budget, args.threads)
     degrees = _parse_flag("degrees", parse_degrees, args.degrees) if args.degrees else []
-    field = _torus_field(args.q)
+    # the table needs no field, only a q for which GF(q) exists
+    _factor_prime_power(args.q)
+    if args.q > MAX_FIELD_ORDER:
+        raise DomainError(f"field order {args.q} exceeds the limit {MAX_FIELD_ORDER}")
     length = (args.q - 1) ** args.s
     rows = []
     for d in degrees:
@@ -285,7 +288,7 @@ def cmd_torus(args) -> int:
         rows.append(CodeParameters(d, length, dim, MinDistance.exact(delta)))
     print(render_rows(rows, args.format or "table"))
     if args.cross_check and degrees:
-        pset = enumerate_points(ExponentMatrix.torus(args.s), field)
+        pset = enumerate_points(ExponentMatrix.torus(args.s), _torus_field(args.q))
         pipeline = parameter_table(pset, degrees, md_budget=args.md_budget,
                                    threads=args.threads or 1)
         problems = []
@@ -295,7 +298,7 @@ def cmd_torus(args) -> int:
             if want.dimension != got.dimension:
                 problems.append(
                     f"d={want.d}: dim {got.dimension} != {want.dimension}")
-            exact = got.min_distance.exact_value
+            exact = got.min_distance.value
             if exact is not None and exact != want.min_distance.value:
                 problems.append(
                     f"d={want.d}: delta {exact} != {want.min_distance.value}")

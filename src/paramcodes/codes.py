@@ -156,10 +156,9 @@ class MinDistance:
     """Outcome of a minimum-distance computation."""
 
     status: str  # exact | weight_one | bounded | skipped
-    value: Optional[int] = None
+    value: Optional[int] = None  # the distance, when exact or weight_one
     lower: Optional[int] = None
     upper: Optional[int] = None
-    reason: Optional[str] = None
     # what settled the value: footprint (the bounds met), search (the
     # sweep) or weight-1 (a unit vector in the code); None when unsettled
     method: Optional[str] = None
@@ -177,13 +176,8 @@ class MinDistance:
         return cls("bounded", lower=lower, upper=upper)
 
     @classmethod
-    def skipped(cls, reason: str) -> "MinDistance":
-        return cls("skipped", reason=reason)
-
-    @property
-    def exact_value(self) -> Optional[int]:
-        """The distance when it is known exactly (weight_one counts)."""
-        return self.value
+    def skipped(cls) -> "MinDistance":
+        return cls("skipped")
 
     def __str__(self) -> str:
         if self.status in ("exact", "weight_one"):
@@ -315,7 +309,7 @@ def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
     if k == 0:
         raise DomainError("the zero code has no minimum distance")
     if budget == 0:
-        return MinDistance.skipped("search disabled by the caller")
+        return MinDistance.skipped()
     within_budget = spec.order ** k <= budget
     witness = int(np.count_nonzero(basis, axis=1).min())
     if witness == 1:
@@ -393,14 +387,14 @@ class CodeParameters:
 
     @property
     def singleton_defect(self) -> Optional[int]:
-        delta = self.min_distance.exact_value
+        delta = self.min_distance.value
         if delta is None:
             return None
         return self.singleton_bound - delta
 
     @property
     def mds(self) -> Optional[bool]:
-        delta = self.min_distance.exact_value
+        delta = self.min_distance.value
         if delta is None:
             return None
         return delta == self.singleton_bound
@@ -419,7 +413,6 @@ class PipelineRun:
 
 def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                  md_budget: int = DEFAULT_MD_BUDGET,
-                 matrix_budget: int = DEFAULT_MATRIX_BUDGET,
                  verify: bool = False, threads: int = 1) -> PipelineRun:
     """Vanishing ideals, Hilbert profile, and per-degree code parameters,
     with the rank-versus-Hilbert consistency check always on.  One walk of
@@ -446,8 +439,7 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
     rows, matrix = [], None
     for d in degrees:
         matrix = build_evaluation_matrix(
-            pset, d, budget=matrix_budget,
-            below=matrix if matrix and matrix.degree < d else None)
+            pset, d, below=matrix if matrix and matrix.degree < d else None)
         dim = code_dimension(matrix)
         if verify:
             echelon, pivots = linalg.rref(matrix.rows, pset.field)
@@ -481,15 +473,13 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
 
 def parameter_table(pset: ParameterizedSet, degrees: Sequence[int],
                     md_budget: int = DEFAULT_MD_BUDGET,
-                    matrix_budget: int = DEFAULT_MATRIX_BUDGET,
                     verify: bool = False, threads: int = 1
                     ) -> list[CodeParameters]:
     """One CodeParameters record per requested degree."""
     degrees = list(degrees)
     if not degrees:
         return []
-    run = run_pipeline(pset, degrees, md_budget=md_budget,
-                       matrix_budget=matrix_budget, verify=verify,
+    run = run_pipeline(pset, degrees, md_budget=md_budget, verify=verify,
                        threads=threads)
     return list(run.table)
 
@@ -541,15 +531,15 @@ def verify_instance(pset: ParameterizedSet, degrees: Sequence[int],
     record("dimension-monotone",
            all(a <= b for a, b in zip(dims, dims[1:])),
            "dimension non-decreasing in the degree")
-    exact = [(p.d, p.min_distance.exact_value) for p in run.table
-             if p.min_distance.exact_value is not None]
+    exact = [(p.d, p.min_distance.value) for p in run.table
+             if p.min_distance.value is not None]
     deltas = [v for _, v in exact]
     record("distance-monotone",
            all(a >= b for a, b in zip(deltas, deltas[1:])),
            "exact distance non-increasing in the degree")
     record("singleton-bound",
            all(1 <= v <= p.singleton_bound
-               for p, v in ((p, p.min_distance.exact_value) for p in run.table)
+               for p, v in ((p, p.min_distance.value) for p in run.table)
                if v is not None),
            "1 <= distance <= length - dimension + 1")
 

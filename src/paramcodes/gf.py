@@ -7,7 +7,9 @@ therefore use plain residues, 0 and 1 are zero and one, and ascending ints
 give the element order used by every enumeration downstream.  Only this
 module knows the encoding; there is no element object, so polynomial
 coefficients, points and matrix entries are all such ints, and -1 is
-`neg(1)`, which is p - 1, not q - 1.
+`neg(1)`, which is p - 1, not q - 1.  A modulus of degree k is accepted
+when it is monic and irreducible, which `_check_irreducible` decides by
+trial division: no monic polynomial of degree 1..k/2 divides it.
 
 Each field builds exp/log tables to the base of its smallest primitive
 element once, so multiplication, inverses and powers are table reads on
@@ -19,6 +21,8 @@ or numpy integer arrays, giving arrays of the same shape.
 
 from __future__ import annotations
 
+import itertools
+import math
 from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
@@ -35,31 +39,12 @@ MAX_FIELD_ORDER = 2**16
 MAX_ADD_TABLE_ORDER = 1024
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p % 2 == 0:
-        return p == 2
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 2
-    return True
-
-
 def _factor_prime_power(q: int) -> tuple[int, int]:
-    """Split q into (p, k) with p prime and q = p^k, or raise."""
+    """Split q into (p, k) with q = p^k, or raise.  p is the least divisor
+    of q above 1, so it is prime."""
     if q < 2:
         raise DomainError(f"field order must be >= 2, got {q}")
-    p = None
-    for d in range(2, q + 1):
-        if d * d > q:
-            p = q
-            break
-        if q % d == 0:
-            p = d
-            break
+    p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     k = 0
     m = q
     while m % p == 0:
@@ -70,72 +55,23 @@ def _factor_prime_power(q: int) -> tuple[int, int]:
     return p, k
 
 
-# -- polynomial helpers over GF(p), coefficients as plain int lists --------
-
-def _ptrim(a: list[int]) -> list[int]:
-    while a and a[-1] == 0:
-        a.pop()
-    return a
-
-
-def _pmul(a: Sequence[int], b: Sequence[int], p: int) -> list[int]:
-    if not a or not b:
-        return []
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % p
-    return _ptrim(out)
-
-
-def _pmod(a: Sequence[int], mod: Sequence[int], p: int) -> list[int]:
-    out = list(a)
-    dm = len(mod) - 1
-    inv_lead = pow(mod[-1], p - 2, p)
-    while len(out) - 1 >= dm and out:
-        out = _ptrim(out)
-        if len(out) - 1 < dm:
-            break
-        c = (out[-1] * inv_lead) % p
-        shift = len(out) - 1 - dm
-        for i, mi in enumerate(mod):
-            out[shift + i] = (out[shift + i] - c * mi) % p
-        out = _ptrim(out)
-    return out
-
-
-def _pgcd(a: list[int], b: list[int], p: int) -> list[int]:
-    while b:
-        a, b = b, _pmod(a, b, p)
-    return a
-
-
-def _pow_x_mod(e: int, mod: Sequence[int], p: int) -> list[int]:
-    """x^e reduced modulo *mod*, by binary exponentiation."""
-    result = [1]
-    base = _pmod([0, 1], mod, p)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, p), mod, p)
-        base = _pmod(_pmul(base, base, p), mod, p)
-        e >>= 1
-    return result
-
-
 def _check_irreducible(mod: Sequence[int], p: int) -> bool:
-    """Monic degree-k poly is irreducible iff it shares no factor with
-    x^(p^i) - x for i <= k/2 (any factorization has a factor that small)."""
+    """Whether the monic degree-k polynomial *mod* over GF(p), constant
+    term first, is irreducible: whether no monic polynomial of degree
+    1..k/2 divides it, since a reducible one has a factor that small."""
     k = len(mod) - 1
-    for i in range(1, k // 2 + 1):
-        g = list(_pow_x_mod(p**i, mod, p))
-        # subtract x
-        while len(g) < 2:
-            g.append(0)
-        g[1] = (g[1] - 1) % p
-        g = _ptrim(g)
-        if len(_pgcd(list(mod), g, p)) - 1 > 0:
-            return False
+    for degree in range(1, k // 2 + 1):
+        for low in itertools.product(range(p), repeat=degree):
+            # long division by x^degree + low: each step clears the top
+            # coefficient, and the remainder is what is left below degree
+            rem = list(mod)
+            for top in range(k, degree - 1, -1):
+                c = rem[top]
+                if c:
+                    for i, b in enumerate(low, top - degree):
+                        rem[i] = (rem[i] - c * b) % p
+            if not any(rem[:degree]):
+                return False
     return True
 
 
@@ -216,13 +152,10 @@ class FieldSpec:
         object.__setattr__(self, "_arrays", arrays)
 
     @classmethod
-    def of(cls, q: int, modulus: Optional[Sequence[int]] = None,
-           max_order: int = MAX_FIELD_ORDER) -> "FieldSpec":
-        if q > max_order:
-            raise DomainError(f"field order {q} exceeds the limit {max_order}")
+    def of(cls, q: int, modulus: Optional[Sequence[int]] = None) -> "FieldSpec":
+        if q > MAX_FIELD_ORDER:
+            raise DomainError(f"field order {q} exceeds the limit {MAX_FIELD_ORDER}")
         p, k = _factor_prime_power(q)
-        if not _is_prime(p):
-            raise DomainError(f"characteristic {p} is not prime")
         if k == 1:
             if modulus is not None:
                 raise DomainError("modulus only applies to proper prime powers")

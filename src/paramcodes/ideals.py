@@ -299,7 +299,8 @@ def class_walk(matrix: ExponentMatrix, q: int,
     GrevLex order, taking j from the last variable down.  The first
     candidate of a class not seen before is standard; every other
     candidate is a lead, and its tail is the standard monomial of its
-    class.  The walk ends at the first degree with no standard monomial."""
+    class, so the leads, too, come in ascending GrevLex order.  The walk
+    ends at the first degree with no standard monomial."""
     s, n, units = matrix.s, matrix.n, q - 1
     classes = units ** n
     if classes > budget:
@@ -333,7 +334,8 @@ def class_walk(matrix: ExponentMatrix, q: int,
             rows, last = rows[keep], last[keep]
         keys = rows[:, s:] @ radix
         # sort by class, ties by position: keys * len + position is unique
-        # and below classes * len(keys)
+        # and below classes * len(keys).  numpy's stable argsort would do
+        # the same, but its first call maps 128 KiB more of numpy's code
         order = np.argsort(keys * len(keys) + np.arange(len(keys)))
         sorted_keys = keys[order]
         first = standard_of[sorted_keys] < 0
@@ -351,9 +353,7 @@ def class_walk(matrix: ExponentMatrix, q: int,
         level, last = rows[new], last[new]
         levels.append(level[:, :s])
     tails = np.concatenate(levels)[np.concatenate(tails)]
-    pairs = sorted(map(Binomial, map(tuple, leads.tolist()), map(tuple, tails.tolist())),
-                   key=lambda g: _grevlex_key(g.lead))
-    return pairs, levels
+    return list(map(Binomial, map(tuple, leads.tolist()), map(tuple, tails.tolist()))), levels
 
 
 def _divides(divisors: np.ndarray, monomials: np.ndarray) -> np.ndarray:

@@ -179,11 +179,11 @@ def test_criterion_5c_singleton_and_monotonicity():
             dims = [p.dimension for p in table]
             assert dims == sorted(dims), name
             assert all(p.dimension <= p.length for p in table), name
-            exact = [p.min_distance.exact_value for p in table
-                     if p.min_distance.exact_value is not None]
+            exact = [p.min_distance.value for p in table
+                     if p.min_distance.value is not None]
             assert exact == sorted(exact, reverse=True), name
             for p in table:
-                v = p.min_distance.exact_value
+                v = p.min_distance.value
                 if v is not None:
                     assert 1 <= v <= p.length - p.dimension + 1, (name, p.d)
 

@@ -8,8 +8,9 @@ from unittest import mock
 
 import pytest
 
-from paramcodes import codes, ideals
+from paramcodes import cli, codes, ideals
 from paramcodes.cli import main, parse_degrees
+from paramcodes.gf import FieldSpec
 from paramcodes.ideals import Binomial, ExponentMatrix
 
 TRIANGLE = ["--q", "5", "--matrix", "1 1 0; 0 1 1; 1 0 1"]
@@ -214,6 +215,26 @@ def test_torus_cross_check_over_an_extension_field(capsys):
     assert [line.split()[3] for line in out.splitlines()[1:5]] == \
         ["448", "384", "320", "256"]
     assert out.splitlines()[-1] == "cross-check ok: pipeline agrees on 4 degrees"
+
+
+def test_torus_table_builds_no_field(capsys):
+    # only --cross-check reads GF(q); the table and the refusal of a q past
+    # the order limit need neither a modulus nor a field
+    fail = mock.Mock(side_effect=AssertionError("field built"))
+    with mock.patch.object(FieldSpec, "of", fail), \
+            mock.patch.object(cli, "_check_irreducible", fail):
+        code, out, err = run_cli(capsys, "torus", "--q", "65536", "--s", "1",
+                                 "--degrees", "1..2")
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "d  length  dim  delta  delta_status  singleton_defect  mds",
+            "1  65535   2    65534  exact         0                 true",
+            "2  65535   3    65533  exact         0                 true",
+        ]
+        code, out, err = run_cli(capsys, "torus", "--q", "1048576", "--s", "1",
+                                 "--degrees", "1..2")
+        assert (code, out) == (1, "")
+        assert err == "paramcodes: error: field order 1048576 exceeds the limit 65536\n"
 
 
 def test_verify_subcommand(capsys):

@@ -712,7 +712,7 @@ def test_parameter_table_triangle(triangle_set):
     dims = [p.dimension for p in table]
     assert dims == sorted(dims)
     for p in table:
-        v = p.min_distance.exact_value
+        v = p.min_distance.value
         if v is not None:
             assert 1 <= v <= p.singleton_bound
 

@@ -1,10 +1,17 @@
+import itertools
 import random
 
 import numpy as np
 import pytest
 
 from paramcodes.errors import DomainError
-from paramcodes.gf import MAX_ADD_TABLE_ORDER, MAX_FIELD_ORDER, FieldSpec
+from paramcodes.gf import (
+    MAX_ADD_TABLE_ORDER,
+    MAX_FIELD_ORDER,
+    FieldSpec,
+    _check_irreducible,
+    _factor_prime_power,
+)
 
 from conftest import MODULI, field
 
@@ -105,6 +112,52 @@ def test_spec_validation():
     # degree-4 reducible without roots: (x^2+x+1)^2 over GF(2)
     with pytest.raises(DomainError):
         FieldSpec.of(16, [1, 0, 1, 0, 1])
+
+
+def mobius(n):
+    result, d = 1, 2
+    while d * d <= n:
+        if n % d == 0:
+            n //= d
+            if n % d == 0:
+                return 0
+            result = -result
+        d += 1
+    return -result if n > 1 else result
+
+
+@pytest.mark.parametrize("p, k", [(2, k) for k in range(1, 11)]
+                         + [(3, k) for k in range(1, 7)]
+                         + [(5, k) for k in range(1, 5)]
+                         + [(7, 1), (7, 2), (7, 3), (11, 2), (13, 2)])
+def test_irreducible_monics_match_gauss_count(p, k):
+    # Gauss: GF(p) has (1/k) sum_{e | k} mu(e) p^(k/e) monic irreducibles of
+    # degree k, a count that depends on neither the test nor its algorithm
+    want = sum(mobius(e) * p ** (k // e) for e in range(1, k + 1) if k % e == 0) // k
+    got = sum(_check_irreducible(low + (1,), p)
+              for low in itertools.product(range(p), repeat=k))
+    assert got == want
+
+
+def test_factor_prime_power_against_a_sieve():
+    limit = MAX_FIELD_ORDER
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for d in range(2, int(limit ** 0.5) + 1):
+        if sieve[d]:
+            sieve[d * d::d] = False
+    powers = {p ** k: (p, k) for p in np.flatnonzero(sieve).tolist()
+              for k in range(1, 17) if p ** k <= limit}
+
+    def factor(q):
+        try:
+            return _factor_prime_power(q)
+        except DomainError as exc:
+            return str(exc)
+
+    orders = range(2, limit + 1)
+    assert [factor(q) for q in orders] == \
+        [powers.get(q, f"{q} is not a prime power") for q in orders]
 
 
 def test_order_and_structure():
