@@ -54,7 +54,6 @@ class RunConfig:
     md_budget: int = DEFAULT_MD_BUDGET
     output_format: str = "table"
     verify: bool = False
-    threads: int = 1
 
     def field(self) -> FieldSpec:
         return FieldSpec.of(self.q, self.modulus)
@@ -184,8 +183,8 @@ def build_config(args, need_degrees: bool) -> RunConfig:
     if fmt not in ("table", "csv", "json"):
         raise UsageError(f"unknown format {fmt!r}: pick table, csv or json")
     md_budget = values.get("md_budget", DEFAULT_MD_BUDGET)
-    threads = values.get("threads", 1)
-    _check_search_limits(md_budget, threads)
+    # the sweep runs on one thread: threads is checked and ignored
+    _check_search_limits(md_budget, values.get("threads"))
     return RunConfig(
         q=values["q"],
         modulus=values.get("modulus"),
@@ -194,7 +193,6 @@ def build_config(args, need_degrees: bool) -> RunConfig:
         md_budget=md_budget,
         output_format=fmt,
         verify=bool(getattr(args, "verify", False)),
-        threads=threads,
     )
 
 
@@ -251,7 +249,7 @@ def cmd_params(args) -> int:
     config = build_config(args, need_degrees=True)
     pset = enumerate_points(config.matrix, config.field())
     rows = parameter_table(pset, config.degrees, md_budget=config.md_budget,
-                           verify=config.verify, threads=config.threads)
+                           verify=config.verify)
     print(render_rows(rows, config.output_format))
     return EXIT_OK
 
@@ -280,6 +278,12 @@ def cmd_torus(args) -> int:
     _factor_prime_power(args.q)
     if args.q > MAX_FIELD_ORDER:
         raise DomainError(f"field order {args.q} exceeds the limit {MAX_FIELD_ORDER}")
+    # every cell is at most the length, and Python prints no int of more than
+    # `digits` digits; (q-1)^s >= 2^s, so an s of 4 * digits is too large
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if digits and (args.s >= 4 * digits or (args.q - 1) ** args.s >= 10 ** digits):
+        raise DomainError(f"the length {args.q - 1}^{args.s} has more than {digits} "
+                          f"digits, Python's limit for printing an integer")
     length = (args.q - 1) ** args.s
     rows = []
     for d in degrees:
@@ -289,8 +293,7 @@ def cmd_torus(args) -> int:
     print(render_rows(rows, args.format or "table"))
     if args.cross_check and degrees:
         pset = enumerate_points(ExponentMatrix.torus(args.s), _torus_field(args.q))
-        pipeline = parameter_table(pset, degrees, md_budget=args.md_budget,
-                                   threads=args.threads or 1)
+        pipeline = parameter_table(pset, degrees, md_budget=args.md_budget)
         problems = []
         if len(pset) != length:
             problems.append(f"length {len(pset)} != {length}")
@@ -322,8 +325,7 @@ def _torus_field(q: int) -> FieldSpec:
 def cmd_verify(args) -> int:
     config = build_config(args, need_degrees=True)
     pset = enumerate_points(config.matrix, config.field())
-    checks = verify_instance(pset, config.degrees, md_budget=config.md_budget,
-                             threads=config.threads)
+    checks = verify_instance(pset, config.degrees, md_budget=config.md_budget)
     failed = [name for name, ok, _ in checks if not ok]
     for name, ok, detail in checks:
         mark = "ok  " if ok else "FAIL"
@@ -359,7 +361,7 @@ def _add_table(sub):
                      help="codeword budget for the exhaustive distance sweep "
                           "(0 skips the distance); rows the footprint bound "
                           "settles are exact above it")
-    sub.add_argument("--threads", type=int)
+    sub.add_argument("--threads", type=int, help="accepted and ignored")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -390,7 +392,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", choices=("table", "csv", "json"))
     p.add_argument("--md-budget", type=int, dest="md_budget",
                    default=DEFAULT_MD_BUDGET)
-    p.add_argument("--threads", type=int)
+    p.add_argument("--threads", type=int, help="accepted and ignored")
     p.add_argument("--cross-check", action="store_true", dest="cross_check",
                    help="run the full pipeline and diff")
     p.set_defaults(handler=cmd_torus)

@@ -53,7 +53,6 @@ row can be exact above it.
 from __future__ import annotations
 
 import itertools
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb
@@ -78,6 +77,9 @@ DEFAULT_MD_BUDGET = 20_000_000
 DEFAULT_MATRIX_BUDGET = 5_000_000
 
 _BLOCK_ROWS_TARGET = 1 << 14
+#: Cap on the codeword block's entries, m points times its columns (16 MiB
+#: of uint8), so that the block's size does not grow with the point count.
+_BLOCK_ENTRIES = 1 << 24
 #: Entries of the int words computed per write into the codeword block.
 _BLOCK_WRITE_ENTRIES = 1 << 18
 
@@ -195,8 +197,7 @@ def _normalised_combos(n: int, q: int):
             yield (0,) * lead + (1,) + tail
 
 
-def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
-                       threads: int = 1, collect: bool = False,
+def _enumerate_weights(basis: np.ndarray, spec: FieldSpec, collect: bool = False,
                        floor: int = 1) -> tuple[int, Optional[np.ndarray]]:
     """Minimum weight over the nonzero codewords of the row space; with
     collect=True also the histogram of weights over one codeword per
@@ -204,7 +205,8 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
     Without collect the sweep stops at the first weight <= floor, which
     must be a lower bound on the minimum weight.
 
-    The first k_lo rows span a block of all q^k_lo low words.  Every high
+    The first k_lo rows span a block of all q^k_lo low words, with at most
+    _BLOCK_ROWS_TARGET columns and _BLOCK_ENTRIES entries.  Every high
     word whose first nonzero coefficient is 1 is swept against the whole
     block, and the zero high word against the low words whose last nonzero
     coefficient is 1.  The floor is checked after each block row and each
@@ -212,7 +214,8 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
     k, m = basis.shape
     q = spec.order
     k_lo, block_rows = 0, 1
-    while k_lo < k - 1 and block_rows * q <= _BLOCK_ROWS_TARGET:
+    while k_lo < k - 1 and block_rows * q <= _BLOCK_ROWS_TARGET \
+            and m * block_rows * q <= _BLOCK_ENTRIES:
         block_rows *= q
         k_lo += 1
     # one low word per column, so the sweep sums m contiguous rows; each row
@@ -224,8 +227,8 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
     # unsigned type holds, so one conditional subtraction of p reduces them
     wide, p = (np.uint16 if q <= 256 else np.uint32), spec.characteristic
     low = np.zeros((m, block_rows), dtype=dtype)
-    zero_high_best = m + 1
-    zero_high_hist = np.zeros(m + 1, dtype=np.int64) if collect else None
+    best = m + 1
+    hist = np.zeros(m + 1, dtype=np.int64) if collect else None
     size = 1
     for row in basis[:k_lo]:
         step = max(1, _BLOCK_WRITE_ENTRIES // (m * size))
@@ -241,50 +244,26 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec,
         # the zero-high sweep, as each row is written: words size .. 2size - 1
         # have their last nonzero coefficient, 1, on this row
         counts = np.count_nonzero(low[:, size:2 * size], axis=0)
-        zero_high_best = min(zero_high_best, int(counts.min()))
+        best = min(best, int(counts.min()))
         if collect:
-            zero_high_hist += np.bincount(counts, minlength=m + 1)
-        elif zero_high_best <= floor:
-            return zero_high_best, None
+            hist += np.bincount(counts, minlength=m + 1)
+        elif best <= floor:
+            return best, None
         size *= q
     high = basis[k_lo:]
-    combos = list(_normalised_combos(k - k_lo, q))
-    reached = threading.Event()  # some shard has met the floor
-
-    def sweep(chunk) -> tuple[int, Optional[np.ndarray]]:
-        best = zero_high_best
-        hist = np.zeros(m + 1, dtype=np.int64) if collect else None
-        for combo in chunk:
-            if reached.is_set():
-                break
-            word = np.zeros(m, dtype=basis.dtype)
-            for c, row in zip(combo, high):
-                if c:
-                    word = spec.add(word, spec.mul(c, row))
-            # the block is closed under negation, so the Hamming distances
-            # from the word to the block are the weights of word + block
-            weights = (low != word.astype(dtype)[:, None]).sum(axis=0, dtype=np.int32)
-            best = min(best, int(weights.min()))
-            if collect:
-                hist += np.bincount(weights, minlength=m + 1)
-            elif best <= floor:
-                reached.set()
-        return best, hist
-
-    results = [(zero_high_best, zero_high_hist)]
-    if threads > 1 and len(combos) > 1:
-        chunks = [combos[i::threads] for i in range(threads)]
-        # imported only here: it loads logging and queue, about 0.9 MB and
-        # 7 ms that a one-thread run would spend for nothing
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results += pool.map(sweep, chunks)
-    else:
-        results.append(sweep(combos))
-
-    best = min(r[0] for r in results)
-    hist = sum(r[1] for r in results) if collect else None
+    for combo in _normalised_combos(k - k_lo, q):
+        word = np.zeros(m, dtype=basis.dtype)
+        for c, row in zip(combo, high):
+            if c:
+                word = spec.add(word, spec.mul(c, row))
+        # the block is closed under negation, so the Hamming distances
+        # from the word to the block are the weights of word + block
+        weights = (low != word.astype(dtype)[:, None]).sum(axis=0, dtype=np.int32)
+        best = min(best, int(weights.min()))
+        if collect:
+            hist += np.bincount(weights, minlength=m + 1)
+        elif best <= floor:
+            break
     return best, hist
 
 
@@ -302,7 +281,10 @@ def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
     lies in X*, x -> h*x permutes X*, and f(h*t) has f's degree: its
     codeword has the same weight and is zero at p_j.  So the subcode's
     minimum weight is the code's.  With k = 1 the subcode is zero, and any
-    other columns, which need not come from a group, are swept whole."""
+    other columns, which need not come from a group, are swept whole.
+
+    The sweep runs on the calling thread; `threads` is accepted and
+    ignored, for callers that still pass it."""
     spec = matrix.field
     basis, pivots = matrix.echelon
     k = len(pivots)
@@ -322,14 +304,13 @@ def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
     if within_budget:
         if k >= 2 and isinstance(matrix.pset, ParameterizedSet):
             basis = basis[1:]
-        weight, _ = _enumerate_weights(basis, spec, threads=threads, floor=lower)
+        weight, _ = _enumerate_weights(basis, spec, floor=lower)
         return MinDistance.exact(weight, "search")
     return MinDistance.bounded(lower, witness)
 
 
 def weight_distribution(matrix: EvaluationMatrix,
-                        budget: int = DEFAULT_MD_BUDGET,
-                        threads: int = 1) -> dict[int, int]:
+                        budget: int = DEFAULT_MD_BUDGET) -> dict[int, int]:
     """Full weight distribution of the code (zero codeword included)."""
     spec = matrix.field
     basis, pivots = matrix.echelon
@@ -339,7 +320,7 @@ def weight_distribution(matrix: EvaluationMatrix,
     if spec.order ** k > budget:
         raise ResourceLimitError(
             f"q^k = {spec.order ** k} codewords exceeds the budget {budget}")
-    _, hist = _enumerate_weights(basis, spec, threads=threads, collect=True)
+    _, hist = _enumerate_weights(basis, spec, collect=True)
     hist *= spec.order - 1  # each counted word stands for its q-1 multiples
     hist[0] = 1
     return {w: int(c) for w, c in enumerate(hist) if c}
@@ -413,7 +394,7 @@ class PipelineRun:
 
 def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                  md_budget: int = DEFAULT_MD_BUDGET,
-                 verify: bool = False, threads: int = 1) -> PipelineRun:
+                 verify: bool = False) -> PipelineRun:
     """Vanishing ideals, Hilbert profile, and per-degree code parameters,
     with the rank-versus-Hilbert consistency check always on.  One walk of
     the standard monomials serves the profile, the footprint bounds and
@@ -458,11 +439,10 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                     raise InternalInconsistencyError(
                         f"affine Hilbert value {ha} at degree {d} differs "
                         f"from the rank {dim}")
-        md = minimum_distance(matrix, budget=md_budget, threads=threads)
+        md = minimum_distance(matrix, budget=md_budget)
         if verify and md.method in ("footprint", "search") \
                 and pset.field.order ** dim <= md_budget:
-            swept, _ = _enumerate_weights(matrix.echelon[0], pset.field,
-                                          threads=threads)
+            swept, _ = _enumerate_weights(matrix.echelon[0], pset.field)
             if swept != md.value:
                 raise InternalInconsistencyError(
                     f"{md.method} distance {md.value} at degree {d} differs "
@@ -473,22 +453,19 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
 
 def parameter_table(pset: ParameterizedSet, degrees: Sequence[int],
                     md_budget: int = DEFAULT_MD_BUDGET,
-                    verify: bool = False, threads: int = 1
-                    ) -> list[CodeParameters]:
+                    verify: bool = False) -> list[CodeParameters]:
     """One CodeParameters record per requested degree."""
     degrees = list(degrees)
     if not degrees:
         return []
-    run = run_pipeline(pset, degrees, md_budget=md_budget, verify=verify,
-                       threads=threads)
+    run = run_pipeline(pset, degrees, md_budget=md_budget, verify=verify)
     return list(run.table)
 
 
 # -- cross-module verification -------------------------------------------------
 
 def verify_instance(pset: ParameterizedSet, degrees: Sequence[int],
-                    md_budget: int = DEFAULT_MD_BUDGET,
-                    threads: int = 1) -> list[tuple[str, bool, str]]:
+                    md_budget: int = DEFAULT_MD_BUDGET) -> list[tuple[str, bool, str]]:
     """Run every cross-module invariant and report (check, ok, detail)."""
     checks: list[tuple[str, bool, str]] = []
 
@@ -496,8 +473,7 @@ def verify_instance(pset: ParameterizedSet, degrees: Sequence[int],
         checks.append((name, bool(ok), detail))
 
     try:
-        run = run_pipeline(pset, list(degrees), md_budget=md_budget,
-                           verify=True, threads=threads)
+        run = run_pipeline(pset, list(degrees), md_budget=md_budget, verify=True)
     except InternalInconsistencyError as exc:
         record("pipeline", False, str(exc))
         return checks

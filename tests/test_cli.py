@@ -237,6 +237,48 @@ def test_torus_table_builds_no_field(capsys):
         assert err == "paramcodes: error: field order 1048576 exceeds the limit 65536\n"
 
 
+def test_torus_refuses_a_length_python_cannot_print(capsys):
+    # every cell is at most the length (q-1)^s, which must print in at most
+    # sys.get_int_max_str_digits() digits
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not digits:
+        pytest.skip("this Python prints integers of any length")
+    code, out, err = run_cli(capsys, "torus", "--q", "7", "--s", "6000",
+                             "--degrees", "1..1")
+    assert (code, out) == (1, "")
+    assert err == (f"paramcodes: error: the length 6^6000 has more than {digits} "
+                   f"digits, Python's limit for printing an integer\n")
+    code, out, err = run_cli(capsys, "torus", "--q", "7", "--s", "1500",
+                             "--degrees", "1..2")
+    assert (code, err) == (0, "")
+    assert [line.split()[1] for line in out.splitlines()[1:]] == [str(6 ** 1500)] * 2
+    # 10^s has s + 1 digits: the last s that prints and the first refused
+    code, out, err = run_cli(capsys, "torus", "--q", "11", "--s", str(digits - 1),
+                             "--degrees", "1..1", "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[1] == "1" + "0" * (digits - 1)
+    code, out, err = run_cli(capsys, "torus", "--q", "11", "--s", str(digits),
+                             "--degrees", "1..1")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"paramcodes: error: the length 10^{digits} has more")
+
+
+def test_threads_start_no_thread(capsys):
+    # --threads is accepted and ignored: the whole-code sweep of --verify at
+    # d=2 reaches the high words, and runs them on the calling thread
+    fail = mock.Mock(side_effect=AssertionError("thread started"))
+    with mock.patch("threading.Thread.start", fail):
+        code, out, err = run_cli(capsys, "params", "--verify", "--threads", "4",
+                                 *TRIANGLE, "--degrees", "1..2")
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "d  length  dim  delta  delta_status  singleton_defect  mds",
+        "1  32      4    23     exact         6                 false",
+        "2  32      10   8      exact         15                false",
+    ]
+    fail.assert_not_called()
+
+
 def test_verify_subcommand(capsys):
     code, out, _ = run_cli(capsys, "verify", *TRIANGLE, "--degrees", "1..2",
                            "--md-budget", "700")

@@ -504,21 +504,20 @@ def generator_matrix(spec, rows) -> EvaluationMatrix:
 
 
 def check_sweep(spec, rows):
-    """Distance and distribution at 1 and 3 threads equal brute force."""
+    """Distance and distribution equal brute force."""
     q, k = spec.order, len(rows)
     expected_md = brute_min_distance(rows, spec)
     expected = brute_weight_distribution(rows, spec)
-    for threads in (1, 3):
-        E = generator_matrix(spec, rows)
-        md = minimum_distance(E, threads=threads)
-        assert (md.status, md.value) == ("exact", expected_md)
-        # the full sweep too, which the witness can make unnecessary above
-        swept, _ = codes._enumerate_weights(E.echelon[0], spec, threads=threads)
-        assert swept == expected_md
-        dist = weight_distribution(E, threads=threads)
-        assert dist == expected
-        assert all(c % (q - 1) == 0 for w, c in dist.items() if w)
-        assert sum(dist.values()) == q ** k
+    E = generator_matrix(spec, rows)
+    md = minimum_distance(E)
+    assert (md.status, md.value) == ("exact", expected_md)
+    # the full sweep too, which the witness can make unnecessary above
+    swept, _ = codes._enumerate_weights(E.echelon[0], spec)
+    assert swept == expected_md
+    dist = weight_distribution(E)
+    assert dist == expected
+    assert all(c % (q - 1) == 0 for w, c in dist.items() if w)
+    assert sum(dist.values()) == q ** k
 
 
 SWEEP_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
@@ -537,12 +536,16 @@ def full_rank_codes(draw):
 
 
 # block targets 1 and 4 put every row, or all but one or two, in the high
-# part; write sizes 1 and 16 build the block one scalar, or a few, at a time
+# part, and so do block caps of 1 and 24 entries on m <= 8 points; write
+# sizes 1 and 16 build the block one scalar, or a few, at a time
 @settings(max_examples=80, deadline=None)
 @given(full_rank_codes(), st.sampled_from([1, 4, codes._BLOCK_ROWS_TARGET]),
+       st.sampled_from([1, 24, codes._BLOCK_ENTRIES]),
        st.sampled_from([1, 16, codes._BLOCK_WRITE_ENTRIES]))
-def test_sweep_matches_brute_force(code, block_rows_target, write_entries):
+def test_sweep_matches_brute_force(code, block_rows_target, block_entries,
+                                   write_entries):
     with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", block_rows_target), \
+            mock.patch.object(codes, "_BLOCK_ENTRIES", block_entries), \
             mock.patch.object(codes, "_BLOCK_WRITE_ENTRIES", write_entries):
         check_sweep(*code)
 
@@ -560,13 +563,11 @@ def test_early_stop_reports_the_minimum(code, block_rows_target):
         classes[w] = c // (spec.order - 1) if w else 0
     basis = generator_matrix(spec, rows).echelon[0]
     with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", block_rows_target):
-        for threads in (1, 3):
-            for floor in range(1, expected + 1):
-                assert codes._enumerate_weights(basis, spec, threads=threads,
-                                                floor=floor)[0] == expected
-                best, hist = codes._enumerate_weights(basis, spec, threads=threads,
-                                                      collect=True, floor=floor)
-                assert best == expected and np.array_equal(hist, classes)
+        for floor in range(1, expected + 1):
+            assert codes._enumerate_weights(basis, spec, floor=floor)[0] == expected
+            best, hist = codes._enumerate_weights(basis, spec, collect=True,
+                                                  floor=floor)
+            assert best == expected and np.array_equal(hist, classes)
 
 
 def test_sweep_single_row_code():
