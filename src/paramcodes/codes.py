@@ -15,11 +15,12 @@ the certified basis is a GrevLex basis, and GrevLex is graded, so on X*
 each monomial equals a standard monomial of no higher degree.
 
 Every point lies in the torus, so an entry of a matrix is g^(exponents .
-logs of the point) and the whole matrix is one integer product read
-through the field's exp table.  A lower degree's matrix is the first rows
-of a higher one, so each degree adds only its new rows: the standard
-monomials above the degree below are evaluated, and the echelon form is
-extended from the one below; dimension and distance share it.
+logs of the point), an integer sum read through the field's exp table.  A
+lower degree's matrix is the first rows of a higher one, so each degree
+does only its new work: it evaluates the standard monomials above the
+degree below, keeps those rows, and extends the echelon form of the rows
+before them; dimension and distance share it.  No degree copies the rows
+below; the whole matrix is evaluated from scratch only when read.
 
 Minimum distance is certified in this order.  First two bounds that need
 no search: the footprint of the standard monomials Delta of the vanishing
@@ -75,6 +76,9 @@ from .ideals import (
 
 DEFAULT_MD_BUDGET = 20_000_000
 DEFAULT_MATRIX_BUDGET = 5_000_000
+#: Cap on the whole-code sweep that verification adds, in codeword entries:
+#: one codeword per scalar class times the points.
+VERIFY_SWEEP_ENTRIES = 10**9
 
 _BLOCK_ROWS_TARGET = 1 << 14
 #: Cap on the codeword block's entries, m points times its columns (16 MiB
@@ -88,16 +92,17 @@ _BLOCK_WRITE_ENTRIES = 1 << 18
 
 @dataclass(frozen=True, eq=False)
 class EvaluationMatrix:
-    """The standard monomials of degree <= d evaluated at every point, as a
-    numpy array of canonical field ints; the row space is the code.
-    `below`, if set, is the echelon form of the first `below_rows` rows."""
+    """The standard monomials of degree <= d evaluated at every point, as
+    canonical field ints; the row space is the code.  It keeps the rows
+    of the monomials above the degree it extends, `new_rows`, and `below`,
+    the echelon form of the rows before them, if any; the whole k x m
+    array `rows` is evaluated from scratch when first read."""
 
     degree: int
     monomials: tuple[Monomial, ...]
     pset: ParameterizedSet
-    rows: np.ndarray
+    new_rows: np.ndarray
     below: Optional[tuple[np.ndarray, list[int]]] = None
-    below_rows: int = 0
 
     @property
     def field(self) -> FieldSpec:
@@ -107,6 +112,14 @@ class EvaluationMatrix:
     def num_points(self) -> int:
         return len(self.pset)
 
+    @cached_property
+    def rows(self) -> np.ndarray:
+        """Every row, read-only."""
+        if self.below is None:
+            return self.new_rows
+        levels = self.pset.standard_monomials[:self.degree + 1]
+        return _evaluate(self.pset, np.concatenate(levels))
+
     def rep_rows(self) -> np.ndarray:
         return self.rows
 
@@ -114,16 +127,33 @@ class EvaluationMatrix:
     def echelon(self) -> tuple[np.ndarray, list[int]]:
         """The reduced row echelon form and its pivots, computed once."""
         empty = (np.zeros((0, self.num_points), dtype=np.int32), [])
-        return linalg.extend_rref(*(self.below or empty),
-                                  self.rows[self.below_rows:], self.field)
+        return linalg.extend_rref(*(self.below or empty), self.new_rows, self.field)
+
+
+def _evaluate(pset: ParameterizedSet, exponents: np.ndarray) -> np.ndarray:
+    """t^a at every point for each row a of `exponents`, read-only.  Every
+    coordinate is a unit, so the value is g^(a . logs), and the dot
+    products are summed one coordinate at a time.  On X* each variable's
+    (q-1)-th power is 1, so standard monomials, like logs, have entries
+    at most q-2: the sums are int32 unless s(q-2)^2 could reach 2^31."""
+    logs, spec = pset.logs, pset.field
+    dtype = np.int32 if len(logs) * (spec.order - 2) ** 2 < 2**31 else np.int64
+    exponents = exponents.astype(dtype)
+    total = exponents[:, :1] * logs[0]
+    for column, row in zip(exponents.T[1:], logs[1:]):
+        total += column[:, None] * row
+    rows = spec.exp(total)
+    rows.flags.writeable = False  # the cached echelon form depends on it
+    return rows
 
 
 def build_evaluation_matrix(pset: ParameterizedSet, d: int,
                             budget: int = DEFAULT_MATRIX_BUDGET,
                             below: Optional[EvaluationMatrix] = None) -> EvaluationMatrix:
     """Rows are Delta<=d in ascending graded GrevLex order, columns follow
-    the canonical point order; the rows, monomials and echelon form extend
-    those of `below`.  A degree above Delta's top degree adds no row."""
+    the canonical point order; the monomials and echelon form extend those
+    of `below`, and only the monomials above its degree are evaluated.  A
+    degree above Delta's top degree adds no row."""
     if d < 0:
         raise DomainError("degree must be non-negative")
     if below and (below.pset is not pset or below.degree >= d):
@@ -135,15 +165,9 @@ def build_evaluation_matrix(pset: ParameterizedSet, d: int,
             f"the budget {budget}")
     # Delta<=below.degree is a prefix of Delta<=d
     exponents = delta[len(below.monomials) if below else 0:]
-    spec = pset.field
-    # every coordinate is a unit, so a monomial's value is g^(exponents . logs)
-    rows = spec.exp(exponents @ spec.log(pset.points).T)
-    monomials = tuple(map(tuple, exponents.tolist()))
-    if below:
-        monomials, rows = below.monomials + monomials, np.concatenate((below.rows, rows))
-    rows.flags.writeable = False  # the cached echelon form depends on it
-    base = (below.echelon, len(below.monomials)) if below else ()
-    return EvaluationMatrix(d, monomials, pset, rows, *base)
+    monomials = (below.monomials if below else ()) + tuple(map(tuple, exponents.tolist()))
+    return EvaluationMatrix(d, monomials, pset, _evaluate(pset, exponents),
+                            below.echelon if below else None)
 
 
 def code_dimension(matrix: EvaluationMatrix) -> int:
@@ -399,14 +423,16 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
     with the rank-versus-Hilbert consistency check always on.  One walk of
     the standard monomials serves the profile, the footprint bounds and
     the matrix rows, whose number is the Hilbert value: a rank equal to it
-    proves the walk's classes at each degree distinct.  Each echelon form
+    proves the walk's classes at each degree distinct.  Each matrix
     extends the previous degree's if that is lower.  With verify=True the
     bases are certified by counting (`ParameterizedSet.certify`), which
     proves that the rows span the code of all monomials (each one equals,
     on X*, a standard monomial of no higher degree, since GrevLex is
-    graded), every echelon form is recomputed by `linalg.rref`, and every
-    distance the footprint or the subcode sweep settled within the budget
-    is checked by sweeping the whole code."""
+    graded), every echelon form is recomputed by `linalg.rref` from the
+    whole matrix, and every distance the footprint or the subcode sweep
+    settled within the budget is checked by sweeping the whole code,
+    unless its codewords times the points exceed VERIFY_SWEEP_ENTRIES,
+    which raises ResourceLimitError."""
     gb_x = vanishing_ideal_affine(pset)
     gb_y = vanishing_ideal_projective(gb_x)
     if verify:
@@ -440,8 +466,14 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                         f"affine Hilbert value {ha} at degree {d} differs "
                         f"from the rank {dim}")
         md = minimum_distance(matrix, budget=md_budget)
-        if verify and md.method in ("footprint", "search") \
-                and pset.field.order ** dim <= md_budget:
+        q = pset.field.order
+        if verify and md.method in ("footprint", "search") and q ** dim <= md_budget:
+            words = (q ** dim - 1) // (q - 1)
+            if words * m > VERIFY_SWEEP_ENTRIES:
+                raise ResourceLimitError(
+                    f"verifying degree {d} would sweep {words} codewords x {m} "
+                    f"points = {words * m} entries, above the cap "
+                    f"{VERIFY_SWEEP_ENTRIES}")
             swept, _ = _enumerate_weights(matrix.echelon[0], pset.field)
             if swept != md.value:
                 raise InternalInconsistencyError(

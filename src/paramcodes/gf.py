@@ -231,8 +231,15 @@ class FieldSpec:
 
     def exp(self, e):
         """g^e for the primitive element g; e any integer or integer array."""
-        t = self._lists if type(e) is int else self._arrays
-        return t.exp[e % (self.order - 1)]
+        n = self.order - 1
+        if type(e) is int:
+            return self._lists.exp[e % n]
+        # numpy divides an int array by a constant several times faster than
+        # it takes the remainder, so e mod n is e - (e // n) n
+        reduced = e // n
+        reduced *= n
+        np.subtract(e, reduced, out=reduced)
+        return self._arrays.exp[reduced]
 
     def log(self, a):
         """Discrete logarithm to the base g, in [0, q-1); a must be nonzero."""

@@ -33,6 +33,7 @@ basis with `hilbert.standard_monomials`, not with the class walk.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -48,6 +49,8 @@ Monomial = tuple[int, ...]  # exponent tuple, one entry per variable
 DEFAULT_ENUMERATION_BUDGET = 2**20
 #: Divisibility tests per numpy call, which bounds their temporaries.
 _CHUNK_ENTRIES = 1 << 18
+#: Cap on the entries of the footprints' box (64 MiB of int32).
+_FOOTPRINT_BOX_ENTRIES = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -141,8 +144,9 @@ class BinomialBasis:
 @dataclass(frozen=True, eq=False)
 class ParameterizedSet:
     """The enumerated points of the set, one read-only m x s array of
-    canonical ints with rows in ascending order, with the vanishing
-    ideal's basis and standard monomials, each computed once.  `budget`
+    canonical ints with rows in ascending order, with their logs, the
+    vanishing ideal's basis and standard monomials, and the footprints,
+    each computed once.  `budget`
     is the enumeration budget the set was made under; it also bounds the
     class walk's table, which has one entry per parameter tuple."""
 
@@ -229,9 +233,39 @@ class ParameterizedSet:
                 "the class walk's standard monomials differ from the basis's")
 
     @cached_property
-    def _footprint_minima(self) -> list[int]:
-        """The footprint minimum of each degree of Delta reached so far."""
-        return []
+    def logs(self) -> np.ndarray:
+        """The discrete logs of the points' coordinates, one read-only int32
+        row per coordinate (s x m): every coordinate is a unit."""
+        logs = np.ascontiguousarray(self.field.log(self.points).T, dtype=np.int32)
+        logs.flags.writeable = False
+        return logs
+
+    @cached_property
+    def _footprints(self) -> list[int]:
+        """The footprint of each degree of Delta, from one pass over Delta.
+        Delta lies in the box of exponents up to its greatest exponent of
+        each variable.  Entry top - N of the box is 1 for each N in Delta;
+        after a cumulative sum along each axis, entry top - M holds the
+        number of N in Delta with N >= M, the multiples of M.  The box has
+        an entry per divisor of Delta's lcm, far more than |Delta| when
+        Delta reaches far along many variables, so its size is checked
+        before it is allocated.  The bound of degree d is the least count
+        over the degrees up to d."""
+        levels = self.standard_monomials
+        delta = np.concatenate(levels)
+        top = delta.max(axis=0)
+        size = math.prod((top + 1).tolist())
+        if size > _FOOTPRINT_BOX_ENTRIES:
+            raise ResourceLimitError(
+                f"footprint box of {size} entries exceeds the budget "
+                f"{_FOOTPRINT_BOX_ENTRIES}")
+        box = np.zeros(top + 1, dtype=np.int32)
+        index = tuple((top - delta).T)
+        box[index] = 1
+        for axis in range(box.ndim):
+            np.add.accumulate(box, axis=axis, out=box, dtype=box.dtype)
+        starts = np.cumsum([0] + [len(level) for level in levels[:-1]])
+        return np.minimum.accumulate(np.minimum.reduceat(box[index], starts)).tolist()
 
     def footprint(self, d: int) -> int:
         """Footprint lower bound on the minimum distance of the degree-d
@@ -239,18 +273,9 @@ class ParameterizedSet:
         monomials that one of degree <= d divides.  A nonzero codeword is
         f(X) for an f whose normal form leads with some M in Delta of degree
         <= d, and f has at most |Delta| - #{N in Delta : M | N} zeros on X.
-        The count for M does not depend on d, so each degree's minimum is
-        computed once, when a call first reaches that degree, and kept."""
-        delta = np.concatenate(self.standard_monomials)
-        step = max(1, _CHUNK_ENTRIES // len(delta))
-        minima = self._footprint_minima
-        for leads in self.standard_monomials[len(minima):d + 1]:
-            best = len(delta)
-            for start in range(0, len(leads), step):
-                divides = _divides(leads[start:start + step], delta)
-                best = min(best, int(divides.sum(axis=1).min()))
-            minima.append(best)
-        return min(minima[:d + 1])
+        Every degree's bound is counted in one pass, on the first call."""
+        minima = self._footprints
+        return minima[min(d, len(minima) - 1)]
 
 
 def enumerate_points(matrix: ExponentMatrix, field: FieldSpec,

@@ -1,5 +1,6 @@
 import json
 import os
+import signal
 import subprocess
 import sys
 from dataclasses import replace
@@ -438,6 +439,29 @@ def test_resource_exit_code(capsys):
                            "--matrix", "1 1 1 1 1", "--degrees", "1..1")
     assert code == 2
     assert "budget" in err
+
+
+def test_verify_refuses_a_whole_code_sweep_over_the_cap(capsys):
+    # on the GF(5) 9-torus the footprint settles d = 1 within the codeword
+    # budget, but sweeping the whole code to verify it would read
+    # (5^10 - 1)/4 codewords of 4^9 points
+    nine = "; ".join(" ".join(str(int(i == j)) for j in range(9)) for i in range(9))
+
+    def endless(signum, frame):
+        raise AssertionError("still running after 30 s")
+
+    previous = signal.signal(signal.SIGALRM, endless)
+    signal.alarm(30)
+    try:
+        code, out, err = run_cli(capsys, "params", "--q", "5", "--matrix", nine,
+                                 "--degrees", "1..1", "--verify")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (2, "")
+    assert err == ("paramcodes: resource limit: verifying degree 1 would sweep "
+                   "2441406 codewords x 262144 points = 639999934464 entries, "
+                   "above the cap 1000000000\n")
 
 
 def test_extension_field_via_modulus(capsys):

@@ -106,8 +106,8 @@ def test_standard_monomial_rows_span_the_all_monomial_code(pset):
             assert len(E.monomials) == sum(map(len, pset.standard_monomials[:d + 1]))
             assert E.echelon[1] == pivots
             assert np.array_equal(E.echelon[0], expected)
-    # past the top degree the extension adds no row
-    assert len(below.monomials) == below.below_rows == len(pset)
+    # past the top degree the extension evaluates no row
+    assert len(below.monomials) == len(pset) and len(below.new_rows) == 0
 
 
 def test_torus_past_the_all_monomial_budget():
@@ -461,6 +461,103 @@ def test_evaluation_matrix_extends_the_rows_below(rows, q, lower, d):
     assert extended.rows.dtype == alone.rows.dtype
     assert np.array_equal(extended.rows, alone.rows)
     assert not extended.rows.flags.writeable
+
+
+@settings(max_examples=30, deadline=None)
+@given(point_sets())
+def test_each_degree_evaluates_delta_directly(pset):
+    # built alone or extended, the degree-d rows are Delta<=d evaluated by
+    # products of powers of the coordinates; an extension evaluates only
+    # the monomials above the degree below
+    top, s = len(pset.standard_monomials) - 1, pset.matrix.s
+    ring = RingContext(pset.field, tuple(f"t{i + 1}" for i in range(s)))
+    monos, direct = evaluation_rows(pset, top, ring)
+    row_of = dict(zip(map(tuple, monos), direct.tolist()))
+    below = None
+    for d in range(top + 2):
+        alone = build_evaluation_matrix(pset, d)
+        extended = build_evaluation_matrix(pset, d, below=below)
+        expected = [row_of[m] for m in alone.monomials]
+        assert alone.new_rows.tolist() == expected
+        assert extended.new_rows.tolist() == \
+            expected[len(below.monomials) if below else 0:]
+        for E in (alone, extended):
+            assert E.monomials == alone.monomials
+            assert E.rows.tolist() == expected
+            assert not E.rows.flags.writeable and not E.new_rows.flags.writeable
+            with pytest.raises(ValueError):
+                E.rows[..., :1] = 0
+        below = extended
+
+
+def test_evaluation_sums_in_int64_past_the_int32_rule():
+    # over GF(46337) with s = 2, s (q-2)^2 reaches 2^31, so the sums are int64
+    pset = enumerate_points(ExponentMatrix.of([[1], [215]]), FieldSpec.of(46337))
+    E = build_evaluation_matrix(pset, 3)
+    monos, direct = evaluation_rows(pset, 3, RingContext(pset.field, ("t1", "t2")))
+    row_of = dict(zip(map(tuple, monos), direct.tolist()))
+    assert E.rows.tolist() == [row_of[m] for m in E.monomials]
+
+
+@settings(max_examples=40, deadline=None)
+@given(point_sets(), st.data())
+def test_footprint_counts_the_multiples_of_delta(pset, data):
+    # every degree's bound from one pass, asked for in any order and past
+    # Delta's top degree
+    delta = [m for level in pset.standard_monomials for m in level.tolist()]
+
+    def multiples(lead):
+        return sum(all(a <= b for a, b in zip(lead, n)) for n in delta)
+
+    top = len(pset.standard_monomials) - 1
+    order = data.draw(st.permutations(range(top + 2)))
+    assert [pset.footprint(d) for d in order] == [
+        min(multiples(lead) for lead in delta if sum(lead) <= d) for d in order]
+
+
+def test_footprint_takes_the_least_count_up_to_the_degree():
+    # a standard monomial of degree 1 divides only itself, while each one of
+    # degree 2 divides at least two, so the bound at d = 2 stays 1
+    pset = enumerate_points(ExponentMatrix.of([[1, 3], [2, 0], [3, 3]]), F5)
+    assert [pset.footprint(d) for d in range(5)] == [8, 1, 1, 1, 1]
+
+
+def test_footprint_box_checked_before_allocating(triangle_matrix, f5):
+    # the triangle's 32 standard monomials lie in a box of 4 x 4 x 4
+    pset = enumerate_points(triangle_matrix, f5)
+    size = int(np.prod(np.concatenate(pset.standard_monomials).max(axis=0) + 1))
+    with mock.patch.object(ideals, "_FOOTPRINT_BOX_ENTRIES", size - 1), \
+            mock.patch.object(np, "zeros", side_effect=AssertionError("box allocated")):
+        with pytest.raises(ResourceLimitError,
+                           match=f"footprint box of {size} entries exceeds the "
+                                 f"budget {size - 1}"):
+            pset.footprint(1)
+    with mock.patch.object(ideals, "_FOOTPRINT_BOX_ENTRIES", size):
+        assert pset.footprint(1) == 20  # below the distance 23
+    # 30 standard monomials, 1 and t1 .. t29, span a box of 2^29 entries
+    curve = enumerate_points(ExponentMatrix.of([[i] for i in range(1, 30)]),
+                             FieldSpec.of(31))
+    with pytest.raises(ResourceLimitError, match="box of 536870912 entries"):
+        curve.footprint(1)
+
+
+def test_verify_sweep_capped_by_codewords_times_points(triangle_set):
+    # at d = 2 the verifying sweep covers (5^10 - 1)/4 = 2441406 codewords
+    # of 32 points: 78125000 entries, the largest any CI verify sweeps
+    entries = 2441406 * 32
+    with mock.patch.object(codes, "VERIFY_SWEEP_ENTRIES", entries - 1), \
+            mock.patch.object(codes, "_enumerate_weights",
+                              wraps=codes._enumerate_weights) as sweep:
+        with pytest.raises(ResourceLimitError,
+                           match=f"2441406 codewords x 32 points = {entries} "
+                                 f"entries, above the cap {entries - 1}"):
+            run_pipeline(triangle_set, [2], verify=True)
+    # only the subcode sweep that found the distance ran
+    assert sweep.call_count == 1
+    assert entries <= codes.VERIFY_SWEEP_ENTRIES
+    with mock.patch.object(codes, "VERIFY_SWEEP_ENTRIES", entries):
+        (row,) = run_pipeline(triangle_set, [2], verify=True).table
+    assert (row.min_distance.value, row.min_distance.method) == (8, "search")
 
 
 def test_verify_recomputes_every_echelon_form(triangle_set):

@@ -67,6 +67,15 @@ def test_units_listing():
     assert len({FieldSpec.of(11).exp(j) for j in range(10)}) == 10
 
 
+@pytest.mark.parametrize("dtype", [np.int32, np.int64])
+def test_exp_reduces_arrays_like_ints(dtype):
+    # negative and large exponents reduce mod q-1 as Python's % does
+    spec = FieldSpec.of(13)
+    exponents = [-25, -12, -1, 0, 1, 11, 12, 300, 2**30]
+    got = spec.exp(np.array(exponents, dtype=dtype).reshape(3, 3))
+    assert got.tolist() == np.array([spec.exp(e) for e in exponents]).reshape(3, 3).tolist()
+
+
 @pytest.mark.parametrize("q", SMALL_ORDERS)
 def test_unit_group_exhaustive(q):
     spec = field(q)
