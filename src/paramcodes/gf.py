@@ -198,7 +198,15 @@ class FieldSpec:
 
     def sub(self, a, b):
         if self.extension_degree == 1:
-            return (a - b) % self.characteristic
+            p, diff = self.characteristic, a - b
+            if type(diff) is int:
+                return diff % p
+            # as in exp, e - (e // p) p; floor division keeps a negative
+            # difference's result in [0, p)
+            reduced = diff // p
+            reduced *= p
+            diff -= reduced
+            return diff
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):

@@ -248,24 +248,36 @@ class ParameterizedSet:
         after a cumulative sum along each axis, entry top - M holds the
         number of N in Delta with N >= M, the multiples of M.  The box has
         an entry per divisor of Delta's lcm, far more than |Delta| when
-        Delta reaches far along many variables, so its size is checked
-        before it is allocated.  The bound of degree d is the least count
-        over the degrees up to d."""
+        Delta reaches far along many variables, so above a cap the same
+        sums run over Delta's own rows: a monomial outside Delta has no
+        multiple in it, so its entry stays 0 and the sum along an axis
+        needs only the rows of Delta that agree off that axis.  The bound
+        of degree d is the least count over the degrees up to d."""
         levels = self.standard_monomials
         delta = np.concatenate(levels)
         top = delta.max(axis=0)
-        size = math.prod((top + 1).tolist())
-        if size > _FOOTPRINT_BOX_ENTRIES:
-            raise ResourceLimitError(
-                f"footprint box of {size} entries exceeds the budget "
-                f"{_FOOTPRINT_BOX_ENTRIES}")
-        box = np.zeros(top + 1, dtype=np.int32)
-        index = tuple((top - delta).T)
-        box[index] = 1
-        for axis in range(box.ndim):
-            np.add.accumulate(box, axis=axis, out=box, dtype=box.dtype)
+        if math.prod((top + 1).tolist()) <= _FOOTPRINT_BOX_ENTRIES:
+            box = np.zeros(top + 1, dtype=np.int32)
+            index = tuple((top - delta).T)
+            box[index] = 1
+            for axis in range(box.ndim):
+                np.add.accumulate(box, axis=axis, out=box, dtype=box.dtype)
+            counts = box[index]
+        else:
+            counts = np.ones(len(delta), dtype=np.int64)
+            for axis in range(delta.shape[1]):
+                rest = np.delete(delta, axis, axis=1)
+                # runs of rows equal off the axis, each in descending order
+                # along it, so a cumulative sum within a run is the suffix sum
+                order = np.lexsort((-delta[:, axis], *rest.T))
+                rest = rest[order]
+                starts = np.ones(len(order), dtype=bool)
+                starts[1:] = (rest[1:] != rest[:-1]).any(axis=1)
+                run = counts[order]
+                total = np.cumsum(run)
+                counts[order] = total - (total - run)[starts][np.cumsum(starts) - 1]
         starts = np.cumsum([0] + [len(level) for level in levels[:-1]])
-        return np.minimum.accumulate(np.minimum.reduceat(box[index], starts)).tolist()
+        return np.minimum.accumulate(np.minimum.reduceat(counts, starts)).tolist()
 
     def footprint(self, d: int) -> int:
         """Footprint lower bound on the minimum distance of the degree-d

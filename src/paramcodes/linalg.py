@@ -7,15 +7,20 @@ the FieldSpec array arithmetic, so one code path covers every field.
 again; the RREF of a row space is unique, so it equals `rref` of them all.
 
 Its two products, rows - coeffs . other, go through `_subtract_product`.
-On a prime field that is one integer einsum and one `% p`; negating the
-coefficients (p - c) turns the subtraction into an addition.  The sum is
-int32 when it cannot reach 2^31, else int64 (GF(65521), say).  numpy runs
-`@` on integers as a scalar loop, while einsum without `optimize` runs its
-own vector loop and never calls BLAS, so the product stays exact; in int32
-it is about 3x faster than in int64, which AVX2 cannot multiply natively.
-The row addition and `% p` run in place on the product, and `extend_rref`
-writes the old and new rows straight into their pivot order, so no
-temporary of the merged form's size is made besides the form itself.
+On a prime field they use delayed modular reduction (Dumas, Giorgi and
+Pernet, FFLAS-FFPACK): the sum runs in the narrowest of int16, int32 and
+int64 that holds a block of at least min(P, 8) of the P terms exactly,
+one integer einsum per block, and is reduced once after each block.  A
+GF(13) block holds 227 terms of int16; over GF(181), where int16 holds
+one term only, the rule takes int32 rather than one-term blocks.  numpy
+runs `@` on integers as a scalar loop, while einsum without `optimize`
+runs its own vector loop and never calls BLAS, so the product stays
+exact, and a narrower type puts more entries in each vector.  Each
+reduction is e - (e // p) p in place: numpy divides an int array by a
+constant several times faster than it takes the remainder, and floor
+division leaves [0, p) for a negative e too.  `extend_rref` writes the
+old and new rows straight into their pivot order, so no temporary of the
+merged form's size is made besides the form itself.
 """
 
 from __future__ import annotations
@@ -63,18 +68,34 @@ def rref(rows: Sequence[Sequence[int]], spec: FieldSpec) -> tuple[np.ndarray, li
     return work[:pivot_row], pivots
 
 
+#: The integer types a prime-field product may sum in, narrowest first,
+#: each with its bound 2^(bits - 1)
+_SUM_TYPES = ((np.int16, 2**15), (np.int32, 2**31), (np.int64, 2**63))
+
+
 def _subtract_product(rows: np.ndarray, coeffs: np.ndarray, other: np.ndarray,
                       spec: FieldSpec) -> np.ndarray:
-    """rows - coeffs . other over GF(q)."""
+    """rows - coeffs . other over GF(q).
+
+    On a prime field an entry in [0, p) minus a block of terms of at most
+    (p-1)^2 each stays above -top when block = (top - p) // (p-1)^2, so
+    each block is one exact einsum in the first type whose block holds
+    min(P, 8) of the P terms, and the entries go back to [0, p) after it.
+    """
     if spec.extension_degree == 1:
-        p = spec.characteristic
-        # len(other) terms of at most (p-1)^2 plus a row entry of at most
-        # p-1: below 2^31 under this test, so int32 cannot overflow
-        dtype = np.int32 if len(other) * (p - 1) ** 2 < 2**31 - p else np.int64
-        negated = (p - coeffs.astype(dtype)) % p
-        total = np.einsum("ij,jk->ik", negated, other.astype(dtype, copy=False))
-        total += rows
-        total %= p
+        p, terms = spec.characteristic, len(other)
+        dtype, block = next((dtype, (top - p) // (p - 1) ** 2)
+                            for dtype, top in _SUM_TYPES
+                            if (top - p) // (p - 1) ** 2 >= min(terms, 8))
+        coeffs = coeffs.astype(dtype, copy=False)
+        other = other.astype(dtype, copy=False)
+        total = rows.astype(dtype)
+        for start in range(0, terms, max(block, 1)):  # block 0 has no terms
+            total -= np.einsum("ij,jk->ik", coeffs[:, start:start + block],
+                               other[start:start + block])
+            reduced = total // p
+            reduced *= p
+            total -= reduced
         return total
     total = np.zeros((len(coeffs), other.shape[1]), dtype=other.dtype)
     for column, row in zip(coeffs.T, other):

@@ -523,22 +523,46 @@ def test_footprint_takes_the_least_count_up_to_the_degree():
 
 
 def test_footprint_box_checked_before_allocating(triangle_matrix, f5):
-    # the triangle's 32 standard monomials lie in a box of 4 x 4 x 4
+    # the triangle's 32 standard monomials lie in a box of 4 x 4 x 4; one
+    # entry over the cap, the counts run on Delta's rows and no box is made
     pset = enumerate_points(triangle_matrix, f5)
     size = int(np.prod(np.concatenate(pset.standard_monomials).max(axis=0) + 1))
     with mock.patch.object(ideals, "_FOOTPRINT_BOX_ENTRIES", size - 1), \
             mock.patch.object(np, "zeros", side_effect=AssertionError("box allocated")):
-        with pytest.raises(ResourceLimitError,
-                           match=f"footprint box of {size} entries exceeds the "
-                                 f"budget {size - 1}"):
-            pset.footprint(1)
-    with mock.patch.object(ideals, "_FOOTPRINT_BOX_ENTRIES", size):
         assert pset.footprint(1) == 20  # below the distance 23
+    boxed = enumerate_points(triangle_matrix, f5)
+    boxed.standard_monomials
+    with mock.patch.object(ideals, "_FOOTPRINT_BOX_ENTRIES", size), \
+            mock.patch.object(np, "zeros", wraps=np.zeros) as zeros:
+        assert boxed.footprint(1) == 20
+    zeros.assert_called_once()
     # 30 standard monomials, 1 and t1 .. t29, span a box of 2^29 entries
+    # that the cap refuses; 1 divides all of them and each t_i only itself
     curve = enumerate_points(ExponentMatrix.of([[i] for i in range(1, 30)]),
                              FieldSpec.of(31))
-    with pytest.raises(ResourceLimitError, match="box of 536870912 entries"):
-        curve.footprint(1)
+    assert [curve.footprint(d) for d in range(3)] == [30, 1, 1]
+
+
+@st.composite
+def wide_point_sets(draw):
+    """An exponent matrix with up to 5 coordinates over a small field, so
+    that Delta reaches along several variables."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = draw(st.integers(1, 2))
+    rows = draw(st.lists(st.lists(st.integers(0, 4), min_size=n, max_size=n),
+                         min_size=1, max_size=5))
+    return enumerate_points(ExponentMatrix.of(rows), field(q))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(point_sets(), wide_point_sets()))
+def test_footprint_counted_without_the_box_equals_the_box(pset):
+    boxed = pset._footprints
+    rows_only = ParameterizedSet(pset.matrix, pset.field, pset.points, pset.budget)
+    rows_only.standard_monomials
+    with mock.patch.object(ideals, "_FOOTPRINT_BOX_ENTRIES", 0), \
+            mock.patch.object(np, "zeros", side_effect=AssertionError("box allocated")):
+        assert rows_only._footprints == boxed
 
 
 def test_verify_sweep_capped_by_codewords_times_points(triangle_set):

@@ -5,8 +5,9 @@ from functools import lru_cache
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
-from paramcodes.linalg import extend_rref, rref
+from paramcodes.linalg import _subtract_product, extend_rref, rref
 
 from conftest import field
 from oracles import right_kernel_basis
@@ -109,19 +110,97 @@ def test_extend_rref_equals_rref_of_the_stack(case):
     assert np.array_equal(echelon, expected)
 
 
-@pytest.mark.parametrize("num_pivots", [1, 2])
-def test_extend_rref_at_the_int32_boundary(num_pivots):
-    # over GF(46337), (p-1)^2 + p < 2^31 < 2(p-1)^2: a product over one old
-    # pivot fits int32 and one over two does not.  Each pivot column of B
-    # holds 1, so each negated coefficient is p-1, and it meets p-1 in the
-    # last column of A; that column stays free, so a wrapped sum shows.
-    p = 46337
-    spec = cached_field(p)
+def stacked_on_a_free_column(p, num_pivots, coeff):
+    """A = [I | 0 | p-1] and B = [coeff ... coeff | 1 | p-1]: clearing the
+    old pivots from B makes num_pivots terms coeff (p-1) in the last
+    column, which stays free, so a sum that wraps shows in the result."""
     a = np.zeros((num_pivots, num_pivots + 2), dtype=np.int64)
     a[:, :num_pivots] = np.eye(num_pivots)
     a[:, -1] = p - 1
-    b = np.array([[1] * (num_pivots + 1) + [p - 1]])
+    b = np.array([[coeff] * num_pivots + [1, p - 1]])
+    return a, b
+
+
+@pytest.mark.parametrize("num_pivots", [1, 2])
+def test_extend_rref_at_the_int32_boundary(num_pivots):
+    # over GF(46337), (p-1)^2 + p < 2^31 < 2(p-1)^2: a product over one old
+    # pivot fits int32 and one over two does not.  Coefficients 1 are p-1
+    # once negated and coefficients p-1 subtract (p-1)^2 each, so either way
+    # of summing meets its largest terms.
+    p = 46337
+    spec = cached_field(p)
+    for coeff in (1, p - 1):
+        a, b = stacked_on_a_free_column(p, num_pivots, coeff)
+        echelon, pivots = extend_rref(*rref(a, spec), b, spec)
+        expected, expected_pivots = rref(np.vstack((a, b)), spec)
+        assert pivots == expected_pivots
+        assert np.array_equal(echelon, expected)
+
+
+@pytest.mark.parametrize("coeff", ["one", "p-1"])
+@pytest.mark.parametrize("p, num_pivots", [
+    # an int16 block holds 227 GF(13) terms: one block, one block, two, two
+    (13, 226), (13, 227), (13, 228), (13, 455),
+    # int16 holds one GF(181) term, so the rule takes int32 for any product
+    (181, 1), (181, 2), (181, 9),
+    # int16 holds no GF(191) term
+    (191, 1), (191, 2),
+])
+def test_extend_rref_at_the_block_boundaries(p, num_pivots, coeff):
+    # coefficients 1 are p-1 once negated and p-1 ones subtract (p-1)^2
+    # each, so either way of summing meets its largest terms
+    spec = cached_field(p)
+    a, b = stacked_on_a_free_column(p, num_pivots, 1 if coeff == "one" else p - 1)
     echelon, pivots = extend_rref(*rref(a, spec), b, spec)
     expected, expected_pivots = rref(np.vstack((a, b)), spec)
     assert pivots == expected_pivots
     assert np.array_equal(echelon, expected)
+
+
+@pytest.mark.parametrize("p, terms, dtype", [
+    (2, 600, np.int16), (13, 455, np.int16), (127, 2, np.int16),
+    (127, 3, np.int32), (181, 1, np.int16), (181, 2, np.int32),
+    (191, 0, np.int16), (191, 1, np.int32), (10007, 8, np.int32),
+    (46337, 1, np.int32), (46337, 2, np.int64), (65521, 1, np.int64),
+])
+def test_products_sum_in_the_narrowest_type_with_a_block_of_eight(p, terms, dtype):
+    # the first type whose block (top - p) // (p-1)^2 holds min(P, 8) terms
+    spec = cached_field(p)
+    total = _subtract_product(np.zeros((1, 2), dtype=np.int32),
+                              np.full((1, terms), p - 1, dtype=np.int32),
+                              np.full((terms, 2), p - 1, dtype=np.int32), spec)
+    assert total.dtype == dtype
+    assert total.tolist() == [[-terms * (p - 1) ** 2 % p] * 2]
+
+
+PRODUCT_PRIMES = [2, 5, 13, 127, 181, 191, 10007, 46337, 65521]
+
+
+@st.composite
+def products(draw):
+    """rows, coeffs and other over a prime, up to 500 terms so that GF(13)
+    takes two int16 blocks; most entries are a fill of 0, 1 or p-1."""
+    p = draw(st.sampled_from(PRODUCT_PRIMES))
+    nrows, terms, ncols = draw(st.integers(0, 3)), draw(st.integers(0, 500)), \
+        draw(st.integers(1, 4))
+
+    def matrix(shape):
+        return draw(arrays(np.int32, shape,
+                           elements=st.integers(0, p - 1) | st.just(p - 1),
+                           fill=st.sampled_from([0, 1, p - 1])))
+
+    return cached_field(p), matrix((nrows, ncols)), matrix((nrows, terms)), \
+        matrix((terms, ncols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(products())
+def test_subtract_product_equals_python_ints(case):
+    spec, rows, coeffs, other = case
+    p = spec.characteristic
+    expected = [[(int(rows[i, k]) - sum(int(c) * int(o) for c, o in
+                                        zip(coeffs[i], other[:, k]))) % p
+                 for k in range(rows.shape[1])] for i in range(len(rows))]
+    total = _subtract_product(rows, coeffs, other, spec)
+    assert total.shape == rows.shape
+    assert total.tolist() == expected
