@@ -7,7 +7,8 @@ therefore use plain residues, 0 and 1 are zero and one, and ascending ints
 give the element order used by every enumeration downstream.  Only this
 module knows the encoding; there is no element object, so polynomial
 coefficients, points and matrix entries are all such ints, and -1 is
-`neg(1)`, which is p - 1, not q - 1.  A modulus of degree k is accepted
+`neg(1)`, which is p - 1, not q - 1; in characteristic 2 that is 1, so
+`neg` returns its argument there.  A modulus of degree k is accepted
 when it is monic and irreducible, which `_check_irreducible` decides by
 trial division: no monic polynomial of degree 1..k/2 divides it.
 
@@ -17,6 +18,9 @@ every q.  Addition is % p on prime fields, XOR in characteristic 2, and
 an addition table (digit-wise arithmetic above order 1024) on the other
 extension fields.  Every arithmetic method takes Python ints, giving ints,
 or numpy integer arrays, giving arrays of the same shape.
+An extension field also hands out its arrays' k digit planes over GF(p)
+(`digits`), their inverse (`from_digits`) and the basis x^0..x^(k-1), so
+that `linalg` runs its products over GF(p) without knowing the encoding.
 """
 
 from __future__ import annotations
@@ -82,12 +86,14 @@ class _Tables:
     exp holds g^j for 0 <= j < 2(q-1) and zeros from 2(q-1) to 4(q-1);
     log[0] = 2(q-1), so exp[log[a] + log[b]] is a*b with zero included.
     add (flat, index a*q + b) exists only for odd-characteristic extension
-    fields up to MAX_ADD_TABLE_ORDER."""
+    fields up to MAX_ADD_TABLE_ORDER; digits (k x q, int16) and basis
+    exist only as arrays of extension fields."""
 
-    __slots__ = ("exp", "log", "add")
+    __slots__ = ("exp", "log", "add", "digits", "basis")
 
-    def __init__(self, exp, log, add):
+    def __init__(self, exp, log, add, digits=None, basis=None):
         self.exp, self.log, self.add = exp, log, add
+        self.digits, self.basis = digits, basis
 
 
 def _build_tables(p: int, k: int, mod: Optional[Sequence[int]]
@@ -126,7 +132,9 @@ def _build_tables(p: int, k: int, mod: Optional[Sequence[int]]
                   for i, w in enumerate(weights)).ravel()
     # logs are int64 so that pow's products of logs cannot wrap
     arrays = _Tables(np.array(exp, dtype=np.int32), np.array(log, dtype=np.int64),
-                     None if add is None else add.astype(np.int32))
+                     None if add is None else add.astype(np.int32),
+                     *((digits.T.astype(np.int16), weights.astype(np.int32))
+                       if k > 1 else ()))
     lists = _Tables(exp, log, None if add is None else add.tolist())
     return lists, arrays
 
@@ -194,7 +202,8 @@ class FieldSpec:
     def neg(self, a):
         if self.extension_degree == 1:
             return (-a) % self.characteristic
-        return self.mul(self.characteristic - 1, a)  # -1 is the int p-1
+        # -1 is the int p-1, which is 1 in characteristic 2
+        return a if self.characteristic == 2 else self.mul(self.characteristic - 1, a)
 
     def sub(self, a, b):
         if self.extension_degree == 1:
@@ -252,6 +261,23 @@ class FieldSpec:
     def log(self, a):
         """Discrete logarithm to the base g, in [0, q-1); a must be nonzero."""
         return (self._lists if type(a) is int else self._arrays).log[a]
+
+    # -- coordinates over GF(p), for extension fields -------------------------
+
+    @property
+    def basis(self) -> np.ndarray:
+        """x^0, ..., x^(k-1): the basis of GF(q) over GF(p) of `digits`."""
+        return self._arrays.basis
+
+    def digits(self, a: np.ndarray) -> np.ndarray:
+        """The k digit planes of an array: out[l] holds the coefficient of
+        x^l of each entry, in [0, p), as int16."""
+        return self._arrays.digits.take(a, axis=1)
+
+    def from_digits(self, planes: np.ndarray) -> np.ndarray:
+        """The elements whose digits in [0, p) run along the first axis of
+        *planes*: sum_l planes[l] x^l, the inverse of `digits`."""
+        return np.einsum("l,l...->...", self._arrays.basis, planes)
 
     def __str__(self) -> str:
         return f"GF({self.order})"

@@ -241,3 +241,44 @@ def test_digitwise_addition_above_table_limit():
         assert s == value_of(schoolbook_add(dx, dy, 3), 3) == spec.add(x, y)
         assert spec.add(d, y) == x == spec.sub(s, y)
         assert m == value_of(schoolbook_mul(dx, dy, mod, 3), 3)
+
+
+DIGIT_FIELDS = [(q, MODULI[q]) for q in sorted(MODULI)] + [(251**2, [1, 0, 1])]
+
+
+@pytest.mark.parametrize("q, mod", DIGIT_FIELDS)
+def test_digit_planes_round_trip(q, mod):
+    # sum_j d_j p^j = a on every element, and x^l has digit plane l only
+    spec = FieldSpec.of(q, mod)
+    p, k = spec.characteristic, spec.extension_degree
+    elems = np.arange(q).reshape(-1, 1)
+    planes = spec.digits(elems)
+    assert planes.shape == (k, q, 1) and planes.dtype == np.int16
+    assert ((planes >= 0) & (planes < p)).all()
+    assert (sum(planes[j].astype(np.int64) * p**j for j in range(k)) == elems).all()
+    assert np.array_equal(spec.from_digits(planes), elems)
+    for value in random.Random(q).sample(range(q), min(q, 50)):
+        assert spec.digits(np.array([value]))[:, 0].tolist() == digits_of(value, p, k)
+    assert np.array_equal(spec.digits(spec.basis), np.eye(k, dtype=np.int16))
+    # c x^l read through the basis is c times x, l times over
+    c = np.arange(q)
+    times_x = c
+    for x_l in spec.basis.tolist():
+        assert np.array_equal(spec.mul(c, x_l), times_x)
+        times_x = spec.mul(times_x, spec.basis[1])
+
+
+@pytest.mark.parametrize("q", [4, 8, 16, 32])
+def test_neg_and_sub_in_characteristic_two_equal_the_table_route(q):
+    # -1 is 1 there, so neg(a) must equal mul(1, a) and sub(a, b) add(a, mul(1, b))
+    spec = field(q)
+    for a in range(q):
+        assert spec.neg(a) == spec.mul(1, a) == a
+        for b in range(q):
+            assert spec.sub(a, b) == spec.add(a, spec.mul(1, b))
+    elems = np.arange(q)
+    a, b = elems[:, None], elems[None, :]
+    assert np.array_equal(spec.neg(elems), spec.mul(1, elems))
+    assert np.array_equal(spec.sub(a, b), spec.add(a, spec.mul(1, b)))
+    assert np.array_equal(spec.sub(a, b), [[spec.sub(x, y) for y in range(q)]
+                                           for x in range(q)])

@@ -7,6 +7,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
+from paramcodes import linalg
+from paramcodes.gf import FieldSpec
 from paramcodes.linalg import _subtract_product, extend_rref, rref
 
 from conftest import field
@@ -204,3 +206,109 @@ def test_subtract_product_equals_python_ints(case):
     total = _subtract_product(rows, coeffs, other, spec)
     assert total.shape == rows.shape
     assert total.tolist() == expected
+
+
+# every extension field of the tests, and GF(63001) = GF(251^2), where one
+# term, 250^2, overflows int16, so that its sums run in int32
+EXTENSION_ORDERS = [4, 8, 9, 16, 25, 27, 32, 251**2]
+
+
+@lru_cache
+def extension_field(q):
+    return FieldSpec.of(q, [1, 0, 1]) if q == 251**2 else field(q)
+
+
+def subtract_product_by_python_ints(spec, rows, coeffs, other):
+    """rows - coeffs . other by the scalar field operations on Python ints."""
+    return [[spec.sub(int(rows[i, c]), dot(spec, coeffs[i], other[:, c]))
+             for c in range(rows.shape[1])] for i in range(len(rows))]
+
+
+@st.composite
+def extension_products(draw):
+    """rows, coeffs and other over an extension field, up to 40 terms; most
+    entries are a fill of 0, 1, q-1 or the generator of GF(q) over GF(p)."""
+    spec = extension_field(draw(st.sampled_from(EXTENSION_ORDERS)))
+    q = spec.order
+    nrows, terms, ncols = draw(st.integers(0, 3)), draw(st.integers(0, 40)), \
+        draw(st.integers(1, 4))
+
+    def matrix(shape):
+        return draw(arrays(np.int32, shape, elements=st.integers(0, q - 1),
+                           fill=st.sampled_from([0, 1, q - 1, spec.characteristic])))
+
+    return spec, matrix((nrows, ncols)), matrix((nrows, terms)), \
+        matrix((terms, ncols))
+
+
+@settings(max_examples=150, deadline=None)
+@given(extension_products())
+@example((extension_field(251**2), np.full((1, 2), 63000, dtype=np.int32),
+          np.full((1, 3), 63000, dtype=np.int32), np.full((3, 2), 63000, dtype=np.int32)))
+def test_subtract_product_on_extension_fields_equals_python_ints(case):
+    spec, rows, coeffs, other = case
+    total = _subtract_product(rows, coeffs, other, spec)
+    assert total.shape == rows.shape
+    assert total.tolist() == subtract_product_by_python_ints(spec, rows, coeffs, other)
+
+
+@pytest.mark.parametrize("num_pivots, blocks", [(4095, [8190]), (4096, [8191, 1])])
+def test_extension_products_at_the_int16_block_boundary(monkeypatch, num_pivots, blocks):
+    # an int16 block holds (2^15 - 3) // 4 = 8191 GF(9) terms.  With the
+    # modulus x^2 + 1, c = 2 + x has c x^0 and c x^1 both of digit 0 equal
+    # to 2, and other = 2 + 2x has both digits 2, so digit 0 of every row
+    # meets 2 * num_pivots terms of (p-1)^2 = 4 each
+    spec = cached_field(9)
+    seen = []
+    einsum = np.einsum
+
+    def spy(subscripts, *operands, **kwargs):
+        if subscripts == "ij,jk->ik":
+            seen.append(operands[0].shape[1])
+        return einsum(subscripts, *operands, **kwargs)
+
+    monkeypatch.setattr(np, "einsum", spy)
+    rows = np.zeros((2, 3), dtype=np.int32)
+    rows[1] = [1, 4, 8]
+    coeffs = np.full((2, num_pivots), 5, dtype=np.int32)
+    other = np.full((num_pivots, 3), 8, dtype=np.int32)
+    total = _subtract_product(rows, coeffs, other, spec)
+    assert seen == blocks
+    assert total.tolist() == subtract_product_by_python_ints(spec, rows, coeffs, other)
+
+
+@pytest.mark.parametrize("q", [9, 16, 251**2])
+@pytest.mark.parametrize("cap", ["one", "below one slab", "below one chunk", "default"])
+def test_extension_products_in_slabs_equal_one_slab(monkeypatch, q, cap):
+    # rows and columns in slabs give the product of one slab, and no digit
+    # array made passes the cap
+    spec = extension_field(q)
+    k = spec.extension_degree
+    rng = np.random.default_rng(q)
+    rows, coeffs, other = (rng.integers(0, q, shape, dtype=np.int32)
+                           for shape in [(5, 11), (5, 7), (7, 11)])
+    whole = _subtract_product(rows, coeffs, other, spec)
+    limit = {"one": 1, "below one slab": k * (5 + 7) * 11 - 1,
+             "below one chunk": k * k * 5 * 7 - 1, "default": linalg.MAX_DIGIT_ENTRIES}[cap]
+    monkeypatch.setattr(linalg, "MAX_DIGIT_ENTRIES", limit)
+    sizes = []
+    digits = FieldSpec.digits
+
+    def spy(self, a):
+        planes = digits(self, a)
+        sizes.append(planes.size)
+        return planes
+
+    monkeypatch.setattr(FieldSpec, "digits", spy)
+    total = _subtract_product(rows, coeffs, other, spec)
+    assert np.array_equal(total, whole)
+    assert total.tolist() == subtract_product_by_python_ints(spec, rows, coeffs, other)
+    # at a cap of one entry each array still holds one row or one column
+    assert max(sizes) <= max(limit, k * k * 7, k * 7)
+    if cap == "default":
+        assert len(sizes) == 3  # one chunk and one slab: left, rows, right
+    else:
+        assert len(sizes) > 3
+    if cap == "one":
+        # per row a left side, and per column of it the rows and right side
+        assert len(sizes) == 5 * (1 + 2 * 11)
