@@ -26,7 +26,7 @@ from .codes import (
     verify_instance,
 )
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
-from .gf import MAX_FIELD_ORDER, FieldSpec, _check_irreducible, _factor_prime_power
+from .gf import FieldSpec, _check_irreducible, _factor_prime_power
 from .ideals import (
     ExponentMatrix,
     enumerate_points,
@@ -103,10 +103,17 @@ def _check_search_limits(md_budget: int, threads: Optional[int]) -> None:
         raise UsageError("threads must be >= 1")
 
 
+#: Each config key and the parser of its text.  Its flag's attribute is the
+#: key with "-" as "_"; a matrix line is one row, --matrix all of them.
+_CONFIG_KEYS = {"q": int, "modulus": _int_list, "matrix": _int_list,
+                "degrees": parse_degrees, "md-budget": int, "format": str,
+                "threads": int}
+
+
 def parse_config_file(path: str, args: argparse.Namespace) -> dict:
-    """Flat key-value lines; 'matrix' repeats, one row per line.  A key
-    whose flag the subcommand of `args` lacks is refused."""
-    values: dict = {"matrix": []}
+    """Flat key-value lines, by flag attribute.  A key whose flag the
+    subcommand of `args` lacks is refused."""
+    values: dict = {}
     try:
         with open(path, encoding="utf-8") as handle:
             lines = handle.readlines()
@@ -116,38 +123,24 @@ def parse_config_file(path: str, args: argparse.Namespace) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        if "=" in line:
-            key, _, rest = line.partition("=")
-        else:
-            key, _, rest = line.partition(" ")
+        key, _, rest = line.partition("=" if "=" in line else " ")
         key, rest = key.strip(), rest.strip()
         if not rest:
             raise UsageError(f"{path}:{lineno}: key {key!r} has no value")
-        if key in ("degrees", "md-budget", "format", "threads") \
-                and not hasattr(args, key.replace("-", "_")):
+        if key not in _CONFIG_KEYS:
+            raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+        attr = key.replace("-", "_")
+        if not hasattr(args, attr):
             raise UsageError(
                 f"{path}:{lineno}: key {key!r} does not apply to {args.command}")
         try:
-            if key == "q":
-                values["q"] = int(rest)
-            elif key == "modulus":
-                values["modulus"] = _int_list(rest)
-            elif key == "matrix":
-                values["matrix"].append(_int_list(rest))
-            elif key == "degrees":
-                values["degrees"] = parse_degrees(rest)
-            elif key == "md-budget":
-                values["md_budget"] = int(rest)
-            elif key == "format":
-                values["output_format"] = rest
-            elif key == "threads":
-                values["threads"] = int(rest)
-            else:
-                raise UsageError(f"{path}:{lineno}: unknown key {key!r}")
+            value = _CONFIG_KEYS[key](rest)
         except ValueError as exc:
             raise UsageError(f"{path}:{lineno}: {exc}") from exc
-    if not values["matrix"]:
-        del values["matrix"]
+        if key == "matrix":
+            values.setdefault(attr, []).append(value)
+        else:
+            values[attr] = value
     return values
 
 
@@ -156,18 +149,11 @@ def build_config(args, need_degrees: bool) -> RunConfig:
     values: dict = {}
     if getattr(args, "config", None):
         values = parse_config_file(args.config, args)
-    if getattr(args, "q", None) is not None:
-        values["q"] = args.q
-    for flag, parse in (("modulus", _int_list), ("matrix", parse_matrix_flag),
-                        ("degrees", parse_degrees)):
-        if getattr(args, flag, None) is not None:
-            values[flag] = _parse_flag(flag, parse, getattr(args, flag))
-    if getattr(args, "md_budget", None) is not None:
-        values["md_budget"] = args.md_budget
-    if getattr(args, "format", None) is not None:
-        values["output_format"] = args.format
-    if getattr(args, "threads", None) is not None:
-        values["threads"] = args.threads
+    for key, parse in _CONFIG_KEYS.items():
+        attr = key.replace("-", "_")
+        if getattr(args, attr, None) is not None:
+            parse = parse_matrix_flag if key == "matrix" else parse
+            values[attr] = _parse_flag(key, parse, getattr(args, attr))
 
     if "q" not in values:
         raise UsageError("missing field order: give --q or a config with q")
@@ -179,7 +165,7 @@ def build_config(args, need_degrees: bool) -> RunConfig:
         matrix = ExponentMatrix.of(values["matrix"])
     except DomainError as exc:
         raise UsageError(str(exc)) from exc
-    fmt = values.get("output_format", "table")
+    fmt = values.get("format", "table")
     if fmt not in ("table", "csv", "json"):
         raise UsageError(f"unknown format {fmt!r}: pick table, csv or json")
     md_budget = values.get("md_budget", DEFAULT_MD_BUDGET)
@@ -225,15 +211,9 @@ def render_rows(rows: Sequence[CodeParameters], fmt: str) -> str:
             delta = md.value
             if md.status == "bounded":
                 delta = {"lower": md.lower, "upper": md.upper}
-            payload.append({
-                "d": p.d,
-                "length": p.length,
-                "dim": p.dimension,
-                "delta": delta,
-                "delta_status": md.status,
-                "singleton_defect": p.singleton_defect,
-                "mds": p.mds,
-            })
+            payload.append(dict(zip(_COLUMNS, (
+                p.d, p.length, p.dimension, delta, md.status,
+                p.singleton_defect, p.mds))))
         return json.dumps(payload, indent=2)
     # plain aligned table
     cells = [list(_COLUMNS)] + [_row_cells(p) for p in rows]
@@ -276,8 +256,6 @@ def cmd_torus(args) -> int:
     degrees = _parse_flag("degrees", parse_degrees, args.degrees) if args.degrees else []
     # the table needs no field, only a q for which GF(q) exists
     _factor_prime_power(args.q)
-    if args.q > MAX_FIELD_ORDER:
-        raise DomainError(f"field order {args.q} exceeds the limit {MAX_FIELD_ORDER}")
     # every cell is at most the length, and Python prints no int of more than
     # `digits` digits; (q-1)^s >= 2^s, so an s of 4 * digits is too large
     digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
@@ -416,10 +394,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         # interpreter exit cannot raise again
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except UsageError as exc:
-        print(f"paramcodes: error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except DomainError as exc:
+    except (UsageError, DomainError) as exc:
         print(f"paramcodes: error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ResourceLimitError as exc:

@@ -45,9 +45,12 @@ MAX_ADD_TABLE_ORDER = 1024
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
     """Split q into (p, k) with q = p^k, or raise.  p is the least divisor
-    of q above 1, so it is prime."""
+    of q above 1, so it is prime.  An order above the limit is refused
+    before any division."""
     if q < 2:
         raise DomainError(f"field order must be >= 2, got {q}")
+    if q > MAX_FIELD_ORDER:
+        raise DomainError(f"field order {q} exceeds the limit {MAX_FIELD_ORDER}")
     p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
     k = 0
     m = q
@@ -161,8 +164,6 @@ class FieldSpec:
 
     @classmethod
     def of(cls, q: int, modulus: Optional[Sequence[int]] = None) -> "FieldSpec":
-        if q > MAX_FIELD_ORDER:
-            raise DomainError(f"field order {q} exceeds the limit {MAX_FIELD_ORDER}")
         p, k = _factor_prime_power(q)
         if k == 1:
             if modulus is not None:

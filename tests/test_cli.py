@@ -238,6 +238,31 @@ def test_torus_table_builds_no_field(capsys):
         assert err == "paramcodes: error: field order 1048576 exceeds the limit 65536\n"
 
 
+def test_torus_refuses_an_order_over_the_limit_before_factoring(capsys):
+    # trial division of this prime would run for hours
+    def endless(signum, frame):
+        raise AssertionError("still running after 10 s")
+
+    previous = signal.signal(signal.SIGALRM, endless)
+    signal.alarm(10)
+    try:
+        code, out, err = run_cli(capsys, "torus", "--q", "1000000000000000003",
+                                 "--s", "1", "--degrees", "1")
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert (code, out) == (1, "")
+    assert err == ("paramcodes: error: field order 1000000000000000003 exceeds "
+                   "the limit 65536\n")
+    # an order over the limit that is no prime power gets the same line as params
+    code, out, err = run_cli(capsys, "torus", "--q", "70000", "--s", "1",
+                             "--degrees", "1")
+    assert (code, out) == (1, "")
+    assert err == "paramcodes: error: field order 70000 exceeds the limit 65536\n"
+    assert run_cli(capsys, "params", "--q", "70000", "--matrix", "1",
+                   "--degrees", "1") == (code, out, err)
+
+
 def test_torus_refuses_a_length_python_cannot_print(capsys):
     # every cell is at most the length (q-1)^s, which must print in at most
     # sys.get_int_max_str_digits() digits
@@ -346,6 +371,41 @@ def test_config_errors(tmp_path, capsys):
                            "--degrees", "1..2")
     assert code == 1
     assert "unknown key" in err
+
+    novalue = tmp_path / "novalue.cfg"
+    novalue.write_text("q 5\nmatrix 1 1 0\nmatrix 0 1 1\nmatrix 1 0 1\nformat\n")
+    code, out, err = run_cli(capsys, "params", "--config", str(novalue),
+                             "--degrees", "1")
+    assert (code, out) == (1, "")
+    assert err == f"paramcodes: error: {novalue}:5: key 'format' has no value\n"
+
+    missing = tmp_path / "missing.cfg"
+    code, out, err = run_cli(capsys, "params", "--config", str(missing),
+                             "--degrees", "1")
+    assert (code, out) == (1, "")
+    assert err == (f"paramcodes: error: cannot read config {missing}: [Errno 2] "
+                   f"No such file or directory: '{missing}'\n")
+
+
+# a value for each config key; matrix takes one line per row
+CONFIG_VALUES = {"q": ["9"], "modulus": ["1 0 1"], "matrix": ["1 2", "2 1"],
+                 "degrees": ["1..2"], "md-budget": ["0"], "format": ["csv"],
+                 "threads": ["2"]}
+
+
+@pytest.mark.parametrize("separator", [" ", " = "], ids=["space", "equals"])
+@pytest.mark.parametrize("key", list(cli._CONFIG_KEYS))
+def test_each_config_key_means_what_its_flag_means(tmp_path, capsys, key,
+                                                   separator):
+    flags = [arg for k, rows in CONFIG_VALUES.items() if k != key
+             for arg in (f"--{k}", "; ".join(rows))]
+    config = tmp_path / "one.cfg"
+    config.write_text("".join(f"{key}{separator}{row}  # {key}\n"
+                              for row in CONFIG_VALUES[key]))
+    want = run_cli(capsys, "params", *flags, f"--{key}",
+                   "; ".join(CONFIG_VALUES[key]))
+    assert want[0] == 0 and want[1]
+    assert run_cli(capsys, "params", *flags, "--config", str(config)) == want
 
 
 @pytest.mark.parametrize("argv, line", [
