@@ -3,12 +3,12 @@
 The pipeline: enumerate the point set cut out by an exponent matrix,
 read its vanishing ideal, a basis of pure binomials, and its standard
 monomials off one walk over the classes of exponent vectors that agree on
-the set, homogenize to the projective closure, read length and dimension
-off the Hilbert function, and certify the minimum distance by the
-footprint bound, a witness codeword and, where those differ, a codeword
-search.  The basis is certified by counting: binomials that vanish on the
-set and have as many standard monomials as it has points form a Groebner
-basis of its vanishing ideal.
+the set, read length and dimension off the Hilbert function of the
+projective closure, which counts those standard monomials by degree, and
+certify the minimum distance by the footprint bound, a witness codeword
+and, where those differ, a codeword search.  The basis is certified by
+counting: binomials that vanish on the set and have as many standard
+monomials as it has points form a Groebner basis of its vanishing ideal.
 """
 
 import os
@@ -42,7 +42,6 @@ from .codes import (
     torus_dimension,
     torus_min_distance,
     verify_instance,
-    weight_distribution,
 )
 
 __version__ = "0.1.0"
@@ -74,5 +73,4 @@ __all__ = [
     "vanishing_ideal_affine",
     "vanishing_ideal_projective",
     "verify_instance",
-    "weight_distribution",
 ]

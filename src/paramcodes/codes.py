@@ -64,15 +64,8 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .gf import FieldSpec
-from .hilbert import HilbertProfile, affine_hilbert_value, hilbert_profile
-from .ideals import (
-    BinomialBasis,
-    ExponentMatrix,
-    Monomial,
-    ParameterizedSet,
-    vanishing_ideal_affine,
-    vanishing_ideal_projective,
-)
+from .hilbert import affine_hilbert_value
+from .ideals import ExponentMatrix, Monomial, ParameterizedSet, vanishing_ideal_projective
 
 DEFAULT_MD_BUDGET = 20_000_000
 DEFAULT_MATRIX_BUDGET = 5_000_000
@@ -221,13 +214,10 @@ def _normalised_combos(n: int, q: int):
             yield (0,) * lead + (1,) + tail
 
 
-def _enumerate_weights(basis: np.ndarray, spec: FieldSpec, collect: bool = False,
-                       floor: int = 1) -> tuple[int, Optional[np.ndarray]]:
-    """Minimum weight over the nonzero codewords of the row space; with
-    collect=True also the histogram of weights over one codeword per
-    scalar class (q-1 nonzero codewords share each weight it counts).
-    Without collect the sweep stops at the first weight <= floor, which
-    must be a lower bound on the minimum weight.
+def _enumerate_weights(basis: np.ndarray, spec: FieldSpec, floor: int = 1) -> int:
+    """Minimum weight over the nonzero codewords of the row space, one
+    codeword per scalar class.  The sweep stops at the first weight <=
+    floor, which must be a lower bound on the minimum weight.
 
     The first k_lo rows span a block of all q^k_lo low words, with at most
     _BLOCK_ROWS_TARGET columns and _BLOCK_ENTRIES entries.  Every high
@@ -252,7 +242,6 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec, collect: bool = False
     wide, p = (np.uint16 if q <= 256 else np.uint32), spec.characteristic
     low = np.zeros((m, block_rows), dtype=dtype)
     best = m + 1
-    hist = np.zeros(m + 1, dtype=np.int64) if collect else None
     size = 1
     for row in basis[:k_lo]:
         step = max(1, _BLOCK_WRITE_ENTRIES // (m * size))
@@ -269,10 +258,8 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec, collect: bool = False
         # have their last nonzero coefficient, 1, on this row
         counts = np.count_nonzero(low[:, size:2 * size], axis=0)
         best = min(best, int(counts.min()))
-        if collect:
-            hist += np.bincount(counts, minlength=m + 1)
-        elif best <= floor:
-            return best, None
+        if best <= floor:
+            return best
         size *= q
     high = basis[k_lo:]
     for combo in _normalised_combos(k - k_lo, q):
@@ -284,11 +271,9 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec, collect: bool = False
         # from the word to the block are the weights of word + block
         weights = (low != word.astype(dtype)[:, None]).sum(axis=0, dtype=np.int32)
         best = min(best, int(weights.min()))
-        if collect:
-            hist += np.bincount(weights, minlength=m + 1)
-        elif best <= floor:
+        if best <= floor:
             break
-    return best, hist
+    return best
 
 
 def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
@@ -328,26 +313,9 @@ def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
     if within_budget:
         if k >= 2 and isinstance(matrix.pset, ParameterizedSet):
             basis = basis[1:]
-        weight, _ = _enumerate_weights(basis, spec, floor=lower)
+        weight = _enumerate_weights(basis, spec, floor=lower)
         return MinDistance.exact(weight, "search")
     return MinDistance.bounded(lower, witness)
-
-
-def weight_distribution(matrix: EvaluationMatrix,
-                        budget: int = DEFAULT_MD_BUDGET) -> dict[int, int]:
-    """Full weight distribution of the code (zero codeword included)."""
-    spec = matrix.field
-    basis, pivots = matrix.echelon
-    k = len(pivots)
-    if k == 0:
-        return {0: 1}
-    if spec.order ** k > budget:
-        raise ResourceLimitError(
-            f"q^k = {spec.order ** k} codewords exceeds the budget {budget}")
-    _, hist = _enumerate_weights(basis, spec, collect=True)
-    hist *= spec.order - 1  # each counted word stands for its q-1 multiples
-    hist[0] = 1
-    return {w: int(c) for w, c in enumerate(hist) if c}
 
 
 # -- closed forms for the torus ----------------------------------------------
@@ -410,39 +378,36 @@ class PipelineRun:
     """Everything the pipeline produces for one point set."""
 
     pset: ParameterizedSet
-    gb_affine: BinomialBasis
-    gb_projective: BinomialBasis
-    profile: HilbertProfile
     table: tuple[CodeParameters, ...]
 
 
 def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                  md_budget: int = DEFAULT_MD_BUDGET,
                  verify: bool = False) -> PipelineRun:
-    """Vanishing ideals, Hilbert profile, and per-degree code parameters,
-    with the rank-versus-Hilbert consistency check always on.  One walk of
-    the standard monomials serves the profile, the footprint bounds and
-    the matrix rows, whose number is the Hilbert value: a rank equal to it
-    proves the walk's classes at each degree distinct.  Each matrix
-    extends the previous degree's if that is lower.  With verify=True the
-    bases are certified by counting (`ParameterizedSet.certify`), which
-    proves that the rows span the code of all monomials (each one equals,
-    on X*, a standard monomial of no higher degree, since GrevLex is
-    graded), every echelon form is recomputed by `linalg.rref` from the
+    """Per-degree code parameters, with the rank-versus-Hilbert check
+    always on.  One walk of the standard monomials serves the footprint
+    bounds and the matrix rows.  The homogenizing variable divides no
+    leading monomial, so the Hilbert value of the projective closure at d
+    is |Delta<=d|, the number of rows of the degree-d matrix, and the ring
+    degree is |Delta|: a rank equal to the rows proves the walk's classes
+    at each degree distinct.  Each matrix extends the previous degree's
+    if that is lower.  With verify=True the affine basis and its
+    homogenization are certified by counting (`ParameterizedSet.certify`),
+    which proves that the rows span the code of all monomials (each one
+    equals, on X*, a standard monomial of no higher degree, since GrevLex
+    is graded), each rank is compared with the affine Hilbert value of
+    the basis, every echelon form is recomputed by `linalg.rref` from the
     whole matrix, and every distance the footprint or the subcode sweep
     settled within the budget is checked by sweeping the whole code,
     unless its codewords times the points exceed VERIFY_SWEEP_ENTRIES,
     which raises ResourceLimitError."""
-    gb_x = vanishing_ideal_affine(pset)
-    gb_y = vanishing_ideal_projective(gb_x)
     if verify:
-        pset.certify(gb_y)
-    profile = hilbert_profile(gb_y, levels=pset.standard_monomials)
+        pset.certify(vanishing_ideal_projective(pset.affine_basis))
     m = len(pset)
-    if profile.degree_of_ring != m:
+    degree = sum(map(len, pset.standard_monomials))
+    if degree != m:
         raise InternalInconsistencyError(
-            f"ring degree {profile.degree_of_ring} differs from the "
-            f"{m} enumerated points")
+            f"ring degree {degree} differs from the {m} enumerated points")
     rows, matrix = [], None
     for d in degrees:
         matrix = build_evaluation_matrix(
@@ -453,18 +418,16 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
             if pivots != matrix.echelon[1] or (echelon != matrix.echelon[0]).any():
                 raise InternalInconsistencyError(
                     f"echelon form at degree {d} differs from a reduction from scratch")
-        if d >= 1:
-            h = profile.values.get(d, profile.degree_of_ring)
-            if dim != h:
+        if dim != len(matrix.monomials):
+            raise InternalInconsistencyError(
+                f"rank {dim} of the evaluation matrix at degree {d} "
+                f"differs from the Hilbert value {len(matrix.monomials)}")
+        if verify:
+            ha = affine_hilbert_value(pset.affine_basis, d)
+            if dim != ha:
                 raise InternalInconsistencyError(
-                    f"rank {dim} of the evaluation matrix at degree {d} "
-                    f"differs from the Hilbert value {h}")
-            if verify:
-                ha = affine_hilbert_value(gb_x, d)
-                if dim != ha:
-                    raise InternalInconsistencyError(
-                        f"affine Hilbert value {ha} at degree {d} differs "
-                        f"from the rank {dim}")
+                    f"affine Hilbert value {ha} at degree {d} differs "
+                    f"from the rank {dim}")
         md = minimum_distance(matrix, budget=md_budget)
         q = pset.field.order
         if verify and md.method in ("footprint", "search") and q ** dim <= md_budget:
@@ -474,13 +437,13 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                     f"verifying degree {d} would sweep {words} codewords x {m} "
                     f"points = {words * m} entries, above the cap "
                     f"{VERIFY_SWEEP_ENTRIES}")
-            swept, _ = _enumerate_weights(matrix.echelon[0], pset.field)
+            swept = _enumerate_weights(matrix.echelon[0], pset.field)
             if swept != md.value:
                 raise InternalInconsistencyError(
                     f"{md.method} distance {md.value} at degree {d} differs "
                     f"from the sweep's {swept}")
         rows.append(CodeParameters(d, m, dim, md))
-    return PipelineRun(pset, gb_x, gb_y, profile, tuple(rows))
+    return PipelineRun(pset, tuple(rows))
 
 
 def parameter_table(pset: ParameterizedSet, degrees: Sequence[int],
@@ -516,7 +479,7 @@ def verify_instance(pset: ParameterizedSet, degrees: Sequence[int],
     # is the homogenization of the affine one, and the count of standard
     # monomials proves the affine basis a Groebner basis, so every
     # S-polynomial reduces to zero, and its homogenization one too
-    gb_x = run.gb_affine
+    gb_x = pset.affine_basis
     record("buchberger-criterion-affine", True, "every S-polynomial reduces to zero")
     record("buchberger-criterion-projective", True, "homogenized basis re-checked")
     record("binomial-generators", all(g.lead != g.tail for g in gb_x),
@@ -528,12 +491,12 @@ def verify_instance(pset: ParameterizedSet, degrees: Sequence[int],
     record("dehomogenize-recovers-affine", True,
            "setting the new variable to 1 gives back the affine basis")
 
-    record("degree-equals-point-count",
-           run.profile.degree_of_ring == len(pset),
-           f"ring degree {run.profile.degree_of_ring}, points {len(pset)}")
-    record("stabilization-bound",
-           run.profile.stabilized_at <= max(len(pset) - 1, 0),
-           f"stabilized at {run.profile.stabilized_at}")
+    levels = pset.standard_monomials
+    degree, top = sum(map(len, levels)), len(levels) - 1
+    record("degree-equals-point-count", degree == len(pset),
+           f"ring degree {degree}, points {len(pset)}")
+    record("stabilization-bound", top <= max(len(pset) - 1, 0),
+           f"stabilized at {top}")
 
     dims = [p.dimension for p in run.table]
     record("dimension-monotone",

@@ -10,8 +10,9 @@ The functions here read only the leads of a `BinomialBasis`: the Hilbert
 function of an ideal is that of its leading monomials.  `standard_monomials`
 walks them from any list of leading monomials.  The pipeline does not need
 it: `ideals.class_walk` returns the standard monomials of a point set
-together with its basis, and `hilbert_profile` takes those levels.  So this
-walk is the independent count of the counting certificate in
+together with its basis, and the parameter table reads each Hilbert value
+off those levels as the row count of its evaluation matrix.  So this walk
+is the independent count of the counting certificate in
 `ideals.ParameterizedSet.certify` and of the affine Hilbert values that
 `--verify` compares with each rank, and it serves the Hilbert values of a
 bare basis.
@@ -105,18 +106,13 @@ def affine_hilbert_value(gb_x: BinomialBasis, d: int) -> int:
     return sum(map(len, standard_monomials(gb_x.leads, len(gb_x.names), top=d)))
 
 
-def hilbert_profile(gb_y: BinomialBasis,
-                    levels: Optional[list[np.ndarray]] = None) -> HilbertProfile:
+def hilbert_profile(gb_y: BinomialBasis) -> HilbertProfile:
     """The Hilbert function up to its first repeated value: it grows up to
-    the top degree of the standard monomials and stays at their number.
-    A caller that already holds those monomials, one array per degree as
-    `ParameterizedSet.standard_monomials` holds them, passes them as
-    `levels` and saves the walk."""
+    the top degree of the standard monomials and stays at their number."""
     leads = _affine_leads(gb_y)
     names = gb_y.names[:-1]
     require_finite(leads, names)
-    if levels is None:
-        levels = standard_monomials(leads, len(names))
+    levels = standard_monomials(leads, len(names))
     counts = list(itertools.accumulate(map(len, levels))) or [0]
     counts.append(counts[-1])
     return HilbertProfile(dict(enumerate(counts)), stabilized_at=len(counts) - 2,

@@ -92,6 +92,11 @@ class ExponentMatrix:
     def n(self) -> int:
         return len(self.rows[0])
 
+    def residues(self, units: int) -> np.ndarray:
+        """The entries mod `units`, an int64 array; each reduces as a
+        Python int first, so an entry past int64 is fine."""
+        return np.array([[e % units for e in row] for row in self.rows], dtype=np.int64)
+
 
 def _grevlex_key(m: Monomial) -> tuple:
     """Sort key of the graded reverse lexicographic order."""
@@ -303,8 +308,7 @@ def enumerate_points(matrix: ExponentMatrix, field: FieldSpec,
     # the parameters g^l, l in [0, q-1)^n, give the coordinates g^(v_i . l);
     # exponents reduce mod q-1 so the products stay small
     logs = np.indices((q - 1,) * n).reshape(n, -1)
-    exps = np.array([[e % (q - 1) for e in row] for row in matrix.rows])
-    points = field.exp(exps @ logs).T.astype(np.int64)
+    points = field.exp(matrix.residues(q - 1) @ logs).T.astype(np.int64)
     # sort the base-q codes of the points and keep the first of each run;
     # np.unique would do it, but its first call imports numpy.ma.  Codes
     # that int64 cannot hold are Python ints.
@@ -346,8 +350,7 @@ def class_walk(matrix: ExponentMatrix, q: int,
             f"budget {budget}")
     # each row: the exponents of a monomial, then its class a^T V mod q-1;
     # step j multiplies by t_j
-    steps = np.hstack([np.eye(s, dtype=np.int64),
-                       np.array(matrix.rows, dtype=np.int64) % units])
+    steps = np.hstack([np.eye(s, dtype=np.int64), matrix.residues(units)])
     radix = units ** np.arange(n, dtype=np.int64)
     standard_of = np.full(classes, -1, dtype=np.int64)
     standard_of[0] = 0

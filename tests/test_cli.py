@@ -387,6 +387,25 @@ def test_config_errors(tmp_path, capsys):
                    f"No such file or directory: '{missing}'\n")
 
 
+def test_a_config_that_is_not_utf8_is_a_usage_error(tmp_path, capsys):
+    config = tmp_path / "latin.cfg"
+    config.write_bytes(b"q 5 # \xff\n")
+    code, out, err = run_cli(capsys, "params", "--config", str(config),
+                             "--degrees", "1")
+    assert (code, out) == (1, "")
+    assert err == (f"paramcodes: error: cannot read config {config}: 'utf-8' codec "
+                   "can't decode byte 0xff in position 6: invalid start byte\n")
+
+
+@pytest.mark.parametrize("argv", [["params", "--degrees", "0..2", "--format", "csv"],
+                                  ["ideal", "xstar"], ["ideal", "y"]])
+def test_exponents_past_int64_act_as_their_residues(capsys, argv):
+    # 10^20 - 1 = 3 mod q - 1 = 4: the same point set, the same bytes
+    huge = run_cli(capsys, *argv, "--q", "5", "--matrix", "99999999999999999999")
+    assert huge == run_cli(capsys, *argv, "--q", "5", "--matrix", "3")
+    assert huge[0] == 0 and huge[1]
+
+
 # a value for each config key; matrix takes one line per row
 CONFIG_VALUES = {"q": ["9"], "modulus": ["1 0 1"], "matrix": ["1 2", "2 1"],
                  "degrees": ["1..2"], "md-budget": ["0"], "format": ["csv"],

@@ -19,7 +19,6 @@ from paramcodes.codes import (
     torus_dimension,
     torus_min_distance,
     verify_instance,
-    weight_distribution,
 )
 from paramcodes.errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from paramcodes.gf import FieldSpec
@@ -211,13 +210,13 @@ def test_early_stopped_sweep_is_exact(triangle_set):
         md = minimum_distance(E)
     assert (md.status, md.value, md.method) == ("exact", 8, "search")
     assert sweep.call_args.kwargs["floor"] == 8
-    assert codes._enumerate_weights(E.echelon[0], F5)[0] == 8
+    assert codes._enumerate_weights(E.echelon[0], F5) == 8
     # a weight-8 word lies in the span of the subcode's first 4 rows, so the
     # sweep stops inside its 6-row block; each of those rows takes one
     # product, and the rows after them are never written
     with mock.patch.object(FieldSpec, "mul", autospec=True,
                            side_effect=FieldSpec.mul) as mul:
-        assert codes._enumerate_weights(E.echelon[0][1:], F5, floor=8)[0] == 8
+        assert codes._enumerate_weights(E.echelon[0][1:], F5, floor=8) == 8
     assert mul.call_count <= 4
 
 
@@ -257,7 +256,7 @@ def test_footprint_and_witness_bracket_the_distance(pset):
             # the translations of X* put a lightest codeword in the subcode
             # zero at the first pivot's point
             if code_dimension(E) >= 2:
-                assert codes._enumerate_weights(E.echelon[0][1:], spec)[0] == distance
+                assert codes._enumerate_weights(E.echelon[0][1:], spec) == distance
         md = minimum_distance(E, budget=100)
         if md.status == "bounded":
             assert (md.lower, md.upper) == (max(lower, 2), upper)
@@ -300,6 +299,26 @@ def test_pipeline_walks_delta_once(triangle_matrix, f5):
         run = run_pipeline(pset, range(1, 6))
     assert from_pset.call_count + from_profile.call_count == 1
     assert [p.min_distance.value for p in run.table[2:]] == [4, 2, 1]
+
+
+def test_table_builds_no_projective_basis_and_no_profile(triangle_set):
+    # the table reads each Hilbert value off the class walk's levels; the
+    # homogenized basis exists only for the certificate under verify.  Every
+    # Hilbert function of a projective basis reads its leads through
+    # _affine_leads, however it is called
+    with mock.patch.object(codes, "vanishing_ideal_projective",
+                           wraps=ideals.vanishing_ideal_projective) as homogenize, \
+            mock.patch.object(hilbert, "hilbert_profile") as profile, \
+            mock.patch.object(hilbert, "_affine_leads") as leads, \
+            mock.patch.object(ParameterizedSet, "certify", autospec=True,
+                              side_effect=ParameterizedSet.certify) as certify:
+        run_pipeline(triangle_set, range(1, 4), md_budget=700)
+        assert (homogenize.call_count, certify.call_count) == (0, 0)
+        run_pipeline(triangle_set, range(1, 4), md_budget=700, verify=True)
+    assert (homogenize.call_count, certify.call_count) == (1, 1)
+    assert certify.call_args.args[1] == \
+        ideals.vanishing_ideal_projective(triangle_set.affine_basis)
+    assert (profile.call_count, leads.call_count) == (0, 0)
 
 
 def test_verify_sweeps_rows_the_footprint_settled(triangle_set):
@@ -625,20 +644,13 @@ def generator_matrix(spec, rows) -> EvaluationMatrix:
 
 
 def check_sweep(spec, rows):
-    """Distance and distribution equal brute force."""
-    q, k = spec.order, len(rows)
+    """The distance equals brute force."""
     expected_md = brute_min_distance(rows, spec)
-    expected = brute_weight_distribution(rows, spec)
     E = generator_matrix(spec, rows)
     md = minimum_distance(E)
     assert (md.status, md.value) == ("exact", expected_md)
     # the full sweep too, which the witness can make unnecessary above
-    swept, _ = codes._enumerate_weights(E.echelon[0], spec)
-    assert swept == expected_md
-    dist = weight_distribution(E)
-    assert dist == expected
-    assert all(c % (q - 1) == 0 for w, c in dist.items() if w)
-    assert sum(dist.values()) == q ** k
+    assert codes._enumerate_weights(E.echelon[0], spec) == expected_md
 
 
 SWEEP_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
@@ -678,24 +690,17 @@ def test_sweep_matches_brute_force(code, block_rows_target, block_entries,
 def test_early_stop_reports_the_minimum(code, block_rows_target):
     spec, rows = code
     expected = brute_min_distance(rows, spec)
-    # one word per scalar class: the nonzero weights divided by q - 1
-    classes = np.zeros(len(rows[0]) + 1, dtype=np.int64)
-    for w, c in brute_weight_distribution(rows, spec).items():
-        classes[w] = c // (spec.order - 1) if w else 0
     basis = generator_matrix(spec, rows).echelon[0]
     with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", block_rows_target):
         for floor in range(1, expected + 1):
-            assert codes._enumerate_weights(basis, spec, floor=floor)[0] == expected
-            best, hist = codes._enumerate_weights(basis, spec, collect=True,
-                                                  floor=floor)
-            assert best == expected and np.array_equal(hist, classes)
+            assert codes._enumerate_weights(basis, spec, floor=floor) == expected
 
 
 def test_sweep_single_row_code():
     spec = field(9)
     rows = [[0, 3, 1, 0, 8, 5, 0, 2]]
     check_sweep(spec, rows)
-    assert weight_distribution(generator_matrix(spec, rows)) == {0: 1, 5: 8}
+    assert codes._enumerate_weights(generator_matrix(spec, rows).echelon[0], spec) == 5
 
 
 def test_sweep_two_row_code():
@@ -712,26 +717,26 @@ def test_sweep_single_high_row_and_zero_high_minimum():
     E = generator_matrix(F5, rows)
     assert np.array_equal(E.echelon[0], rows)
     check_sweep(F5, rows)
-    assert weight_distribution(E)[1] == 4
-
-
-def mds_weight_distribution(q, n, k):
-    """Weight distribution of every [n, k] MDS code over GF(q)."""
-    d = n - k + 1
-    return {0: 1} | {w: comb(n, w) * sum((-1) ** j * comb(w, j) * (q ** (w - d + 1 - j) - 1)
-                                         for j in range(w - d + 1))
-                     for w in range(d, n + 1)}
+    assert brute_weight_distribution(rows, F5)[1] == 4
 
 
 @pytest.mark.parametrize("q", [131, 257])
 def test_prime_block_sums_past_the_stored_type(q):
-    # a block of two rows adds two residues, whose sum passes 255 above
-    # p = 127; a Reed-Solomon [6, 3] code is MDS, so its weights are known
-    spec, m, k = FieldSpec.of(q), 6, 3
-    rows = [[spec.pow(x, e) for x in range(1, m + 1)] for e in range(k)]
+    # the block's second row adds 128 to 128.  GF(131) stores the block in
+    # uint8, where that sum wraps to a false 0 for the field's 256 - 131 =
+    # 125; GF(257) stores it in uint16, which its entry 256 needs.  The
+    # [5, 3] code [I | A] with A = [[128, 1], [128, -1], [1, 1]] is MDS, of
+    # distance 3: A's entries and its 2 x 2 minors -256, 127 and 129 are
+    # nonzero mod q.  The block word of the first two rows,
+    # (1, 1, 0, 256, 0), has weight 3, and 2 with a false 0
+    spec = FieldSpec.of(q)
+    rows = [[1, 0, 0, 128, 1], [0, 1, 0, 128, q - 1], [0, 0, 1, 1, 1]]
+    E = generator_matrix(spec, rows)
+    assert np.array_equal(E.echelon[0], rows)
     with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", q ** 2):
-        assert weight_distribution(generator_matrix(spec, rows)) == \
-            mds_weight_distribution(q, m, k)
+        assert codes._enumerate_weights(E.echelon[0], spec) == 3
+        md = minimum_distance(E)
+    assert (md.status, md.value, md.method) == ("exact", 3, "search")
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -811,16 +816,18 @@ def scaled_matrix(E: EvaluationMatrix, d: int) -> EvaluationMatrix:
 def test_weight_distribution_invariant_under_scaling(maker, d):
     pset = maker()
     E = build_evaluation_matrix(pset, d)
-    before = weight_distribution(E)
-    after = weight_distribution(scaled_matrix(E, d))
-    assert before == after
-    assert before == brute_weight_distribution(E.rep_rows(), pset.field)
+    scaled = scaled_matrix(E, d)
+    assert brute_weight_distribution(E.rows, pset.field) == \
+        brute_weight_distribution(scaled.rows, pset.field)
+    assert minimum_distance(E).value == minimum_distance(scaled).value
 
 
 def test_triangle_weight_scaling(triangle_set):
     E = build_evaluation_matrix(triangle_set, 1)  # 5^4 codewords
-    assert weight_distribution(E) == weight_distribution(scaled_matrix(E, 1))
-    assert minimum_distance(E).value == minimum_distance(scaled_matrix(E, 1)).value
+    scaled = scaled_matrix(E, 1)
+    assert brute_weight_distribution(E.rows, triangle_set.field) == \
+        brute_weight_distribution(scaled.rows, triangle_set.field)
+    assert minimum_distance(E).value == minimum_distance(scaled).value
 
 
 # -- pipeline ---------------------------------------------------------------------
@@ -845,7 +852,7 @@ def test_parameter_table_empty_range(triangle_set):
 
 def test_run_pipeline_consistency(torus11_set):
     run = run_pipeline(torus11_set, [1, 2, 3], md_budget=0)
-    assert run.profile.degree_of_ring == 100
+    assert sum(map(len, run.pset.standard_monomials)) == 100
     assert [p.dimension for p in run.table] == [3, 6, 10]
     assert all(p.min_distance.status == "skipped" for p in run.table)
 
