@@ -123,8 +123,9 @@ def parse_config_file(path: str, args: argparse.Namespace) -> dict:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        key, _, rest = line.partition("=" if "=" in line else " ")
-        key, rest = key.strip(), rest.strip()
+        # split at the first "=", or else at the first run of whitespace
+        key, *rest = line.split("=" if "=" in line else None, 1)
+        key, rest = key.strip(), rest[0].strip() if rest else ""
         if not rest:
             raise UsageError(f"{path}:{lineno}: key {key!r} has no value")
         if key not in _CONFIG_KEYS:

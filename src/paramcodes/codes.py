@@ -64,8 +64,7 @@ import numpy as np
 from . import linalg
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .gf import FieldSpec
-from .hilbert import affine_hilbert_value
-from .ideals import ExponentMatrix, Monomial, ParameterizedSet, vanishing_ideal_projective
+from .ideals import ExponentMatrix, ParameterizedSet, vanishing_ideal_projective
 
 DEFAULT_MD_BUDGET = 20_000_000
 DEFAULT_MATRIX_BUDGET = 5_000_000
@@ -86,13 +85,14 @@ _BLOCK_WRITE_ENTRIES = 1 << 18
 @dataclass(frozen=True, eq=False)
 class EvaluationMatrix:
     """The standard monomials of degree <= d evaluated at every point, as
-    canonical field ints; the row space is the code.  It keeps the rows
-    of the monomials above the degree it extends, `new_rows`, and `below`,
-    the echelon form of the rows before them, if any; the whole k x m
-    array `rows` is evaluated from scratch when first read."""
+    canonical field ints; the row space is the code.  `monomials` is
+    Delta<=d, one read-only exponent row per matrix row.  It keeps the
+    rows of the monomials above the degree it extends, `new_rows`, and
+    `below`, the echelon form of the rows before them, if any; the whole
+    k x m array `rows` is evaluated from scratch when first read."""
 
     degree: int
-    monomials: tuple[Monomial, ...]
+    monomials: np.ndarray
     pset: ParameterizedSet
     new_rows: np.ndarray
     below: Optional[tuple[np.ndarray, list[int]]] = None
@@ -110,8 +110,7 @@ class EvaluationMatrix:
         """Every row, read-only."""
         if self.below is None:
             return self.new_rows
-        levels = self.pset.standard_monomials[:self.degree + 1]
-        return _evaluate(self.pset, np.concatenate(levels))
+        return _evaluate(self.pset, self.monomials)
 
     def rep_rows(self) -> np.ndarray:
         return self.rows
@@ -141,25 +140,26 @@ def _evaluate(pset: ParameterizedSet, exponents: np.ndarray) -> np.ndarray:
 
 
 def build_evaluation_matrix(pset: ParameterizedSet, d: int,
-                            budget: int = DEFAULT_MATRIX_BUDGET,
                             below: Optional[EvaluationMatrix] = None) -> EvaluationMatrix:
     """Rows are Delta<=d in ascending graded GrevLex order, columns follow
-    the canonical point order; the monomials and echelon form extend those
-    of `below`, and only the monomials above its degree are evaluated.  A
-    degree above Delta's top degree adds no row."""
+    the canonical point order; the echelon form extends that of `below`,
+    and only the monomials above its degree are evaluated.  A degree above
+    Delta's top degree adds no row.  A matrix of more than
+    DEFAULT_MATRIX_BUDGET entries, read at each call, is refused before
+    any row is evaluated."""
     if d < 0:
         raise DomainError("degree must be non-negative")
     if below and (below.pset is not pset or below.degree >= d):
         raise DomainError("only a lower degree on the same points extends")
     delta = np.concatenate(pset.standard_monomials[:d + 1])
-    if len(delta) * len(pset) > budget:
+    if len(delta) * len(pset) > DEFAULT_MATRIX_BUDGET:
         raise ResourceLimitError(
             f"evaluation matrix with {len(delta)} x {len(pset)} entries exceeds "
-            f"the budget {budget}")
+            f"the budget {DEFAULT_MATRIX_BUDGET}")
+    delta.flags.writeable = False
     # Delta<=below.degree is a prefix of Delta<=d
     exponents = delta[len(below.monomials) if below else 0:]
-    monomials = (below.monomials if below else ()) + tuple(map(tuple, exponents.tolist()))
-    return EvaluationMatrix(d, monomials, pset, _evaluate(pset, exponents),
+    return EvaluationMatrix(d, delta, pset, _evaluate(pset, exponents),
                             below.echelon if below else None)
 
 
@@ -321,11 +321,12 @@ def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
 # -- closed forms for the torus ----------------------------------------------
 
 def torus_dimension(q: int, s: int, d: int) -> int:
-    """Dimension of the degree-d code on the s-dimensional affine torus."""
+    """Dimension of the degree-d code on the s-dimensional affine torus;
+    the sum stops at j = s, past which C(s, j) is 0."""
     if q < 2 or s < 1 or d < 0:
         raise DomainError("need q >= 2, s >= 1, d >= 0")
     total = 0
-    for j in range(d // (q - 1) + 1):
+    for j in range(min(s, d // (q - 1)) + 1):
         total += (-1) ** j * comb(s, j) * comb(s + d - j * (q - 1), s)
     return total
 
@@ -395,12 +396,14 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
     homogenization are certified by counting (`ParameterizedSet.certify`),
     which proves that the rows span the code of all monomials (each one
     equals, on X*, a standard monomial of no higher degree, since GrevLex
-    is graded), each rank is compared with the affine Hilbert value of
-    the basis, every echelon form is recomputed by `linalg.rref` from the
-    whole matrix, and every distance the footprint or the subcode sweep
-    settled within the budget is checked by sweeping the whole code,
-    unless its codewords times the points exceed VERIFY_SWEEP_ENTRIES,
-    which raises ResourceLimitError."""
+    is graded) and matches the basis's own walk of Delta against the
+    class walk's levels, degree by degree, so the basis's affine Hilbert
+    value at d is the row count every rank is compared with.  Every
+    echelon form is then recomputed by `linalg.rref` from the whole
+    matrix, and every distance the footprint or the subcode sweep settled
+    within the budget is checked by sweeping the whole code, unless its
+    codewords times the points exceed VERIFY_SWEEP_ENTRIES, which raises
+    ResourceLimitError."""
     if verify:
         pset.certify(vanishing_ideal_projective(pset.affine_basis))
     m = len(pset)
@@ -422,12 +425,6 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
             raise InternalInconsistencyError(
                 f"rank {dim} of the evaluation matrix at degree {d} "
                 f"differs from the Hilbert value {len(matrix.monomials)}")
-        if verify:
-            ha = affine_hilbert_value(pset.affine_basis, d)
-            if dim != ha:
-                raise InternalInconsistencyError(
-                    f"affine Hilbert value {ha} at degree {d} differs "
-                    f"from the rank {dim}")
         md = minimum_distance(matrix, budget=md_budget)
         q = pset.field.order
         if verify and md.method in ("footprint", "search") and q ** dim <= md_budget:

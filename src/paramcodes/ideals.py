@@ -151,14 +151,13 @@ class ParameterizedSet:
     """The enumerated points of the set, one read-only m x s array of
     canonical ints with rows in ascending order, with their logs, the
     vanishing ideal's basis and standard monomials, and the footprints,
-    each computed once.  `budget`
-    is the enumeration budget the set was made under; it also bounds the
-    class walk's table, which has one entry per parameter tuple."""
+    each computed once.  The class walk's table has one entry per
+    parameter tuple, so DEFAULT_ENUMERATION_BUDGET bounds it as it
+    bounds the enumeration."""
 
     matrix: ExponentMatrix
     field: FieldSpec
     points: np.ndarray
-    budget: int = DEFAULT_ENUMERATION_BUDGET
 
     def __len__(self) -> int:
         return len(self.points)
@@ -166,7 +165,7 @@ class ParameterizedSet:
     @cached_property
     def _walk(self) -> tuple[list[Binomial], list[np.ndarray]]:
         """The class walk of the set's matrix, done once."""
-        return class_walk(self.matrix, self.field.order, self.budget)
+        return class_walk(self.matrix, self.field.order)
 
     @cached_property
     def affine_basis(self) -> BinomialBasis:
@@ -295,16 +294,17 @@ class ParameterizedSet:
         return minima[min(d, len(minima) - 1)]
 
 
-def enumerate_points(matrix: ExponentMatrix, field: FieldSpec,
-                     budget: int = DEFAULT_ENUMERATION_BUDGET) -> ParameterizedSet:
+def enumerate_points(matrix: ExponentMatrix, field: FieldSpec) -> ParameterizedSet:
     """Evaluate the parameterizing monomials on every unit tuple, dedupe,
-    and sort points by their canonical ints."""
+    and sort points by their canonical ints.  More than
+    DEFAULT_ENUMERATION_BUDGET tuples, read at each call, are refused
+    before anything is allocated."""
     n, q = matrix.n, field.order
     total = (q - 1) ** n
-    if total > budget:
+    if total > DEFAULT_ENUMERATION_BUDGET:
         raise ResourceLimitError(
             f"(q-1)^n = {total} parameter tuples exceeds the enumeration "
-            f"budget {budget}")
+            f"budget {DEFAULT_ENUMERATION_BUDGET}")
     # the parameters g^l, l in [0, q-1)^n, give the coordinates g^(v_i . l);
     # exponents reduce mod q-1 so the products stay small
     logs = np.indices((q - 1,) * n).reshape(n, -1)
@@ -321,33 +321,32 @@ def enumerate_points(matrix: ExponentMatrix, field: FieldSpec,
     first[1:] = codes[1:] != codes[:-1]
     points = points[order[first]]
     points.flags.writeable = False
-    return ParameterizedSet(matrix, field, points, budget)
+    return ParameterizedSet(matrix, field, points)
 
 
-def class_walk(matrix: ExponentMatrix, q: int,
-               budget: int = DEFAULT_ENUMERATION_BUDGET
-               ) -> tuple[list[Binomial], list[np.ndarray]]:
+def class_walk(matrix: ExponentMatrix, q: int) -> tuple[list[Binomial], list[np.ndarray]]:
     """The reduced GrevLex basis of I(X*) as (lead, tail) exponent pairs
     in ascending order of lead, and its standard monomials, one array per
     degree in ascending GrevLex order.
 
     The class of t^a is a^T V mod q-1, coded in base q-1; a table over all
     (q-1)^n codes holds the index of each class's standard monomial, so
-    it is checked against `budget` before it is allocated.  Degree D's
-    candidates are t_j times each standard monomial of degree D-1 whose
-    last variable is at most j, with multiples of earlier leads dropped:
-    each monomial with all divisors standard comes once, and in ascending
-    GrevLex order, taking j from the last variable down.  The first
-    candidate of a class not seen before is standard; every other
-    candidate is a lead, and its tail is the standard monomial of its
-    class, so the leads, too, come in ascending GrevLex order.  The walk
-    ends at the first degree with no standard monomial."""
+    it is checked against DEFAULT_ENUMERATION_BUDGET, read at each call,
+    before it is allocated.  Degree D's candidates are t_j times each
+    standard monomial of degree D-1 whose last variable is at most j,
+    with multiples of earlier leads dropped: each monomial with all
+    divisors standard comes once, and in ascending GrevLex order, taking j
+    from the last variable down.  The first candidate of a class not seen
+    before is standard; every other candidate is a lead, and its tail is
+    the standard monomial of its class, so the leads, too, come in
+    ascending GrevLex order.  The walk ends at the first degree with no
+    standard monomial."""
     s, n, units = matrix.s, matrix.n, q - 1
     classes = units ** n
-    if classes > budget:
+    if classes > DEFAULT_ENUMERATION_BUDGET:
         raise ResourceLimitError(
             f"(q-1)^n = {classes} exponent classes exceeds the class table "
-            f"budget {budget}")
+            f"budget {DEFAULT_ENUMERATION_BUDGET}")
     # each row: the exponents of a monomial, then its class a^T V mod q-1;
     # step j multiplies by t_j
     steps = np.hstack([np.eye(s, dtype=np.int64), matrix.residues(units)])

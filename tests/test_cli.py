@@ -118,8 +118,8 @@ def test_ideal_verify_refuses_a_wrong_basis(capsys, which, rows, message):
     # although (1, 0, 0) lies outside L, so t1 - 1 does not vanish on X*.
     # Either way nothing is printed.
     walk = ideals.class_walk
-    with mock.patch.object(ideals, "class_walk", lambda matrix, q, budget:
-                           walk(ExponentMatrix.of(rows), q, budget)):
+    with mock.patch.object(ideals, "class_walk", lambda matrix, q:
+                           walk(ExponentMatrix.of(rows), q)):
         code, out, err = run_cli(capsys, "ideal", which, *TRIANGLE, "--verify")
     assert (code, out) == (3, "")
     assert err.startswith("paramcodes: INTERNAL INCONSISTENCY: ")
@@ -192,6 +192,24 @@ def test_torus_cross_check(capsys):
                            "--md-budget", "20000")
     assert code == 0
     assert "cross-check ok" in out
+
+
+def test_torus_cross_check_reports_a_disagreement(capsys):
+    # a closed form off by one at d = 2 must fail the cross-check, exit 3,
+    # and still print the table
+    def off_at_2(q, s, d):
+        return codes.torus_dimension(q, s, d) + (d == 2)
+
+    with mock.patch.object(cli, "torus_dimension", off_at_2):
+        code, out, err = run_cli(capsys, "torus", "--q", "5", "--s", "2",
+                                 "--degrees", "1..3", "--cross-check",
+                                 "--format", "csv")
+    assert code == 3
+    assert err == "cross-check FAIL: d=2: dim 6 != 7\n"
+    assert out.splitlines() == ["d,length,dim,delta,delta_status,singleton_defect,mds",
+                                "1,16,3,12,exact,2,false",
+                                "2,16,7,8,exact,2,false",
+                                "3,16,10,4,exact,3,false"]
 
 
 def test_torus_rejects_q2(capsys):
@@ -412,7 +430,7 @@ CONFIG_VALUES = {"q": ["9"], "modulus": ["1 0 1"], "matrix": ["1 2", "2 1"],
                  "threads": ["2"]}
 
 
-@pytest.mark.parametrize("separator", [" ", " = "], ids=["space", "equals"])
+@pytest.mark.parametrize("separator", [" ", " = ", "\t"], ids=["space", "equals", "tab"])
 @pytest.mark.parametrize("key", list(cli._CONFIG_KEYS))
 def test_each_config_key_means_what_its_flag_means(tmp_path, capsys, key,
                                                    separator):

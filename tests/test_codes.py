@@ -72,8 +72,9 @@ def test_matrix_entries_and_rank(triangle_set):
 
 
 def test_matrix_budget():
-    with pytest.raises(ResourceLimitError):
-        build_evaluation_matrix(torus_set(11, 2), 5, budget=100)
+    with mock.patch.object(codes, "DEFAULT_MATRIX_BUDGET", 100), \
+            pytest.raises(ResourceLimitError, match="exceeds the budget 100"):
+        build_evaluation_matrix(torus_set(11, 2), 5)
 
 
 def test_matrix_budget_checked_before_evaluating():
@@ -81,10 +82,11 @@ def test_matrix_budget_checked_before_evaluating():
     # degree above 2, and the budget admits one entry fewer than 8 x 8
     pset = torus_set(3, 3)
     with mock.patch.object(FieldSpec, "exp",
-                           side_effect=AssertionError("matrix evaluated")):
+                           side_effect=AssertionError("matrix evaluated")), \
+            mock.patch.object(codes, "DEFAULT_MATRIX_BUDGET", 63):
         with pytest.raises(ResourceLimitError,
                            match=r"8 x 8 entries exceeds the budget 63"):
-            build_evaluation_matrix(pset, 26, budget=63)
+            build_evaluation_matrix(pset, 26)
 
 
 @settings(max_examples=30, deadline=None)
@@ -102,7 +104,9 @@ def test_standard_monomial_rows_span_the_all_monomial_code(pset):
         alone = build_evaluation_matrix(pset, d)
         below = build_evaluation_matrix(pset, d, below=below)
         for E in (alone, below):
-            assert len(E.monomials) == sum(map(len, pset.standard_monomials[:d + 1]))
+            assert np.array_equal(E.monomials,
+                                  np.concatenate(pset.standard_monomials[:d + 1]))
+            assert E.monomials.dtype.kind == "i" and not E.monomials.flags.writeable
             assert E.echelon[1] == pivots
             assert np.array_equal(E.echelon[0], expected)
     # past the top degree the extension evaluates no row
@@ -379,8 +383,8 @@ def test_certificate_catches_a_wrong_basis(triangle_matrix, f5):
     walk = ideals.class_walk
 
     def walk_over(rows):
-        return mock.patch.object(ideals, "class_walk", lambda matrix, q, budget:
-                                 walk(ExponentMatrix.of(rows), q, budget))
+        return mock.patch.object(ideals, "class_walk", lambda matrix, q:
+                                 walk(ExponentMatrix.of(rows), q))
 
     with walk_over([[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
         pset = enumerate_points(triangle_matrix, f5)
@@ -433,8 +437,8 @@ def test_certificate_compares_the_class_walks_levels(triangle_matrix, f5):
     # ones, passes the pipeline and fails verify
     walk = ideals.class_walk
 
-    def shifted(matrix, q, budget):
-        pairs, levels = walk(matrix, q, budget)
+    def shifted(matrix, q):
+        pairs, levels = walk(matrix, q)
         return pairs, levels[:-1] + [levels[-1] + [1, 0, 0]]
 
     with mock.patch.object(ideals, "class_walk", shifted):
@@ -476,7 +480,7 @@ def test_evaluation_matrix_extends_the_rows_below(rows, q, lower, d):
     pset = enumerate_points(ExponentMatrix.of(rows), field(q))
     alone = build_evaluation_matrix(pset, d)
     extended = build_evaluation_matrix(pset, d, below=build_evaluation_matrix(pset, lower))
-    assert extended.monomials == alone.monomials
+    assert np.array_equal(extended.monomials, alone.monomials)
     assert extended.rows.dtype == alone.rows.dtype
     assert np.array_equal(extended.rows, alone.rows)
     assert not extended.rows.flags.writeable
@@ -496,12 +500,12 @@ def test_each_degree_evaluates_delta_directly(pset):
     for d in range(top + 2):
         alone = build_evaluation_matrix(pset, d)
         extended = build_evaluation_matrix(pset, d, below=below)
-        expected = [row_of[m] for m in alone.monomials]
+        expected = [row_of[m] for m in map(tuple, alone.monomials.tolist())]
         assert alone.new_rows.tolist() == expected
         assert extended.new_rows.tolist() == \
             expected[len(below.monomials) if below else 0:]
         for E in (alone, extended):
-            assert E.monomials == alone.monomials
+            assert np.array_equal(E.monomials, alone.monomials)
             assert E.rows.tolist() == expected
             assert not E.rows.flags.writeable and not E.new_rows.flags.writeable
             with pytest.raises(ValueError):
@@ -515,7 +519,7 @@ def test_evaluation_sums_in_int64_past_the_int32_rule():
     E = build_evaluation_matrix(pset, 3)
     monos, direct = evaluation_rows(pset, 3, RingContext(pset.field, ("t1", "t2")))
     row_of = dict(zip(map(tuple, monos), direct.tolist()))
-    assert E.rows.tolist() == [row_of[m] for m in E.monomials]
+    assert E.rows.tolist() == [row_of[m] for m in map(tuple, E.monomials.tolist())]
 
 
 @settings(max_examples=40, deadline=None)
@@ -577,7 +581,7 @@ def wide_point_sets(draw):
 @given(st.one_of(point_sets(), wide_point_sets()))
 def test_footprint_counted_without_the_box_equals_the_box(pset):
     boxed = pset._footprints
-    rows_only = ParameterizedSet(pset.matrix, pset.field, pset.points, pset.budget)
+    rows_only = ParameterizedSet(pset.matrix, pset.field, pset.points)
     rows_only.standard_monomials
     with mock.patch.object(ideals, "_FOOTPRINT_BOX_ENTRIES", 0), \
             mock.patch.object(np, "zeros", side_effect=AssertionError("box allocated")):
@@ -771,6 +775,20 @@ def test_torus_dimension_values():
     for d in range(0, 10):  # below q-1 only the j=0 term contributes
         assert torus_dimension(11, 2, d) == comb(2 + d, 2)
     assert torus_dimension(3, 2, 50) == 4  # saturates at (q-1)^s
+
+
+def test_torus_dimension_sums_no_term_past_s():
+    # C(s, j) = 0 for j > s, so a huge degree costs s + 1 terms, not d/(q-1)
+    def endless(signum, frame):
+        raise AssertionError("torus_dimension is still summing after 5 s")
+
+    previous = signal.signal(signal.SIGALRM, endless)
+    signal.alarm(5)
+    try:
+        assert torus_dimension(3, 1, 10**12) == 2
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 # -- MDS -------------------------------------------------------------------------

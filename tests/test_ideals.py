@@ -65,9 +65,9 @@ def test_enumerate_binary_field_single_point():
 
 
 def test_enumeration_budget():
-    with pytest.raises(ResourceLimitError, match="budget"):
-        enumerate_points(ExponentMatrix.of([[1, 1, 1]]), FieldSpec.of(101),
-                         budget=1000)
+    with mock.patch.object(ideals, "DEFAULT_ENUMERATION_BUDGET", 1000), \
+            pytest.raises(ResourceLimitError, match="enumeration budget 1000"):
+        enumerate_points(ExponentMatrix.of([[1, 1, 1]]), FieldSpec.of(101))
 
 
 @pytest.mark.parametrize("q, rows", [
@@ -98,14 +98,16 @@ def test_class_table_budget():
             pytest.raises(ResourceLimitError, match="class table budget"):
         class_walk(ExponentMatrix.of([[1, 1, 1, 1]]), 65537)
     torus = ExponentMatrix.torus(2)
-    with pytest.raises(ResourceLimitError, match="144 exponent classes"):
-        class_walk(torus, 13, budget=143)
-    assert sum(map(len, class_walk(torus, 13, budget=144)[1])) == 144
-    # a set walks under the budget it was enumerated under
-    pset = enumerate_points(torus, field(13), budget=144)
-    with mock.patch.object(ideals, "class_walk", wraps=ideals.class_walk) as walk:
-        assert len(pset.affine_basis.generators) == 2
-    walk.assert_called_once_with(torus, 13, 144)
+    with mock.patch.object(ideals, "DEFAULT_ENUMERATION_BUDGET", 143), \
+            pytest.raises(ResourceLimitError, match="144 exponent classes"):
+        class_walk(torus, 13)
+    with mock.patch.object(ideals, "DEFAULT_ENUMERATION_BUDGET", 144):
+        assert sum(map(len, class_walk(torus, 13)[1])) == 144
+        # a set walks under the limit that admitted its enumeration
+        pset = enumerate_points(torus, field(13))
+        with mock.patch.object(ideals, "class_walk", wraps=ideals.class_walk) as walk:
+            assert len(pset.affine_basis.generators) == 2
+    walk.assert_called_once_with(torus, 13)
 
 
 def test_affine_ideal_golden(triangle_set):
