@@ -4,51 +4,32 @@ end-to-end parameter pipeline with its cross-checks.
 
 Length and dimension come from the Hilbert function of the vanishing
 ideal's binomial basis, which verification certifies by counting
-(`ideals.ParameterizedSet.certify`): its generators vanish on the points,
-lead above their tails, and leave exactly as many standard monomials as
-there are points.  The rows of the degree-d evaluation matrix are the
-standard monomials Delta<=d of the class walk, one per exponent class;
-the Hilbert value counts them, so the rank, compared with it on every
-run, proves the walk's classes at each degree distinct.  That they span
-the code of all monomials of degree <= d is what verification proves:
-the certified basis is a GrevLex basis, and GrevLex is graded, so on X*
-each monomial equals a standard monomial of no higher degree.
+(`ideals.ParameterizedSet.certify`).  The rows of the degree-d evaluation
+matrix are the standard monomials Delta<=d of the class walk, one per
+exponent class, so distinct characters of the group X*: the dimension is
+their number (see `minimum_distance`), and the rank of every echelon form
+built is compared with it.  The certified basis is a GrevLex basis, and
+GrevLex is graded, so on X* each monomial equals a standard monomial of
+no higher degree: the rows span the code of all monomials of degree <= d.
 
-Every point lies in the torus, so an entry of a matrix is g^(exponents .
-logs of the point), an integer sum read through the field's exp table.  A
-lower degree's matrix is the first rows of a higher one, so each degree
-does only its new work: it evaluates the standard monomials above the
-degree below, keeps those rows, and extends the echelon form of the rows
-before them; dimension and distance share it.  No degree copies the rows
-below; the whole matrix is evaluated from scratch only when read.
+An entry of a matrix is g^(exponents . logs of the point), read through
+the field's exp table.  A lower degree's matrix is the first rows of a
+higher one, so each degree, on first read, evaluates only the standard
+monomials above the degree below and extends the echelon form of the
+rows before them.
 
-Minimum distance is certified in this order.  First two bounds that need
-no search: the footprint of the standard monomials Delta of the vanishing
-ideal (Geil and Hoeholdt, "Footprints or generalized Bezout's theorem",
-IEEE-IT 2000), min over M in Delta of degree <= d of #{N in Delta : M | N},
-is a lower bound, and the lightest row of the reduced echelon form, a real
-codeword, is an upper bound.  When they meet the distance is exact.  A
-witness of weight 1 settles the distance alone: a unit vector lies in the
-code exactly when some echelon row is a multiple of it.  Every echelon row
-is zero on the other k - 1 pivots, so the witness never exceeds the
-Singleton bound m - k + 1.
-
-Otherwise, when the number of codewords q^k fits the budget, an exhaustive
-sweep finds the distance, stopping at the first word whose weight reaches
-the lower bound.  Scaling a codeword keeps its weight, so the sweep visits
-one codeword per scalar class: a block of every combination of the first
-rows is compared with each high word whose first nonzero coefficient is 1,
-and the number of differing coordinates is a weight.  The bound is checked
-after each block row and high word, so the block can stay partly
-unwritten.  On a point set X* the sweep needs only the codewords that
-vanish at the first pivot's point: X* is a group, and translating the
-points by one of its elements permutes them and keeps the degree, so it
-moves a lightest codeword's zero onto that point.  That subcode, the
-echelon rows after the first, has (q^(k-1) - 1)/(q - 1) scalar classes, q
-times fewer than the whole code.  Above the budget the distance is
-reported as the interval between the bounds, never a silent wrong number.
-The budget caps only the sweep and still counts all q^k codewords, so a
-row can be exact above it.
+Minimum distance is certified in this order.  On X* it is 1 exactly when
+k = m.  Otherwise the footprint of Delta (Geil and Hoeholdt, "Footprints
+or generalized Bezout's theorem", IEEE-IT 2000), min over M in Delta of
+degree <= d of #{N in Delta : M | N}, is a lower bound, and a codeword,
+the witness, an upper bound: a product of at most d factors t_i - c, or,
+where that exceeds the footprint, the lightest row of the reduced echelon
+form, the only witness on columns that are no point set.  When they meet
+the distance is exact.  Otherwise, when the number of codewords q^k fits
+the budget, a sweep of one codeword per scalar class finds it, on X* over
+the subcode that vanishes at one point only; above the budget the
+distance is the interval between the bounds, never a silent wrong number.
+The budget caps only the sweep, so a row can be exact above it.
 """
 
 from __future__ import annotations
@@ -82,20 +63,19 @@ _BLOCK_WRITE_ENTRIES = 1 << 18
 
 # -- evaluation matrix -------------------------------------------------------
 
-@dataclass(frozen=True, eq=False)
+@dataclass(eq=False)
 class EvaluationMatrix:
     """The standard monomials of degree <= d evaluated at every point, as
     canonical field ints; the row space is the code.  `monomials` is
-    Delta<=d, one read-only exponent row per matrix row.  It keeps the
-    rows of the monomials above the degree it extends, `new_rows`, and
-    `below`, the echelon form of the rows before them, if any; the whole
-    k x m array `rows` is evaluated from scratch when first read."""
+    Delta<=d, one read-only exponent row per matrix row, and `below` the
+    matrix it extends, if any.  `new_rows`, the rows of the monomials
+    above those of `below`, and `echelon` are computed on first read; the
+    whole k x m array `rows` is evaluated from scratch when first read."""
 
     degree: int
     monomials: np.ndarray
     pset: ParameterizedSet
-    new_rows: np.ndarray
-    below: Optional[tuple[np.ndarray, list[int]]] = None
+    below: Optional["EvaluationMatrix"] = None
 
     @property
     def field(self) -> FieldSpec:
@@ -106,9 +86,15 @@ class EvaluationMatrix:
         return len(self.pset)
 
     @cached_property
+    def new_rows(self) -> np.ndarray:
+        """The rows of the monomials above those of `below`, read-only."""
+        return _evaluate(self.pset, self.monomials[len(self.below.monomials)
+                                                   if self.below else 0:])
+
+    @cached_property
     def rows(self) -> np.ndarray:
         """Every row, read-only."""
-        if self.below is None:
+        if len(self.new_rows) == len(self.monomials):
             return self.new_rows
         return _evaluate(self.pset, self.monomials)
 
@@ -117,9 +103,18 @@ class EvaluationMatrix:
 
     @cached_property
     def echelon(self) -> tuple[np.ndarray, list[int]]:
-        """The reduced row echelon form and its pivots, computed once."""
+        """The reduced row echelon form and its pivots, computed once from
+        that of `below`, which is then let go.  On a point set the rank
+        must be |Delta<=d|."""
         empty = (np.zeros((0, self.num_points), dtype=np.int32), [])
-        return linalg.extend_rref(*(self.below or empty), self.new_rows, self.field)
+        form = linalg.extend_rref(*(self.below.echelon if self.below else empty),
+                                  self.new_rows, self.field)
+        self.below = None
+        if isinstance(self.pset, ParameterizedSet) and len(form[1]) != len(self.monomials):
+            raise InternalInconsistencyError(
+                f"rank {len(form[1])} of the evaluation matrix at degree {self.degree} "
+                f"differs from the Hilbert value {len(self.monomials)}")
+        return form
 
 
 def _evaluate(pset: ParameterizedSet, exponents: np.ndarray) -> np.ndarray:
@@ -143,10 +138,10 @@ def build_evaluation_matrix(pset: ParameterizedSet, d: int,
                             below: Optional[EvaluationMatrix] = None) -> EvaluationMatrix:
     """Rows are Delta<=d in ascending graded GrevLex order, columns follow
     the canonical point order; the echelon form extends that of `below`,
-    and only the monomials above its degree are evaluated.  A degree above
-    Delta's top degree adds no row.  A matrix of more than
-    DEFAULT_MATRIX_BUDGET entries, read at each call, is refused before
-    any row is evaluated."""
+    and only the monomials above its degree are evaluated, when first
+    read.  A degree above Delta's top degree adds no row.  A matrix of
+    more than DEFAULT_MATRIX_BUDGET entries, read at each call, is refused
+    before any row is evaluated."""
     if d < 0:
         raise DomainError("degree must be non-negative")
     if below and (below.pset is not pset or below.degree >= d):
@@ -158,9 +153,7 @@ def build_evaluation_matrix(pset: ParameterizedSet, d: int,
             f"the budget {DEFAULT_MATRIX_BUDGET}")
     delta.flags.writeable = False
     # Delta<=below.degree is a prefix of Delta<=d
-    exponents = delta[len(below.monomials) if below else 0:]
-    return EvaluationMatrix(d, delta, pset, _evaluate(pset, exponents),
-                            below.echelon if below else None)
+    return EvaluationMatrix(d, delta, pset, below)
 
 
 def code_dimension(matrix: EvaluationMatrix) -> int:
@@ -278,9 +271,19 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec, floor: int = 1) -> in
 
 def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
                      threads: int = 1) -> MinDistance:
-    """Exact where the footprint meets the lightest echelon row, else by a
-    sweep when q^dim fits the budget, else the interval between the two.
-    budget=0 disables the computation.
+    """Exact where the footprint meets a witness, else by a sweep when q^k
+    fits the budget, else the interval between the two.  budget=0
+    disables the computation.
+
+    On a point set X* the rows are the characters t^a, a in Delta<=d, of
+    the group X*, one per class, and distinct characters are linearly
+    independent (Artin's lemma): k = |Delta<=d|.  The order m of X*
+    divides (q-1)^s, so it is prime to p, and the indicator of a point is
+    a combination of all m characters with nonzero coefficients: the
+    distance is 1 exactly when k = m.  Below that the product witness
+    comes first, and the echelon form is read only when it exceeds the
+    footprint.  Other columns take k and the witness from the echelon
+    form.
 
     On a point set X* with k >= 2 the sweep reads only the echelon rows
     after the first.  In reduced echelon form they span exactly the
@@ -290,30 +293,37 @@ def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
     lies in X*, x -> h*x permutes X*, and f(h*t) has f's degree: its
     codeword has the same weight and is zero at p_j.  So the subcode's
     minimum weight is the code's.  With k = 1 the subcode is zero, and any
-    other columns, which need not come from a group, are swept whole.
+    other columns are swept whole.
 
     The sweep runs on the calling thread; `threads` is accepted and
     ignored, for callers that still pass it."""
-    spec = matrix.field
-    basis, pivots = matrix.echelon
-    k = len(pivots)
+    pset, d = matrix.pset, matrix.degree
+    on_points = isinstance(pset, ParameterizedSet)
+    k = len(matrix.monomials) if on_points else len(matrix.echelon[1])
     if k == 0:
         raise DomainError("the zero code has no minimum distance")
     if budget == 0:
         return MinDistance.skipped()
-    within_budget = spec.order ** k <= budget
-    witness = int(np.count_nonzero(basis, axis=1).min())
+    within_budget = matrix.field.order ** k <= budget
+    if on_points and k == len(pset):
+        witness = 1
+    else:
+        # read only where no codeword has weight 1: on X* since k < m, on
+        # other columns where no echelon row has
+        lower = max(pset.footprint(d), 2)
+        witness = pset.product_witness(d) if on_points else len(pset) + 1
+        if not on_points or witness > lower:
+            witness = min(witness, int(np.count_nonzero(matrix.echelon[0], axis=1).min()))
     if witness == 1:
         return (MinDistance.exact(1, "weight-1") if within_budget
                 else MinDistance.weight_one())
-    # no echelon row is a unit vector, so no codeword is one
-    lower = max(matrix.pset.footprint(matrix.degree), 2)
     if lower == witness:
         return MinDistance.exact(witness, "footprint")
     if within_budget:
-        if k >= 2 and isinstance(matrix.pset, ParameterizedSet):
+        basis = matrix.echelon[0]
+        if k >= 2 and on_points:
             basis = basis[1:]
-        weight = _enumerate_weights(basis, spec, floor=lower)
+        weight = _enumerate_weights(basis, matrix.field, floor=lower)
         return MinDistance.exact(weight, "search")
     return MinDistance.bounded(lower, witness)
 
@@ -385,28 +395,24 @@ class PipelineRun:
 def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                  md_budget: int = DEFAULT_MD_BUDGET,
                  verify: bool = False) -> PipelineRun:
-    """Per-degree code parameters, with the rank-versus-Hilbert check
-    always on.  One walk of the standard monomials serves the footprint
-    bounds and the matrix rows.  The homogenizing variable divides no
-    leading monomial, so the Hilbert value of the projective closure at d
-    is |Delta<=d|, the number of rows of the degree-d matrix, and the ring
-    degree is |Delta|: a rank equal to the rows proves the walk's classes
-    at each degree distinct.  Each matrix extends the previous degree's
-    if that is lower.  With verify=True the affine basis and its
-    homogenization are certified by counting (`ParameterizedSet.certify`),
-    which proves that the rows span the code of all monomials (each one
-    equals, on X*, a standard monomial of no higher degree, since GrevLex
-    is graded) and matches the basis's own walk of Delta against the
-    class walk's levels, degree by degree, so the basis's affine Hilbert
-    value at d is the row count every rank is compared with.  Every
-    echelon form is then recomputed by `linalg.rref` from the whole
-    matrix, and every distance the footprint or the subcode sweep settled
-    within the budget is checked by sweeping the whole code, unless its
-    codewords times the points exceed VERIFY_SWEEP_ENTRIES, which raises
-    ResourceLimitError."""
+    """Per-degree code parameters.  One walk of the standard monomials
+    serves the footprint bounds and the matrix rows.  The homogenizing
+    variable divides no leading monomial, so the Hilbert value of the
+    projective closure at d is k = |Delta<=d|, the rows of the degree-d
+    matrix and the dimension (see `minimum_distance`), and the ring degree
+    is |Delta|.  Each matrix extends the previous degree's if that is
+    lower.  With verify=True the basis and its homogenization are
+    certified (`ParameterizedSet.certify`); every degree's echelon form is
+    built, so its rank is compared with k, and compared with `linalg.rref`
+    of the whole matrix; each product witness is evaluated again on the
+    points with field arithmetic and must lie in the code with the weight
+    it claims; and every distance the footprint or the subcode sweep
+    settled within the budget is checked by sweeping the whole code,
+    unless its codewords times the points exceed VERIFY_SWEEP_ENTRIES,
+    which raises ResourceLimitError."""
     if verify:
         pset.certify(vanishing_ideal_projective(pset.affine_basis))
-    m = len(pset)
+    m, spec = len(pset), pset.field
     degree = sum(map(len, pset.standard_monomials))
     if degree != m:
         raise InternalInconsistencyError(
@@ -415,31 +421,39 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
     for d in degrees:
         matrix = build_evaluation_matrix(
             pset, d, below=matrix if matrix and matrix.degree < d else None)
-        dim = code_dimension(matrix)
+        k = len(matrix.monomials)
         if verify:
-            echelon, pivots = linalg.rref(matrix.rows, pset.field)
+            echelon, pivots = linalg.rref(matrix.rows, spec)
             if pivots != matrix.echelon[1] or (echelon != matrix.echelon[0]).any():
                 raise InternalInconsistencyError(
                     f"echelon form at degree {d} differs from a reduction from scratch")
-        if dim != len(matrix.monomials):
-            raise InternalInconsistencyError(
-                f"rank {dim} of the evaluation matrix at degree {d} "
-                f"differs from the Hilbert value {len(matrix.monomials)}")
         md = minimum_distance(matrix, budget=md_budget)
-        q = pset.field.order
-        if verify and md.method in ("footprint", "search") and q ** dim <= md_budget:
-            words = (q ** dim - 1) // (q - 1)
+        if verify and k < m:
+            product = np.ones(m, dtype=np.int32)
+            for i, c in pset.product_factors(d):
+                product = spec.mul(product, spec.sub(pset.points[:, i], c))
+            claimed, weight = pset.product_witness(d), int(np.count_nonzero(product))
+            if weight != claimed:
+                raise InternalInconsistencyError(
+                    f"product witness at degree {d} claims weight {claimed} "
+                    f"but is nonzero on {weight} points")
+            if linalg.extend_rref(*matrix.echelon, product[None], spec)[1] != pivots:
+                raise InternalInconsistencyError(
+                    f"product witness at degree {d} lies outside the code")
+        q = spec.order
+        if verify and md.method in ("footprint", "search") and q ** k <= md_budget:
+            words = (q ** k - 1) // (q - 1)
             if words * m > VERIFY_SWEEP_ENTRIES:
                 raise ResourceLimitError(
                     f"verifying degree {d} would sweep {words} codewords x {m} "
                     f"points = {words * m} entries, above the cap "
                     f"{VERIFY_SWEEP_ENTRIES}")
-            swept = _enumerate_weights(matrix.echelon[0], pset.field)
+            swept = _enumerate_weights(matrix.echelon[0], spec)
             if swept != md.value:
                 raise InternalInconsistencyError(
                     f"{md.method} distance {md.value} at degree {d} differs "
                     f"from the sweep's {swept}")
-        rows.append(CodeParameters(d, m, dim, md))
+        rows.append(CodeParameters(d, m, k, md))
     return PipelineRun(pset, tuple(rows))
 
 
@@ -469,7 +483,9 @@ def verify_instance(pset: ParameterizedSet, degrees: Sequence[int],
     except InternalInconsistencyError as exc:
         record("pipeline", False, str(exc))
         return checks
-    record("pipeline", True, "rank, Hilbert and affine Hilbert values agree")
+    record("pipeline", True, "basis certified; at every degree the rank by "
+           "elimination equals |Delta<=d|, the echelon form equals one "
+           "recomputed from scratch, and each product witness is recounted")
 
     # run_pipeline(verify=True) has raised unless ParameterizedSet.certify
     # passed: every generator vanishes on every point, the projective basis

@@ -150,10 +150,10 @@ class BinomialBasis:
 class ParameterizedSet:
     """The enumerated points of the set, one read-only m x s array of
     canonical ints with rows in ascending order, with their logs, the
-    vanishing ideal's basis and standard monomials, and the footprints,
-    each computed once.  The class walk's table has one entry per
-    parameter tuple, so DEFAULT_ENUMERATION_BUDGET bounds it as it
-    bounds the enumeration."""
+    vanishing ideal's basis and standard monomials, the footprints and
+    the product witnesses, each computed once.  The class walk's table
+    has one entry per parameter tuple, so DEFAULT_ENUMERATION_BUDGET
+    bounds it as it bounds the enumeration."""
 
     matrix: ExponentMatrix
     field: FieldSpec
@@ -292,6 +292,37 @@ class ParameterizedSet:
         Every degree's bound is counted in one pass, on the first call."""
         minima = self._footprints
         return minima[min(d, len(minima) - 1)]
+
+    @cached_property
+    def _products(self) -> tuple[list[tuple[int, int]], np.ndarray, list[int]]:
+        """The product so far: factors, nonzero mask, weight per factor."""
+        return [], np.ones(len(self), dtype=bool), [len(self)]
+
+    def product_factors(self, d: int) -> list[tuple[int, int]]:
+        """The factors t_i - c, as (i, c), of the degree-d product witness.
+        Each zeroes the most points the product so far is nonzero on, but
+        not all: one bincount of their logs per coordinate.  Such products
+        are the extremal codewords of tori and affine cartesian codes
+        (Lopez, Renteria-Marquez and Villarreal, DCC 2014)."""
+        factors, alive, weights = self._products
+        while len(factors) < d and weights[-1] > 1:
+            best = (0, 0, 0)
+            for i, logs in enumerate(self.logs):
+                counts = np.bincount(logs[alive])
+                counts[counts == weights[-1]] = 0  # a value every point shares
+                c = int(counts.argmax())
+                if counts[c] > best[0]:
+                    best = (int(counts[c]), i, c)
+            zeroed, i, c = best
+            alive &= self.logs[i] != c
+            factors.append((i, self.field.exp(c)))
+            weights.append(weights[-1] - zeroed)
+        return factors[:d]
+
+    def product_witness(self, d: int) -> int:
+        """Weight of the product of `product_factors(d)`, of degree <= d: an
+        upper bound on the distance."""
+        return self._products[2][len(self.product_factors(d))]
 
 
 def enumerate_points(matrix: ExponentMatrix, field: FieldSpec) -> ParameterizedSet:

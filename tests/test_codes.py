@@ -247,25 +247,87 @@ def witness(E: EvaluationMatrix) -> int:
 @settings(max_examples=40, deadline=None)
 @given(point_sets())
 def test_footprint_and_witness_bracket_the_distance(pset):
-    spec = pset.field
+    spec, m = pset.field, len(pset)
     # the code is the whole space from the top degree of Delta on
     for d in range(len(pset.standard_monomials)):
         E = build_evaluation_matrix(pset, d)
+        k = code_dimension(E)
         lower, upper = pset.footprint(d), witness(E)
-        assert 1 <= lower <= upper <= len(pset) - code_dimension(E) + 1
-        words = spec.order ** code_dimension(E)
-        if words * len(pset) <= 20_000:
+        product = pset.product_witness(d)
+        assert 1 <= lower <= upper <= m - k + 1 and lower <= product
+        words = spec.order ** k
+        if words * m <= 20_000:
             distance = brute_min_distance(E.rows, spec)
-            assert lower <= distance <= upper
+            assert lower <= distance <= min(upper, product)
+            # a unit vector lies in the code exactly when every character does
+            assert (distance == 1) == (k == m)
             # the translations of X* put a lightest codeword in the subcode
             # zero at the first pivot's point
-            if code_dimension(E) >= 2:
+            if k >= 2:
                 assert codes._enumerate_weights(E.echelon[0][1:], spec) == distance
         md = minimum_distance(E, budget=100)
         if md.status == "bounded":
-            assert (md.lower, md.upper) == (max(lower, 2), upper)
+            assert (md.lower, md.upper) == (max(lower, 2), min(upper, product))
         elif words > 100:  # settled without a sweep
-            assert md.value in (lower, upper) and md.method in ("footprint", "weight-1")
+            assert md.value == min(upper, product)
+            assert md.method in ("footprint", "weight-1")
+
+
+@settings(max_examples=30, deadline=None)
+@given(point_sets())
+def test_product_witness_is_a_codeword_of_its_weight(pset):
+    # evaluated point by point with scalar field arithmetic, the product of
+    # at most d factors lies in the degree-d code and is nonzero on as many
+    # points as product_witness claims; --verify's recount agrees
+    spec, points = pset.field, pset.points.tolist()
+    top = len(pset.standard_monomials) - 1
+    for d in range(top + 1):
+        factors = pset.product_factors(d)
+        assert len(factors) <= d
+        values = [1] * len(points)
+        for i, c in factors:
+            values = [spec.mul(v, spec.sub(p[i], c)) for v, p in zip(values, points)]
+        assert sum(map(bool, values)) == pset.product_witness(d)
+        E = build_evaluation_matrix(pset, d)
+        assert len(linalg.rref(np.vstack([E.rows, values]), spec)[1]) == len(E.monomials)
+    run_pipeline(pset, range(top + 1), md_budget=100, verify=True)
+
+
+@pytest.mark.parametrize("q", [3, 4, 5, 7, 8, 9, 11, 13])
+@pytest.mark.parametrize("rows", [[[1, 0], [0, 1]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+                                  [[2, 0], [0, 3]], [[2, 0, 0], [0, 1, 0], [0, 0, 3]]],
+                         ids=["torus-2", "torus-3", "diagonal-2", "diagonal-3"])
+def test_product_witness_meets_the_footprint_on_tori(q, rows):
+    # a diagonal torus is a product of cyclic groups, an affine cartesian
+    # set, whose extremal codewords are products of factors t_i - c: below
+    # Delta's top degree every row is settled with no echelon form
+    pset = enumerate_points(ExponentMatrix.of(rows), field(q))
+    top = len(pset.standard_monomials) - 1
+    assert [pset.product_witness(d) for d in range(1, top)] == \
+        [pset.footprint(d) for d in range(1, top)]
+
+
+def test_verify_recounts_the_product_witness():
+    # on the GF(5) torus at d = 1 the product t1 - c is nonzero on 12
+    # points, which the footprint meets.  A witness claiming 11 sends the
+    # row to the sweep, which finds 12; verify's recount refuses the claim
+    pset = torus_set(5, 2)
+    assert (pset.product_witness(1), pset.footprint(1)) == (12, 12)
+    with mock.patch.object(ParameterizedSet, "product_witness", return_value=11):
+        (row,) = run_pipeline(pset, [1]).table
+        assert (row.min_distance.value, row.min_distance.method) == (12, "search")
+        with pytest.raises(InternalInconsistencyError,
+                           match="degree 1 claims weight 11 but is nonzero on 12 points"):
+            run_pipeline(pset, [1], verify=True)
+    # two factors of t1, whose product has the weight 8 it claims, are no
+    # codeword of degree 1
+    factors = ParameterizedSet.product_factors
+    with mock.patch.object(ParameterizedSet, "product_factors",
+                           lambda self, d: factors(self, d + 1)):
+        assert pset.product_witness(1) == 8
+        with pytest.raises(InternalInconsistencyError,
+                           match="witness at degree 1 lies outside the code"):
+            run_pipeline(pset, [1], verify=True)
 
 
 @pytest.mark.parametrize("q,s", [(3, 1), (3, 3), (4, 2), (5, 2), (7, 1),
@@ -626,6 +688,28 @@ def test_verify_recomputes_every_echelon_form(triangle_set):
             run_pipeline(triangle_set, [1, 2, 3], md_budget=700, verify=True)
 
 
+def test_every_echelon_form_built_checks_its_rank(triangle_set):
+    # an extension that loses its last row: wherever an echelon form is
+    # built on a point set its rank must be |Delta<=d|.  The GF(5) torus
+    # row at d = 1 builds none, so only verify, which builds every form,
+    # checks its rank
+    extend = linalg.extend_rref
+
+    def lossy(echelon, pivots, rows, spec):
+        form, pivots = extend(echelon, pivots, rows, spec)
+        return form[:-1], pivots[:-1]
+
+    with mock.patch.object(linalg, "extend_rref", lossy):
+        with pytest.raises(InternalInconsistencyError, match="rank 3 of the evaluation "
+                           "matrix at degree 1 differs from the Hilbert value 4"):
+            code_dimension(build_evaluation_matrix(triangle_set, 1))
+        (row,) = run_pipeline(torus_set(5, 2), [1]).table
+        assert (row.dimension, row.min_distance.value) == (3, 12)
+        with pytest.raises(InternalInconsistencyError, match="rank 2 of the evaluation "
+                           "matrix at degree 1 differs from the Hilbert value 3"):
+            run_pipeline(torus_set(5, 2), [1], verify=True)
+
+
 # -- the projective sweep against brute force ----------------------------------
 
 class _Columns:
@@ -644,7 +728,11 @@ class _Columns:
 
 
 def generator_matrix(spec, rows) -> EvaluationMatrix:
-    return EvaluationMatrix(0, (), _Columns(spec, len(rows[0])), np.array(rows))
+    """The code of the given rows, which are not evaluated, on columns that
+    are no point set, so that its distance takes the echelon route."""
+    E = EvaluationMatrix(0, (), _Columns(spec, len(rows[0])))
+    E.new_rows = E.rows = np.array(rows)
+    return E
 
 
 def check_sweep(spec, rows):
@@ -818,12 +906,14 @@ def test_is_mds_repetition_and_triangle(triangle_set):
 # -- weight-preserving column scaling (affine/projective bridge) -----------------
 
 def scaled_matrix(E: EvaluationMatrix, d: int) -> EvaluationMatrix:
-    """Divide column j by (first coordinate of P_j)^d."""
+    """Divide column j by (first coordinate of P_j)^d.  The scaled rows are
+    no characters of X*, so they stand as a generic code, whose distance
+    comes from its own echelon form and sweep."""
     spec = E.field
     factors = [spec.inv(spec.pow(x, d)) for x in E.pset.points[:, 0].tolist()]
     rows = [[spec.mul(int(c), f) for c, f in zip(row, factors)]
             for row in E.rows]
-    return EvaluationMatrix(E.degree, E.monomials, E.pset, np.array(rows))
+    return generator_matrix(spec, rows)
 
 
 @pytest.mark.parametrize("maker,d", [
