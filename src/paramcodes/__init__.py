@@ -29,7 +29,7 @@ from .ideals import (
     vanishing_ideal_affine,
     vanishing_ideal_projective,
 )
-from .hilbert import HilbertProfile, affine_hilbert_value, hilbert_profile, hilbert_value
+from .hilbert import HilbertProfile, hilbert_profile, hilbert_value
 from .codes import (
     CodeParameters,
     EvaluationMatrix,
@@ -37,11 +37,9 @@ from .codes import (
     build_evaluation_matrix,
     code_dimension,
     minimum_distance,
-    parameter_table,
     run_pipeline,
     torus_dimension,
     torus_min_distance,
-    verify_instance,
 )
 
 __version__ = "0.1.0"
@@ -59,18 +57,15 @@ __all__ = [
     "MinDistance",
     "ParameterizedSet",
     "ResourceLimitError",
-    "affine_hilbert_value",
     "build_evaluation_matrix",
     "code_dimension",
     "enumerate_points",
     "hilbert_profile",
     "hilbert_value",
     "minimum_distance",
-    "parameter_table",
     "run_pipeline",
     "torus_dimension",
     "torus_min_distance",
     "vanishing_ideal_affine",
     "vanishing_ideal_projective",
-    "verify_instance",
 ]

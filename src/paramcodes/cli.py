@@ -1,9 +1,9 @@
 """Command-line front end for the parameter pipeline.
 
 Subcommands: params (full table), ideal (print a vanishing-ideal basis),
-torus (closed-form table, optional pipeline cross-check), verify (run all
-cross-module invariants).  Exit codes: 0 ok, 1 usage, 2 resource limit,
-3 internal inconsistency.
+torus (closed-form table, optional pipeline cross-check), verify (the
+checks of params --verify, one line each).  Exit codes: 0 ok, 1 usage,
+2 resource limit, 3 internal inconsistency.
 """
 
 from __future__ import annotations
@@ -19,11 +19,9 @@ from typing import Optional, Sequence
 from .codes import (
     DEFAULT_MD_BUDGET,
     CodeParameters,
-    MinDistance,
-    parameter_table,
-    torus_dimension,
-    torus_min_distance,
-    verify_instance,
+    run_pipeline,
+    table_differences,
+    torus_table,
 )
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from .gf import FieldSpec, _check_irreducible, _factor_prime_power
@@ -229,9 +227,9 @@ def render_rows(rows: Sequence[CodeParameters], fmt: str) -> str:
 def cmd_params(args) -> int:
     config = build_config(args, need_degrees=True)
     pset = enumerate_points(config.matrix, config.field())
-    rows = parameter_table(pset, config.degrees, md_budget=config.md_budget,
-                           verify=config.verify)
-    print(render_rows(rows, config.output_format))
+    run = run_pipeline(pset, config.degrees, md_budget=config.md_budget,
+                       verify=config.verify)
+    print(render_rows(run.table, config.output_format))
     return EXIT_OK
 
 
@@ -263,27 +261,12 @@ def cmd_torus(args) -> int:
     if digits and (args.s >= 4 * digits or (args.q - 1) ** args.s >= 10 ** digits):
         raise DomainError(f"the length {args.q - 1}^{args.s} has more than {digits} "
                           f"digits, Python's limit for printing an integer")
-    length = (args.q - 1) ** args.s
-    rows = []
-    for d in degrees:
-        dim = torus_dimension(args.q, args.s, d)
-        delta = (torus_min_distance(args.q, args.s, d) if d >= 1 else length)
-        rows.append(CodeParameters(d, length, dim, MinDistance.exact(delta)))
+    rows = torus_table(args.q, args.s, degrees)
     print(render_rows(rows, args.format or "table"))
     if args.cross_check and degrees:
         pset = enumerate_points(ExponentMatrix.torus(args.s), _torus_field(args.q))
-        pipeline = parameter_table(pset, degrees, md_budget=args.md_budget)
-        problems = []
-        if len(pset) != length:
-            problems.append(f"length {len(pset)} != {length}")
-        for want, got in zip(rows, pipeline):
-            if want.dimension != got.dimension:
-                problems.append(
-                    f"d={want.d}: dim {got.dimension} != {want.dimension}")
-            exact = got.min_distance.value
-            if exact is not None and exact != want.min_distance.value:
-                problems.append(
-                    f"d={want.d}: delta {exact} != {want.min_distance.value}")
+        problems = table_differences(
+            rows, run_pipeline(pset, degrees, md_budget=args.md_budget).table)
         if problems:
             for p in problems:
                 print(f"cross-check FAIL: {p}", file=sys.stderr)
@@ -304,15 +287,16 @@ def _torus_field(q: int) -> FieldSpec:
 def cmd_verify(args) -> int:
     config = build_config(args, need_degrees=True)
     pset = enumerate_points(config.matrix, config.field())
-    checks = verify_instance(pset, config.degrees, md_budget=config.md_budget)
-    failed = [name for name, ok, _ in checks if not ok]
-    for name, ok, detail in checks:
-        mark = "ok  " if ok else "FAIL"
-        print(f"{mark} {name}: {detail}")
-    if failed:
-        print(f"{len(failed)} of {len(checks)} checks failed", file=sys.stderr)
+    try:
+        run = run_pipeline(pset, config.degrees, md_budget=config.md_budget,
+                           verify=True)
+    except InternalInconsistencyError as exc:
+        print(f"FAIL pipeline: {exc}")
+        print("1 of 1 checks failed", file=sys.stderr)
         return EXIT_INCONSISTENT
-    print(f"all {len(checks)} checks passed")
+    for name, detail in run.checks:
+        print(f"ok   {name}: {detail}")
+    print(f"all {len(run.checks)} checks passed")
     return EXIT_OK
 
 
@@ -376,7 +360,7 @@ def make_parser() -> argparse.ArgumentParser:
                    help="run the full pipeline and diff")
     p.set_defaults(handler=cmd_torus)
 
-    p = commands.add_parser("verify", help="run all cross-module invariants")
+    p = commands.add_parser("verify", help="run the checks of params --verify")
     _add_common(p)
     _add_table(p)
     p.set_defaults(handler=cmd_verify)

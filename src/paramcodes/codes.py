@@ -24,12 +24,12 @@ or generalized Bezout's theorem", IEEE-IT 2000), min over M in Delta of
 degree <= d of #{N in Delta : M | N}, is a lower bound, and a codeword,
 the witness, an upper bound: a product of at most d factors t_i - c, or,
 where that exceeds the footprint, the lightest row of the reduced echelon
-form, the only witness on columns that are no point set.  When they meet
-the distance is exact.  Otherwise, when the number of codewords q^k fits
-the budget, a sweep of one codeword per scalar class finds it, on X* over
-the subcode that vanishes at one point only; above the budget the
-distance is the interval between the bounds, never a silent wrong number.
-The budget caps only the sweep, so a row can be exact above it.
+form.  When they meet the distance is exact.  Otherwise, when the number
+of codewords q^k fits the budget, a sweep of one codeword per scalar class
+finds it, on X* over the subcode that vanishes at one point only; above
+the budget the distance is the interval between the bounds, never a
+silent wrong number.  The budget caps only the sweep, so a row can be
+exact above it.
 """
 
 from __future__ import annotations
@@ -104,13 +104,13 @@ class EvaluationMatrix:
     @cached_property
     def echelon(self) -> tuple[np.ndarray, list[int]]:
         """The reduced row echelon form and its pivots, computed once from
-        that of `below`, which is then let go.  On a point set the rank
-        must be |Delta<=d|."""
+        that of `below`, which is then let go.  The rank must be
+        |Delta<=d|."""
         empty = (np.zeros((0, self.num_points), dtype=np.int32), [])
         form = linalg.extend_rref(*(self.below.echelon if self.below else empty),
                                   self.new_rows, self.field)
         self.below = None
-        if isinstance(self.pset, ParameterizedSet) and len(form[1]) != len(self.monomials):
+        if len(form[1]) != len(self.monomials):
             raise InternalInconsistencyError(
                 f"rank {len(form[1])} of the evaluation matrix at degree {self.degree} "
                 f"differs from the Hilbert value {len(self.monomials)}")
@@ -282,37 +282,33 @@ def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
     a combination of all m characters with nonzero coefficients: the
     distance is 1 exactly when k = m.  Below that the product witness
     comes first, and the echelon form is read only when it exceeds the
-    footprint.  Other columns take k and the witness from the echelon
-    form.
+    footprint.
 
-    On a point set X* with k >= 2 the sweep reads only the echelon rows
-    after the first.  In reduced echelon form they span exactly the
-    codewords that are zero at the first pivot column, whose point is p_j.
+    With k >= 2 the sweep reads only the echelon rows after the first.
+    In reduced echelon form they span exactly the codewords that are zero
+    at the first pivot column, whose point is p_j.
     A lightest codeword f(X*) has weight at most m - k + 1 < m, so it is
     zero at some point p_i.  X* is a subgroup of the torus, so h = p_i/p_j
     lies in X*, x -> h*x permutes X*, and f(h*t) has f's degree: its
     codeword has the same weight and is zero at p_j.  So the subcode's
-    minimum weight is the code's.  With k = 1 the subcode is zero, and any
-    other columns are swept whole.
+    minimum weight is the code's.  With k = 1 the subcode is zero.
 
     The sweep runs on the calling thread; `threads` is accepted and
     ignored, for callers that still pass it."""
     pset, d = matrix.pset, matrix.degree
-    on_points = isinstance(pset, ParameterizedSet)
-    k = len(matrix.monomials) if on_points else len(matrix.echelon[1])
+    k = len(matrix.monomials)
     if k == 0:
         raise DomainError("the zero code has no minimum distance")
     if budget == 0:
         return MinDistance.skipped()
     within_budget = matrix.field.order ** k <= budget
-    if on_points and k == len(pset):
+    if k == len(pset):
         witness = 1
     else:
-        # read only where no codeword has weight 1: on X* since k < m, on
-        # other columns where no echelon row has
+        # read only where k < m, so that no codeword has weight 1
         lower = max(pset.footprint(d), 2)
-        witness = pset.product_witness(d) if on_points else len(pset) + 1
-        if not on_points or witness > lower:
+        witness = pset.product_witness(d)
+        if witness > lower:
             witness = min(witness, int(np.count_nonzero(matrix.echelon[0], axis=1).min()))
     if witness == 1:
         return (MinDistance.exact(1, "weight-1") if within_budget
@@ -321,7 +317,7 @@ def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
         return MinDistance.exact(witness, "footprint")
     if within_budget:
         basis = matrix.echelon[0]
-        if k >= 2 and on_points:
+        if k >= 2:
             basis = basis[1:]
         weight = _enumerate_weights(basis, matrix.field, floor=lower)
         return MinDistance.exact(weight, "search")
@@ -386,10 +382,37 @@ class CodeParameters:
 
 @dataclass(frozen=True)
 class PipelineRun:
-    """Everything the pipeline produces for one point set."""
+    """Everything the pipeline produces for one point set; `checks` names
+    each check that verification ran, with what it checked."""
 
     pset: ParameterizedSet
     table: tuple[CodeParameters, ...]
+    checks: tuple[tuple[str, str], ...] = ()
+
+
+def torus_table(q: int, s: int, degrees: Sequence[int]) -> list[CodeParameters]:
+    """The closed forms' rows on the s-dimensional torus over GF(q); at
+    d = 0 the code is the repetition code, whose distance is the length."""
+    length = (q - 1) ** s
+    return [CodeParameters(d, length, torus_dimension(q, s, d), MinDistance.exact(
+        torus_min_distance(q, s, d) if d >= 1 else length)) for d in degrees]
+
+
+def table_differences(want: Sequence[CodeParameters],
+                      got: Sequence[CodeParameters]) -> list[str]:
+    """One message per number of `got` that differs from `want`: the
+    length once, then at each degree the dimension and, where `got` has
+    one, the exact distance."""
+    problems = []
+    if want and got and got[0].length != want[0].length:
+        problems.append(f"length {got[0].length} != {want[0].length}")
+    for w, g in zip(want, got):
+        if g.dimension != w.dimension:
+            problems.append(f"d={w.d}: dim {g.dimension} != {w.dimension}")
+        exact = g.min_distance.value
+        if exact is not None and exact != w.min_distance.value:
+            problems.append(f"d={w.d}: delta {exact} != {w.min_distance.value}")
+    return problems
 
 
 def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
@@ -409,7 +432,11 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
     it claims; and every distance the footprint or the subcode sweep
     settled within the budget is checked by sweeping the whole code,
     unless its codewords times the points exceed VERIFY_SWEEP_ENTRIES,
-    which raises ResourceLimitError."""
+    which raises ResourceLimitError.  Then the exact distances, by
+    degree, must not increase and must lie within the Singleton bound,
+    and on the torus over GF(q), q >= 3, every row must agree with the
+    closed forms.  A failed check raises InternalInconsistencyError; each
+    one that ran is recorded in `checks`."""
     if verify:
         pset.certify(vanishing_ideal_projective(pset.affine_basis))
     m, spec = len(pset), pset.field
@@ -454,85 +481,32 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                     f"{md.method} distance {md.value} at degree {d} differs "
                     f"from the sweep's {swept}")
         rows.append(CodeParameters(d, m, k, md))
-    return PipelineRun(pset, tuple(rows))
-
-
-def parameter_table(pset: ParameterizedSet, degrees: Sequence[int],
-                    md_budget: int = DEFAULT_MD_BUDGET,
-                    verify: bool = False) -> list[CodeParameters]:
-    """One CodeParameters record per requested degree."""
-    degrees = list(degrees)
-    if not degrees:
-        return []
-    run = run_pipeline(pset, degrees, md_budget=md_budget, verify=verify)
-    return list(run.table)
-
-
-# -- cross-module verification -------------------------------------------------
-
-def verify_instance(pset: ParameterizedSet, degrees: Sequence[int],
-                    md_budget: int = DEFAULT_MD_BUDGET) -> list[tuple[str, bool, str]]:
-    """Run every cross-module invariant and report (check, ok, detail)."""
-    checks: list[tuple[str, bool, str]] = []
-
-    def record(name: str, ok: bool, detail: str = ""):
-        checks.append((name, bool(ok), detail))
-
-    try:
-        run = run_pipeline(pset, list(degrees), md_budget=md_budget, verify=True)
-    except InternalInconsistencyError as exc:
-        record("pipeline", False, str(exc))
-        return checks
-    record("pipeline", True, "basis certified; at every degree the rank by "
-           "elimination equals |Delta<=d|, the echelon form equals one "
-           "recomputed from scratch, and each product witness is recounted")
-
-    # run_pipeline(verify=True) has raised unless ParameterizedSet.certify
-    # passed: every generator vanishes on every point, the projective basis
-    # is the homogenization of the affine one, and the count of standard
-    # monomials proves the affine basis a Groebner basis, so every
-    # S-polynomial reduces to zero, and its homogenization one too
-    gb_x = pset.affine_basis
-    record("buchberger-criterion-affine", True, "every S-polynomial reduces to zero")
-    record("buchberger-criterion-projective", True, "homogenized basis re-checked")
-    record("binomial-generators", all(g.lead != g.tail for g in gb_x),
-           "affine basis consists of pure-difference binomials")
-    record("vanishing-affine", True, "every affine generator vanishes on every point")
-    record("vanishing-projective", True,
-           "every projective generator vanishes on every representative")
-    record("homogeneous-basis", True, "projective generators homogeneous")
-    record("dehomogenize-recovers-affine", True,
-           "setting the new variable to 1 gives back the affine basis")
-
-    levels = pset.standard_monomials
-    degree, top = sum(map(len, levels)), len(levels) - 1
-    record("degree-equals-point-count", degree == len(pset),
-           f"ring degree {degree}, points {len(pset)}")
-    record("stabilization-bound", top <= max(len(pset) - 1, 0),
-           f"stabilized at {top}")
-
-    dims = [p.dimension for p in run.table]
-    record("dimension-monotone",
-           all(a <= b for a, b in zip(dims, dims[1:])),
-           "dimension non-decreasing in the degree")
-    exact = [(p.d, p.min_distance.value) for p in run.table
-             if p.min_distance.value is not None]
-    deltas = [v for _, v in exact]
-    record("distance-monotone",
-           all(a >= b for a, b in zip(deltas, deltas[1:])),
-           "exact distance non-increasing in the degree")
-    record("singleton-bound",
-           all(1 <= v <= p.singleton_bound
-               for p, v in ((p, p.min_distance.value) for p in run.table)
-               if v is not None),
-           "1 <= distance <= length - dimension + 1")
-
-    n, s, q = pset.matrix.n, pset.matrix.s, pset.field.order
-    if n == s and pset.matrix.rows == ExponentMatrix.torus(s).rows and q >= 3:
-        ok_dim = all(p.dimension == torus_dimension(q, s, p.d) for p in run.table)
-        record("torus-dimension-formula", ok_dim,
-               "pipeline dimensions match the closed form")
-        ok_delta = all(v == torus_min_distance(q, s, d) for d, v in exact if d >= 1)
-        record("torus-distance-formula", ok_delta,
-               "exact distances match the closed form")
-    return checks
+    if not verify:
+        return PipelineRun(pset, tuple(rows))
+    checks = [("pipeline", "basis certified; at every degree the rank by "
+               "elimination equals |Delta<=d|, the echelon form equals one "
+               "recomputed from scratch, and each product witness is recounted")]
+    exact = sorted((p.d, p.min_distance.value) for p in rows
+                   if p.min_distance.value is not None)
+    for (d, above), (e, below) in zip(exact, exact[1:]):
+        if below > above:
+            raise InternalInconsistencyError(
+                f"exact distance {below} at degree {e} exceeds {above} at degree {d}")
+    checks.append(("distance-monotone", "exact distance non-increasing in the degree"))
+    for p in rows:
+        delta = p.min_distance.value
+        if delta is not None and not 1 <= delta <= p.singleton_bound:
+            raise InternalInconsistencyError(
+                f"distance {delta} at degree {p.d} lies outside "
+                f"1..{p.singleton_bound}, the Singleton bound")
+    checks.append(("singleton-bound", "1 <= distance <= length - dimension + 1"))
+    s = pset.matrix.s
+    if pset.matrix.rows == ExponentMatrix.torus(s).rows and spec.order >= 3:
+        problems = table_differences(
+            torus_table(spec.order, s, [p.d for p in rows]), rows)
+        if problems:
+            raise InternalInconsistencyError(
+                "the torus's closed forms differ: " + "; ".join(problems))
+        checks += [("torus-dimension-formula", "pipeline dimensions match the closed form"),
+                   ("torus-distance-formula", "exact distances match the closed form")]
+    return PipelineRun(pset, tuple(rows), tuple(checks))

@@ -13,8 +13,8 @@ it: `ideals.class_walk` returns the standard monomials of a point set
 together with its basis, and the parameter table reads each Hilbert value
 off those levels as the row count of its evaluation matrix.  So this walk
 is the independent count of the counting certificate in
-`ideals.ParameterizedSet.certify` and of the affine Hilbert values that
-`--verify` compares with each rank, and it serves the Hilbert values of a
+`ideals.ParameterizedSet.certify`, which `--verify` runs and which matches
+its levels against the class walk's, and it serves the Hilbert values of a
 bare basis.
 """
 
@@ -96,14 +96,6 @@ def hilbert_value(gb_y: BinomialBasis, d: int) -> int:
         raise DomainError("degree must be non-negative")
     leads = _affine_leads(gb_y)
     return sum(map(len, standard_monomials(leads, len(gb_y.names) - 1, top=d)))
-
-
-def affine_hilbert_value(gb_x: BinomialBasis, d: int) -> int:
-    """Dimension of the space of degree-<=d polynomials modulo the affine
-    ideal: standard monomials of degree up to d."""
-    if d < 0:
-        raise DomainError("degree must be non-negative")
-    return sum(map(len, standard_monomials(gb_x.leads, len(gb_x.names), top=d)))
 
 
 def hilbert_profile(gb_y: BinomialBasis) -> HilbertProfile:

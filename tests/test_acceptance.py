@@ -16,12 +16,12 @@ from paramcodes.codes import (
     build_evaluation_matrix,
     code_dimension,
     minimum_distance,
-    parameter_table,
+    run_pipeline,
     torus_dimension,
     torus_min_distance,
 )
 from paramcodes.gf import FieldSpec
-from paramcodes.hilbert import affine_hilbert_value, hilbert_profile, hilbert_value
+from paramcodes.hilbert import hilbert_profile, hilbert_value
 from paramcodes.ideals import (
     ExponentMatrix,
     enumerate_points,
@@ -32,7 +32,8 @@ from paramcodes.ideals import (
 from conftest import field
 from mpoly import Polynomial, RingContext
 from oracles import brute_min_distance, brute_weight_distribution, polynomial_basis
-from test_codes import scaled_matrix
+from test_codes import scaled_rows, sweep
+from test_hilbert import affine_hilbert_value
 
 TRIANGLE = ExponentMatrix.of([[1, 1, 0], [0, 1, 1], [1, 0, 1]])
 
@@ -63,7 +64,7 @@ def test_criterion_1_triangle_golden():
             "t3^4 - t4^4", "t2^2*t3^2 - t1^2*t4^2", "t1^2*t3^2 - t2^2*t4^2",
             "t2^4 - t4^4", "t1^2*t2^2 - t3^2*t4^2", "t1^4 - t4^4"])
 
-        table = parameter_table(pset, range(1, 6))
+        table = run_pipeline(pset, range(1, 6)).table
         assert [p.length for p in table] == [32] * 5
         assert [p.dimension for p in table] == [4, 10, 20, 29, 32]
 
@@ -83,7 +84,7 @@ def test_criterion_2_torus_f11():
 
         pset = enumerate_points(ExponentMatrix.torus(s), FieldSpec.of(q))
         assert len(pset) == 100
-        table = parameter_table(pset, range(1, 14), md_budget=1400)
+        table = run_pipeline(pset, range(1, 14), md_budget=1400).table
         assert [p.length for p in table] == [100] * 13
         assert [p.dimension for p in table] == dims
 
@@ -99,7 +100,7 @@ def test_criterion_3_reed_solomon(q):
     with criterion(f"3 (Reed-Solomon ladder, q={q})"):
         pset = enumerate_points(ExponentMatrix.torus(1), FieldSpec.of(q))
         degrees = list(range(1, q + 2))
-        table = parameter_table(pset, degrees)
+        table = run_pipeline(pset, degrees).table
         for p in table:
             expect = q - 1 - p.d if p.d <= q - 3 else 1
             assert torus_min_distance(q, 1, p.d) == expect
@@ -174,8 +175,8 @@ def test_criterion_5c_singleton_and_monotonicity():
     with criterion("5c (Singleton bound and the two monotone laws)"):
         budgets = {"torus-q11-s2": 1400}
         for name, pset, degrees in _instance_zoo():
-            table = parameter_table(pset, degrees,
-                                    md_budget=budgets.get(name, 20_000_000))
+            table = run_pipeline(pset, degrees,
+                                 md_budget=budgets.get(name, 20_000_000)).table
             dims = [p.dimension for p in table]
             assert dims == sorted(dims), name
             assert all(p.dimension <= p.length for p in table), name
@@ -222,7 +223,7 @@ def test_criterion_5e_weight_distribution_scaling():
             E = build_evaluation_matrix(pset, d)
             k = code_dimension(E)
             assert pset.field.order ** k <= 100_000
-            scaled = scaled_matrix(E, d)
+            scaled = scaled_rows(E, d)
             assert brute_weight_distribution(E.rows, pset.field) == \
-                brute_weight_distribution(scaled.rows, pset.field)
-            assert minimum_distance(E).value == minimum_distance(scaled).value
+                brute_weight_distribution(scaled, pset.field)
+            assert minimum_distance(E).value == sweep(pset.field, scaled)

@@ -196,20 +196,29 @@ def test_torus_cross_check(capsys):
 
 def test_torus_cross_check_reports_a_disagreement(capsys):
     # a closed form off by one at d = 2 must fail the cross-check, exit 3,
-    # and still print the table
-    def off_at_2(q, s, d):
-        return codes.torus_dimension(q, s, d) + (d == 2)
+    # and still print the table; params --verify on the torus compares the
+    # same closed forms, and exits 3 before printing
+    dimension = codes.torus_dimension
 
-    with mock.patch.object(cli, "torus_dimension", off_at_2):
+    def off_at_2(q, s, d):
+        return dimension(q, s, d) + (d == 2)
+
+    with mock.patch.object(codes, "torus_dimension", off_at_2):
         code, out, err = run_cli(capsys, "torus", "--q", "5", "--s", "2",
                                  "--degrees", "1..3", "--cross-check",
                                  "--format", "csv")
-    assert code == 3
-    assert err == "cross-check FAIL: d=2: dim 6 != 7\n"
-    assert out.splitlines() == ["d,length,dim,delta,delta_status,singleton_defect,mds",
-                                "1,16,3,12,exact,2,false",
-                                "2,16,7,8,exact,2,false",
-                                "3,16,10,4,exact,3,false"]
+        assert code == 3
+        assert err == "cross-check FAIL: d=2: dim 6 != 7\n"
+        assert out.splitlines() == [
+            "d,length,dim,delta,delta_status,singleton_defect,mds",
+            "1,16,3,12,exact,2,false",
+            "2,16,7,8,exact,2,false",
+            "3,16,10,4,exact,3,false"]
+        code, out, err = run_cli(capsys, "params", "--verify", "--q", "5",
+                                 "--matrix", "1 0; 0 1", "--degrees", "1..3")
+    assert (code, out) == (3, "")
+    assert err == ("paramcodes: INTERNAL INCONSISTENCY: the torus's closed forms "
+                   "differ: d=2: dim 6 != 7\n")
 
 
 def test_torus_rejects_q2(capsys):
@@ -381,22 +390,55 @@ def test_verify_golden_lines(capsys):
         "ok   pipeline: basis certified; at every degree the rank by elimination "
         "equals |Delta<=d|, the echelon form equals one recomputed from scratch, "
         "and each product witness is recounted",
-        "ok   buchberger-criterion-affine: every S-polynomial reduces to zero",
-        "ok   buchberger-criterion-projective: homogenized basis re-checked",
-        "ok   binomial-generators: affine basis consists of pure-difference binomials",
-        "ok   vanishing-affine: every affine generator vanishes on every point",
-        "ok   vanishing-projective: every projective generator vanishes on every "
-        "representative",
-        "ok   homogeneous-basis: projective generators homogeneous",
-        "ok   dehomogenize-recovers-affine: setting the new variable to 1 gives "
-        "back the affine basis",
-        "ok   degree-equals-point-count: ring degree 32, points 32",
-        "ok   stabilization-bound: stabilized at 5",
-        "ok   dimension-monotone: dimension non-decreasing in the degree",
         "ok   distance-monotone: exact distance non-increasing in the degree",
         "ok   singleton-bound: 1 <= distance <= length - dimension + 1",
-        "all 13 checks passed",
+        "all 3 checks passed",
     ]
+
+
+@pytest.mark.parametrize("argv, torus", [
+    (("--q", "7", "--matrix", "1 1 0 0; 0 1 1 0; 0 0 1 1; 1 0 0 1",
+      "--degrees", "1..3"), False),
+    (("--q", "5", "--matrix", "1 0; 0 1", "--degrees", "1..3"), True),
+], ids=["four-cycle-gf7", "torus-gf5"])
+def test_verify_prints_the_torus_lines_only_on_the_torus(capsys, argv, torus):
+    code, out, err = run_cli(capsys, "verify", *argv)
+    assert (code, err) == (0, "")
+    names = ["pipeline", "distance-monotone", "singleton-bound"]
+    if torus:
+        names += ["torus-dimension-formula", "torus-distance-formula"]
+    lines = out.splitlines()
+    assert [line[5:].split(":")[0] for line in lines[:-1]] == names
+    assert lines[-1] == f"all {len(names)} checks passed"
+    if torus:
+        assert lines[3:5] == [
+            "ok   torus-dimension-formula: pipeline dimensions match the closed form",
+            "ok   torus-distance-formula: exact distances match the closed form"]
+
+
+@pytest.mark.parametrize("distances, message", [
+    ({1: 5, 2: 6}, "exact distance 6 at degree 2 exceeds 5 at degree 1"),
+    ({1: 30}, "distance 30 at degree 1 lies outside 1..29, the Singleton bound"),
+], ids=["increasing", "above-singleton"])
+def test_verify_refuses_distances_no_code_has(capsys, distances, message):
+    # a distance that grows with the degree, or exceeds n - k + 1, is refused
+    # by params --verify as by verify; without --verify it is printed
+    def wrong(matrix, budget):
+        return codes.MinDistance.exact(distances[matrix.degree])
+
+    degrees = f"1..{len(distances)}"
+    with mock.patch.object(codes, "minimum_distance", wrong):
+        code, out, err = run_cli(capsys, "params", "--verify", *TRIANGLE,
+                                 "--degrees", degrees)
+        assert (code, out) == (3, "")
+        assert err == f"paramcodes: INTERNAL INCONSISTENCY: {message}\n"
+        code, out, err = run_cli(capsys, "verify", *TRIANGLE, "--degrees", degrees)
+        assert (code, out, err) == (3, f"FAIL pipeline: {message}\n",
+                                    "1 of 1 checks failed\n")
+        code, out, err = run_cli(capsys, "params", *TRIANGLE, "--degrees", degrees,
+                                 "--format", "csv")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1].split(",")[3] == str(distances[1])
 
 
 def test_config_file_and_flag_override(tmp_path, capsys):

@@ -14,11 +14,9 @@ from paramcodes.codes import (
     build_evaluation_matrix,
     code_dimension,
     minimum_distance,
-    parameter_table,
     run_pipeline,
     torus_dimension,
     torus_min_distance,
-    verify_instance,
 )
 from paramcodes.errors import DomainError, InternalInconsistencyError, ResourceLimitError
 from paramcodes.gf import FieldSpec
@@ -117,12 +115,11 @@ def test_torus_past_the_all_monomial_budget():
     # the GF(3) 6-torus at d=17 has C(23, 6) = 100947 monomials but only 64
     # standard ones, so 64 x 64 entries fit the default budget
     pset = torus_set(3, 6)
-    (row,) = parameter_table(pset, [17])
+    (row,) = run_pipeline(pset, [17]).table
     assert (row.length, row.dimension, row.min_distance.value) == (64, 64, 1)
-    checks = verify_instance(pset, range(18))
-    assert [name for name, ok, _ in checks if not ok] == []
+    checks = run_pipeline(pset, range(18), verify=True).checks
     assert {"torus-dimension-formula", "torus-distance-formula"} <= \
-        {name for name, _, _ in checks}
+        {name for name, _ in checks}
 
 
 def test_dimension_examples(triangle_set, torus11_set):
@@ -712,37 +709,15 @@ def test_every_echelon_form_built_checks_its_rank(triangle_set):
 
 # -- the projective sweep against brute force ----------------------------------
 
-class _Columns:
-    """The parts of a point set the distance routines read: the field, the
-    number of points and a lower bound on the distance, here the bound 1
-    that holds for every code."""
-
-    def __init__(self, spec, m):
-        self.field, self.m = spec, m
-
-    def __len__(self):
-        return self.m
-
-    def footprint(self, d):
-        return 1
-
-
-def generator_matrix(spec, rows) -> EvaluationMatrix:
-    """The code of the given rows, which are not evaluated, on columns that
-    are no point set, so that its distance takes the echelon route."""
-    E = EvaluationMatrix(0, (), _Columns(spec, len(rows[0])))
-    E.new_rows = E.rows = np.array(rows)
-    return E
+def sweep(spec, rows) -> int:
+    """The minimum distance of the code of the given rows, by a sweep of
+    their reduced echelon form."""
+    return codes._enumerate_weights(linalg.rref(rows, spec)[0], spec)
 
 
 def check_sweep(spec, rows):
-    """The distance equals brute force."""
-    expected_md = brute_min_distance(rows, spec)
-    E = generator_matrix(spec, rows)
-    md = minimum_distance(E)
-    assert (md.status, md.value) == ("exact", expected_md)
-    # the full sweep too, which the witness can make unnecessary above
-    assert codes._enumerate_weights(E.echelon[0], spec) == expected_md
+    """The sweep's distance equals brute force."""
+    assert sweep(spec, rows) == brute_min_distance(rows, spec)
 
 
 SWEEP_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
@@ -782,7 +757,7 @@ def test_sweep_matches_brute_force(code, block_rows_target, block_entries,
 def test_early_stop_reports_the_minimum(code, block_rows_target):
     spec, rows = code
     expected = brute_min_distance(rows, spec)
-    basis = generator_matrix(spec, rows).echelon[0]
+    basis = linalg.rref(rows, spec)[0]
     with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", block_rows_target):
         for floor in range(1, expected + 1):
             assert codes._enumerate_weights(basis, spec, floor=floor) == expected
@@ -792,7 +767,7 @@ def test_sweep_single_row_code():
     spec = field(9)
     rows = [[0, 3, 1, 0, 8, 5, 0, 2]]
     check_sweep(spec, rows)
-    assert codes._enumerate_weights(generator_matrix(spec, rows).echelon[0], spec) == 5
+    assert sweep(spec, rows) == 5
 
 
 def test_sweep_two_row_code():
@@ -806,8 +781,7 @@ def test_sweep_single_high_row_and_zero_high_minimum():
     rows = [[1, 0, 0, 0, 0, 0, 0, 0],
             [0, 1, 0, 1, 2, 3, 4, 1],
             [0, 0, 1, 1, 1, 1, 1, 1]]
-    E = generator_matrix(F5, rows)
-    assert np.array_equal(E.echelon[0], rows)
+    assert np.array_equal(linalg.rref(rows, F5)[0], rows)
     check_sweep(F5, rows)
     assert brute_weight_distribution(rows, F5)[1] == 4
 
@@ -823,12 +797,9 @@ def test_prime_block_sums_past_the_stored_type(q):
     # (1, 1, 0, 256, 0), has weight 3, and 2 with a false 0
     spec = FieldSpec.of(q)
     rows = [[1, 0, 0, 128, 1], [0, 1, 0, 128, q - 1], [0, 0, 1, 1, 1]]
-    E = generator_matrix(spec, rows)
-    assert np.array_equal(E.echelon[0], rows)
+    assert np.array_equal(linalg.rref(rows, spec)[0], rows)
     with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", q ** 2):
-        assert codes._enumerate_weights(E.echelon[0], spec) == 3
-        md = minimum_distance(E)
-    assert (md.status, md.value, md.method) == ("exact", 3, "search")
+        assert sweep(spec, rows) == 3
 
 
 # -- closed forms ----------------------------------------------------------------
@@ -905,15 +876,14 @@ def test_is_mds_repetition_and_triangle(triangle_set):
 
 # -- weight-preserving column scaling (affine/projective bridge) -----------------
 
-def scaled_matrix(E: EvaluationMatrix, d: int) -> EvaluationMatrix:
+def scaled_rows(E: EvaluationMatrix, d: int) -> list[list[int]]:
     """Divide column j by (first coordinate of P_j)^d.  The scaled rows are
-    no characters of X*, so they stand as a generic code, whose distance
-    comes from its own echelon form and sweep."""
+    no characters of X*, so their distance comes from their own echelon
+    form and sweep."""
     spec = E.field
     factors = [spec.inv(spec.pow(x, d)) for x in E.pset.points[:, 0].tolist()]
-    rows = [[spec.mul(int(c), f) for c, f in zip(row, factors)]
-            for row in E.rows]
-    return generator_matrix(spec, rows)
+    return [[spec.mul(int(c), f) for c, f in zip(row, factors)]
+             for row in E.rows]
 
 
 @pytest.mark.parametrize("maker,d", [
@@ -924,24 +894,24 @@ def scaled_matrix(E: EvaluationMatrix, d: int) -> EvaluationMatrix:
 def test_weight_distribution_invariant_under_scaling(maker, d):
     pset = maker()
     E = build_evaluation_matrix(pset, d)
-    scaled = scaled_matrix(E, d)
+    scaled = scaled_rows(E, d)
     assert brute_weight_distribution(E.rows, pset.field) == \
-        brute_weight_distribution(scaled.rows, pset.field)
-    assert minimum_distance(E).value == minimum_distance(scaled).value
+        brute_weight_distribution(scaled, pset.field)
+    assert minimum_distance(E).value == sweep(pset.field, scaled)
 
 
 def test_triangle_weight_scaling(triangle_set):
     E = build_evaluation_matrix(triangle_set, 1)  # 5^4 codewords
-    scaled = scaled_matrix(E, 1)
+    scaled = scaled_rows(E, 1)
     assert brute_weight_distribution(E.rows, triangle_set.field) == \
-        brute_weight_distribution(scaled.rows, triangle_set.field)
-    assert minimum_distance(E).value == minimum_distance(scaled).value
+        brute_weight_distribution(scaled, triangle_set.field)
+    assert minimum_distance(E).value == sweep(triangle_set.field, scaled)
 
 
 # -- pipeline ---------------------------------------------------------------------
 
 def test_parameter_table_triangle(triangle_set):
-    table = parameter_table(triangle_set, range(1, 6), md_budget=700)
+    table = run_pipeline(triangle_set, range(1, 6), md_budget=700).table
     assert [p.dimension for p in table] == [4, 10, 20, 29, 32]
     assert all(p.length == 32 for p in table)
     assert table[0].min_distance.value == 23
@@ -955,7 +925,7 @@ def test_parameter_table_triangle(triangle_set):
 
 
 def test_parameter_table_empty_range(triangle_set):
-    assert parameter_table(triangle_set, []) == []
+    assert run_pipeline(triangle_set, []).table == ()
 
 
 def test_run_pipeline_consistency(torus11_set):
@@ -965,15 +935,17 @@ def test_run_pipeline_consistency(torus11_set):
     assert all(p.min_distance.status == "skipped" for p in run.table)
 
 
-def test_verify_instance_all_green(triangle_set):
-    checks = verify_instance(triangle_set, [1, 2], md_budget=700)
-    assert checks and all(ok for _, ok, _ in checks)
+def test_verify_records_the_checks_it_ran(triangle_set):
+    # the exact distances are compared in the order of the degree, not of
+    # the list: 23 at d=1 above 4 at d=3
+    checks = run_pipeline(triangle_set, [3, 1], md_budget=700, verify=True).checks
+    assert [name for name, _ in checks] == ["pipeline", "distance-monotone",
+                                           "singleton-bound"]
+    assert run_pipeline(triangle_set, [1, 2], md_budget=700).checks == ()
 
 
-def test_verify_instance_torus_formula_checks():
+def test_verify_checks_the_torus_closed_forms():
     pset = torus_set(5, 2)
-    checks = verify_instance(pset, [1, 2, 3], md_budget=20000)
-    names = [name for name, _, _ in checks]
-    assert "torus-dimension-formula" in names
-    assert "torus-distance-formula" in names
-    assert all(ok for _, ok, _ in checks)
+    checks = run_pipeline(pset, [1, 2, 3], md_budget=20000, verify=True).checks
+    assert [name for name, _ in checks][-2:] == ["torus-dimension-formula",
+                                                "torus-distance-formula"]

@@ -7,9 +7,9 @@ from paramcodes.errors import DomainError, InternalInconsistencyError
 from paramcodes.gf import FieldSpec
 from paramcodes.hilbert import (
     HilbertProfile,
-    affine_hilbert_value,
     hilbert_profile,
     hilbert_value,
+    standard_monomials,
 )
 from paramcodes.ideals import (
     Binomial,
@@ -32,6 +32,11 @@ def count_standard(lms, num_vars, degree):
     by one."""
     return sum(1 for m in monomials_of_degree(num_vars, degree)
                if not any(mono_divides(lm, m) for lm in lms))
+
+
+def affine_hilbert_value(gb_x, d):
+    """Standard monomials of degree <= d of an affine basis, by the walk."""
+    return sum(map(len, standard_monomials(gb_x.leads, len(gb_x.names), top=d)))
 
 
 def profile_by_enumeration(lms, num_vars, limit):
