@@ -1,15 +1,14 @@
 """Command-line front end for the parameter pipeline.
 
 Subcommands: params (full table), ideal (print a vanishing-ideal basis),
-torus (closed-form table, optional pipeline cross-check), verify (the
-checks of params --verify, one line each).  Exit codes: 0 ok, 1 usage,
-2 resource limit, 3 internal inconsistency.
+torus (the closed forms' table), verify (the checks of params --verify,
+one line each).  Exit codes: 0 ok, 1 usage, 2 resource limit, 3 internal
+inconsistency.
 """
 
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import os
 import sys
@@ -20,11 +19,10 @@ from .codes import (
     DEFAULT_MD_BUDGET,
     CodeParameters,
     run_pipeline,
-    table_differences,
     torus_table,
 )
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
-from .gf import FieldSpec, _check_irreducible, _factor_prime_power
+from .gf import FieldSpec, _factor_prime_power
 from .ideals import (
     ExponentMatrix,
     enumerate_points,
@@ -68,7 +66,10 @@ def parse_degrees(text: str) -> list[int]:
         lo = hi = int(text)
     if lo < 0 or hi < lo:
         raise UsageError(f"bad degree range {text!r}: need 0 <= min <= max")
-    return list(range(lo, hi + 1))
+    try:
+        return list(range(lo, hi + 1))
+    except (OverflowError, MemoryError) as exc:
+        raise ResourceLimitError(f"degree range {text!r} is too long to list") from exc
 
 
 def _int_list(text: str) -> list[int]:
@@ -92,13 +93,6 @@ def _parse_flag(flag: str, parse, text: str):
         return parse(text)
     except ValueError as exc:
         raise UsageError(f"--{flag}: {exc}") from exc
-
-
-def _check_search_limits(md_budget: int, threads: Optional[int]) -> None:
-    if md_budget < 0:
-        raise UsageError("md-budget must be >= 0")
-    if threads is not None and threads < 1:
-        raise UsageError("threads must be >= 1")
 
 
 #: Each config key and the parser of its text.  Its flag's attribute is the
@@ -143,7 +137,7 @@ def parse_config_file(path: str, args: argparse.Namespace) -> dict:
     return values
 
 
-def build_config(args, need_degrees: bool) -> RunConfig:
+def build_config(args) -> RunConfig:
     """Merge config file and flags; flags win."""
     values: dict = {}
     if getattr(args, "config", None):
@@ -158,7 +152,7 @@ def build_config(args, need_degrees: bool) -> RunConfig:
         raise UsageError("missing field order: give --q or a config with q")
     if "matrix" not in values:
         raise UsageError("missing exponent matrix: give --matrix or config rows")
-    if need_degrees and "degrees" not in values:
+    if hasattr(args, "degrees") and "degrees" not in values:
         raise UsageError("missing --degrees (inclusive, e.g. 1..5)")
     try:
         matrix = ExponentMatrix.of(values["matrix"])
@@ -168,8 +162,11 @@ def build_config(args, need_degrees: bool) -> RunConfig:
     if fmt not in ("table", "csv", "json"):
         raise UsageError(f"unknown format {fmt!r}: pick table, csv or json")
     md_budget = values.get("md_budget", DEFAULT_MD_BUDGET)
+    if md_budget < 0:
+        raise UsageError("md-budget must be >= 0")
     # the sweep runs on one thread: threads is checked and ignored
-    _check_search_limits(md_budget, values.get("threads"))
+    if values.get("threads", 1) < 1:
+        raise UsageError("threads must be >= 1")
     return RunConfig(
         q=values["q"],
         modulus=values.get("modulus"),
@@ -225,7 +222,7 @@ def render_rows(rows: Sequence[CodeParameters], fmt: str) -> str:
 # -- subcommands ------------------------------------------------------------------
 
 def cmd_params(args) -> int:
-    config = build_config(args, need_degrees=True)
+    config = build_config(args)
     pset = enumerate_points(config.matrix, config.field())
     run = run_pipeline(pset, config.degrees, md_budget=config.md_budget,
                        verify=config.verify)
@@ -234,7 +231,7 @@ def cmd_params(args) -> int:
 
 
 def cmd_ideal(args) -> int:
-    config = build_config(args, need_degrees=False)
+    config = build_config(args)
     pset = enumerate_points(config.matrix, config.field())
     gb_x = vanishing_ideal_affine(pset)
     gb_y = vanishing_ideal_projective(gb_x)
@@ -251,7 +248,6 @@ def cmd_torus(args) -> int:
         raise UsageError("torus tables need q >= 3 (q = 2 is a single point)")
     if args.s < 1:
         raise UsageError("torus dimension s must be >= 1")
-    _check_search_limits(args.md_budget, args.threads)
     degrees = _parse_flag("degrees", parse_degrees, args.degrees) if args.degrees else []
     # the table needs no field, only a q for which GF(q) exists
     _factor_prime_power(args.q)
@@ -263,29 +259,11 @@ def cmd_torus(args) -> int:
                           f"digits, Python's limit for printing an integer")
     rows = torus_table(args.q, args.s, degrees)
     print(render_rows(rows, args.format or "table"))
-    if args.cross_check and degrees:
-        pset = enumerate_points(ExponentMatrix.torus(args.s), _torus_field(args.q))
-        problems = table_differences(
-            rows, run_pipeline(pset, degrees, md_budget=args.md_budget).table)
-        if problems:
-            for p in problems:
-                print(f"cross-check FAIL: {p}", file=sys.stderr)
-            return EXIT_INCONSISTENT
-        print(f"cross-check ok: pipeline agrees on {len(degrees)} degrees")
     return EXIT_OK
 
 
-def _torus_field(q: int) -> FieldSpec:
-    """GF(q); a proper prime power gets its first monic irreducible modulus
-    (constant term first), on which no parameter of the torus depends."""
-    p, k = _factor_prime_power(q)
-    monics = (low + (1,) for low in itertools.product(range(p), repeat=k))
-    return FieldSpec.of(q, None if k == 1 else
-                        next(m for m in monics if _check_irreducible(m, p)))
-
-
 def cmd_verify(args) -> int:
-    config = build_config(args, need_degrees=True)
+    config = build_config(args)
     pset = enumerate_points(config.matrix, config.field())
     try:
         run = run_pipeline(pset, config.degrees, md_budget=config.md_budget,
@@ -324,7 +302,6 @@ def _add_table(sub):
                      help="codeword budget for the exhaustive distance sweep "
                           "(0 skips the distance); rows the footprint bound "
                           "settles are exact above it")
-    sub.add_argument("--threads", type=int, help="accepted and ignored")
 
 
 def make_parser() -> argparse.ArgumentParser:
@@ -333,9 +310,10 @@ def make_parser() -> argparse.ArgumentParser:
                                  "over finite fields")
     commands = parser.add_subparsers(dest="command", required=True)
 
-    p = commands.add_parser("params", parents=[], help="full parameter table")
+    p = commands.add_parser("params", help="full parameter table")
     _add_common(p)
     _add_table(p)
+    p.add_argument("--threads", type=int, help="accepted and ignored")
     p.add_argument("--format", choices=("table", "csv", "json"))
     p.add_argument("--verify", action="store_true",
                    help="certify the bases and sweep every footprint distance")
@@ -353,11 +331,6 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", type=int, required=True)
     p.add_argument("--degrees", required=True)
     p.add_argument("--format", choices=("table", "csv", "json"))
-    p.add_argument("--md-budget", type=int, dest="md_budget",
-                   default=DEFAULT_MD_BUDGET)
-    p.add_argument("--threads", type=int, help="accepted and ignored")
-    p.add_argument("--cross-check", action="store_true", dest="cross_check",
-                   help="run the full pipeline and diff")
     p.set_defaults(handler=cmd_torus)
 
     p = commands.add_parser("verify", help="run the checks of params --verify")

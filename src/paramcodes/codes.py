@@ -398,23 +398,6 @@ def torus_table(q: int, s: int, degrees: Sequence[int]) -> list[CodeParameters]:
         torus_min_distance(q, s, d) if d >= 1 else length)) for d in degrees]
 
 
-def table_differences(want: Sequence[CodeParameters],
-                      got: Sequence[CodeParameters]) -> list[str]:
-    """One message per number of `got` that differs from `want`: the
-    length once, then at each degree the dimension and, where `got` has
-    one, the exact distance."""
-    problems = []
-    if want and got and got[0].length != want[0].length:
-        problems.append(f"length {got[0].length} != {want[0].length}")
-    for w, g in zip(want, got):
-        if g.dimension != w.dimension:
-            problems.append(f"d={w.d}: dim {g.dimension} != {w.dimension}")
-        exact = g.min_distance.value
-        if exact is not None and exact != w.min_distance.value:
-            problems.append(f"d={w.d}: delta {exact} != {w.min_distance.value}")
-    return problems
-
-
 def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                  md_budget: int = DEFAULT_MD_BUDGET,
                  verify: bool = False) -> PipelineRun:
@@ -502,8 +485,18 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
     checks.append(("singleton-bound", "1 <= distance <= length - dimension + 1"))
     s = pset.matrix.s
     if pset.matrix.rows == ExponentMatrix.torus(s).rows and spec.order >= 3:
-        problems = table_differences(
-            torus_table(spec.order, s, [p.d for p in rows]), rows)
+        # one message per number that differs: the length once, then at each
+        # degree the dimension and, where the pipeline has one, the distance
+        want = torus_table(spec.order, s, [p.d for p in rows])
+        problems = []
+        if want and want[0].length != m:
+            problems.append(f"length {m} != {want[0].length}")
+        for w, g in zip(want, rows):
+            if g.dimension != w.dimension:
+                problems.append(f"d={w.d}: dim {g.dimension} != {w.dimension}")
+            delta = g.min_distance.value
+            if delta is not None and delta != w.min_distance.value:
+                problems.append(f"d={w.d}: delta {delta} != {w.min_distance.value}")
         if problems:
             raise InternalInconsistencyError(
                 "the torus's closed forms differ: " + "; ".join(problems))

@@ -337,8 +337,10 @@ def enumerate_points(matrix: ExponentMatrix, field: FieldSpec) -> ParameterizedS
             f"(q-1)^n = {total} parameter tuples exceeds the enumeration "
             f"budget {DEFAULT_ENUMERATION_BUDGET}")
     # the parameters g^l, l in [0, q-1)^n, give the coordinates g^(v_i . l);
-    # exponents reduce mod q-1 so the products stay small
-    logs = np.indices((q - 1,) * n).reshape(n, -1)
+    # exponents reduce mod q-1 so the products stay small.  The tuples l are
+    # the base-(q-1) digits of 0 .. total-1: np.indices would need an array
+    # of n + 1 dimensions, and numpy allows 64
+    logs = np.arange(total) // (q - 1) ** np.arange(n - 1, -1, -1)[:, None] % (q - 1)
     points = field.exp(matrix.residues(q - 1) @ logs).T.astype(np.int64)
     # sort the base-q codes of the points and keep the first of each run;
     # np.unique would do it, but its first call imports numpy.ma.  Codes

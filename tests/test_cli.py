@@ -1,5 +1,6 @@
 import json
 import os
+import resource
 import signal
 import subprocess
 import sys
@@ -9,7 +10,7 @@ from unittest import mock
 
 import pytest
 
-from paramcodes import cli, codes, ideals, linalg
+from paramcodes import cli, codes, gf, ideals, linalg
 from paramcodes.cli import main, parse_degrees
 from paramcodes.gf import FieldSpec
 from paramcodes.ideals import Binomial, ExponentMatrix
@@ -186,39 +187,24 @@ def test_torus_table_csv(capsys):
     assert deltas == [90, 80, 70, 60, 50, 40, 30, 20, 10, 9, 8, 7, 6]
 
 
-def test_torus_cross_check(capsys):
-    code, out, _ = run_cli(capsys, "torus", "--q", "5", "--s", "2",
-                           "--degrees", "1..3", "--cross-check",
-                           "--md-budget", "20000")
-    assert code == 0
-    assert "cross-check ok" in out
-
-
 def test_torus_cross_check_reports_a_disagreement(capsys):
-    # a closed form off by one at d = 2 must fail the cross-check, exit 3,
-    # and still print the table; params --verify on the torus compares the
-    # same closed forms, and exits 3 before printing
+    # a closed form off by one at d = 2 must fail the torus check: params
+    # --verify exits 3 before printing, and verify prints the FAIL line
     dimension = codes.torus_dimension
 
     def off_at_2(q, s, d):
         return dimension(q, s, d) + (d == 2)
 
+    argv = ("--q", "5", "--matrix", "1 0; 0 1", "--degrees", "1..3")
     with mock.patch.object(codes, "torus_dimension", off_at_2):
-        code, out, err = run_cli(capsys, "torus", "--q", "5", "--s", "2",
-                                 "--degrees", "1..3", "--cross-check",
-                                 "--format", "csv")
-        assert code == 3
-        assert err == "cross-check FAIL: d=2: dim 6 != 7\n"
-        assert out.splitlines() == [
-            "d,length,dim,delta,delta_status,singleton_defect,mds",
-            "1,16,3,12,exact,2,false",
-            "2,16,7,8,exact,2,false",
-            "3,16,10,4,exact,3,false"]
-        code, out, err = run_cli(capsys, "params", "--verify", "--q", "5",
-                                 "--matrix", "1 0; 0 1", "--degrees", "1..3")
-    assert (code, out) == (3, "")
-    assert err == ("paramcodes: INTERNAL INCONSISTENCY: the torus's closed forms "
-                   "differ: d=2: dim 6 != 7\n")
+        code, out, err = run_cli(capsys, "params", "--verify", *argv)
+        assert (code, out) == (3, "")
+        assert err == ("paramcodes: INTERNAL INCONSISTENCY: the torus's closed "
+                       "forms differ: d=2: dim 6 != 7\n")
+        code, out, err = run_cli(capsys, "verify", *argv)
+    assert code == 3
+    assert out == "FAIL pipeline: the torus's closed forms differ: d=2: dim 6 != 7\n"
+    assert err == "1 of 1 checks failed\n"
 
 
 def test_torus_rejects_q2(capsys):
@@ -235,22 +221,12 @@ def test_torus_rejects_a_field_that_does_not_exist(capsys):
     assert err == "paramcodes: error: 6 is not a prime power\n"
 
 
-def test_torus_cross_check_over_an_extension_field(capsys):
-    # GF(9) has no modulus flag here: the first irreducible x^2 + 1 is used
-    code, out, err = run_cli(capsys, "torus", "--q", "9", "--s", "3",
-                             "--degrees", "1..4", "--cross-check")
-    assert (code, err) == (0, "")
-    assert [line.split()[3] for line in out.splitlines()[1:5]] == \
-        ["448", "384", "320", "256"]
-    assert out.splitlines()[-1] == "cross-check ok: pipeline agrees on 4 degrees"
-
-
 def test_torus_table_builds_no_field(capsys):
-    # only --cross-check reads GF(q); the table and the refusal of a q past
-    # the order limit need neither a modulus nor a field
+    # the table and the refusal of a q past the order limit need neither a
+    # modulus nor a field
     fail = mock.Mock(side_effect=AssertionError("field built"))
     with mock.patch.object(FieldSpec, "of", fail), \
-            mock.patch.object(cli, "_check_irreducible", fail):
+            mock.patch.object(gf, "_check_irreducible", fail):
         code, out, err = run_cli(capsys, "torus", "--q", "65536", "--s", "1",
                                  "--degrees", "1..2")
         assert (code, err) == (0, "")
@@ -259,6 +235,9 @@ def test_torus_table_builds_no_field(capsys):
             "1  65535   2    65534  exact         0                 true",
             "2  65535   3    65533  exact         0                 true",
         ]
+        for fmt in ("csv", "json"):
+            assert run_cli(capsys, "torus", "--q", "65536", "--s", "1",
+                           "--degrees", "1..2", "--format", fmt)[0] == 0
         code, out, err = run_cli(capsys, "torus", "--q", "1048576", "--s", "1",
                                  "--degrees", "1..2")
         assert (code, out) == (1, "")
@@ -400,7 +379,9 @@ def test_verify_golden_lines(capsys):
     (("--q", "7", "--matrix", "1 1 0 0; 0 1 1 0; 0 0 1 1; 1 0 0 1",
       "--degrees", "1..3"), False),
     (("--q", "5", "--matrix", "1 0; 0 1", "--degrees", "1..3"), True),
-], ids=["four-cycle-gf7", "torus-gf5"])
+    (("--q", "9", "--modulus", "1 0 1", "--matrix", "1 0 0; 0 1 0; 0 0 1",
+      "--degrees", "1..4"), True),
+], ids=["four-cycle-gf7", "torus-gf5", "torus-gf9"])
 def test_verify_prints_the_torus_lines_only_on_the_torus(capsys, argv, torus):
     code, out, err = run_cli(capsys, "verify", *argv)
     assert (code, err) == (0, "")
@@ -511,6 +492,16 @@ def test_exponents_past_int64_act_as_their_residues(capsys, argv):
     assert huge[0] == 0 and huge[1]
 
 
+@pytest.mark.parametrize("argv", [["params", "--degrees", "0..1"], ["ideal", "xstar"]],
+                         ids=["params", "ideal"])
+def test_sixty_four_parameters_over_gf2(capsys, argv):
+    # (q-1)^n = 1 tuple of any length n gives the one point (1, ..., 1)
+    ones = " ".join(["1"] * 64)
+    got = run_cli(capsys, *argv, "--q", "2", "--matrix", ones)
+    assert got == run_cli(capsys, *argv, "--q", "2", "--matrix", ones[2:])
+    assert got[0] == 0 and got[2] == ""
+
+
 # a value for each config key; matrix takes one line per row
 CONFIG_VALUES = {"q": ["9"], "modulus": ["1 0 1"], "matrix": ["1 2", "2 1"],
                  "degrees": ["1..2"], "md-budget": ["0"], "format": ["csv"],
@@ -538,8 +529,9 @@ def test_each_config_key_means_what_its_flag_means(tmp_path, capsys, key,
     (("ideal", "xstar"), "format csv"),
     (("ideal", "y"), "threads 4"),
     (("verify",), "format csv"),
+    (("verify",), "threads 4"),
 ], ids=["ideal-degrees", "ideal-md-budget", "ideal-format", "ideal-threads",
-        "verify-format"])
+        "verify-format", "verify-threads"])
 def test_config_keys_a_subcommand_would_ignore_are_refused(tmp_path, capsys,
                                                            argv, line):
     config = tmp_path / "extra.cfg"
@@ -554,7 +546,7 @@ def test_config_keys_a_subcommand_would_ignore_are_refused(tmp_path, capsys,
 def test_verify_reads_its_keys_from_a_config(tmp_path, capsys):
     config = tmp_path / "verify.cfg"
     config.write_text("q 5\nmatrix 1 1 0\nmatrix 0 1 1\nmatrix 1 0 1\n"
-                      "degrees 1..2\nmd-budget 700\nthreads 1\n")
+                      "degrees 1..2\nmd-budget 700\n")
     code, out, _ = run_cli(capsys, "verify", "--config", str(config))
     assert code == 0 and "checks passed" in out
 
@@ -590,15 +582,10 @@ def test_malformed_flag_values(capsys, argv, flag):
     ("--threads", "-3", "threads must be >= 1"),
 ])
 def test_torus_rejects_bad_search_limits(capsys, flag, value, message):
-    for cross_check in ((), ("--cross-check",)):
-        code, out, err = run_cli(capsys, "torus", "--q", "7", "--s", "1",
-                                 "--degrees", "1..3", *cross_check, flag, value)
-        assert code == 1 and out == ""
-        assert err == f"paramcodes: error: {message}\n"
-    # the same message as params
-    _, _, params_err = run_cli(capsys, "params", *TRIANGLE, "--degrees", "1",
-                               flag, value)
-    assert params_err == err
+    code, out, err = run_cli(capsys, "params", *TRIANGLE, "--degrees", "1",
+                             flag, value)
+    assert code == 1 and out == ""
+    assert err == f"paramcodes: error: {message}\n"
 
 
 @pytest.mark.parametrize("argv, flag", [
@@ -608,6 +595,13 @@ def test_torus_rejects_bad_search_limits(capsys, flag, value, message):
     (("ideal", "y", *TRIANGLE, "--threads", "1"), "--threads"),
     (("verify", *TRIANGLE, "--degrees", "1..2", "--format", "csv"), "--format"),
     (("verify", *TRIANGLE, "--degrees", "1..2", "--verify"), "--verify"),
+    (("verify", *TRIANGLE, "--degrees", "1..2", "--threads", "1"), "--threads"),
+    (("torus", "--q", "5", "--s", "2", "--degrees", "1..3", "--cross-check"),
+     "--cross-check"),
+    (("torus", "--q", "5", "--s", "2", "--degrees", "1..3", "--md-budget", "700"),
+     "--md-budget"),
+    (("torus", "--q", "5", "--s", "2", "--degrees", "1..3", "--threads", "1"),
+     "--threads"),
 ], ids=lambda v: v if isinstance(v, str) else v[0])
 def test_flags_a_subcommand_would_ignore_are_refused(capsys, argv, flag):
     with pytest.raises(SystemExit) as excinfo:
@@ -660,6 +654,33 @@ def test_parse_degrees():
     assert parse_degrees("4") == [4]
     with pytest.raises(Exception):
         parse_degrees("5..1")
+
+
+@pytest.mark.parametrize("argv", [["params", "--q", "5", "--matrix", "1"],
+                                  ["torus", "--q", "5", "--s", "1"]],
+                         ids=["params", "torus"])
+def test_a_degree_range_past_ssize_t_is_a_resource_limit(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--degrees", "0..100000000000000000000")
+    assert (code, out) == (2, "")
+    assert err == ("paramcodes: resource limit: degree range "
+                   "'0..100000000000000000000' is too long to list\n")
+
+
+def test_a_degree_range_past_memory_is_a_resource_limit():
+    # 10^15 degrees fit ssize_t, but not 3 GB of address space
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    limit = 3 * 1024 ** 3
+    for argv in (["params", "--q", "5", "--matrix", "1"], ["torus", "--q", "5", "--s", "1"]):
+        proc = subprocess.run(
+            [sys.executable, "-m", "paramcodes.cli", *argv,
+             "--degrees", "0..1000000000000000"],
+            capture_output=True, text=True, env=env, timeout=120,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (limit, limit)))
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr == ("paramcodes: resource limit: degree range "
+                               "'0..1000000000000000' is too long to list\n")
 
 
 def test_unknown_subcommand_usage_exit():
