@@ -154,10 +154,7 @@ def build_config(args) -> RunConfig:
         raise UsageError("missing exponent matrix: give --matrix or config rows")
     if hasattr(args, "degrees") and "degrees" not in values:
         raise UsageError("missing --degrees (inclusive, e.g. 1..5)")
-    try:
-        matrix = ExponentMatrix.of(values["matrix"])
-    except DomainError as exc:
-        raise UsageError(str(exc)) from exc
+    matrix = ExponentMatrix.of(values["matrix"])
     fmt = values.get("format", "table")
     if fmt not in ("table", "csv", "json"):
         raise UsageError(f"unknown format {fmt!r}: pick table, csv or json")
@@ -248,7 +245,7 @@ def cmd_torus(args) -> int:
         raise UsageError("torus tables need q >= 3 (q = 2 is a single point)")
     if args.s < 1:
         raise UsageError("torus dimension s must be >= 1")
-    degrees = _parse_flag("degrees", parse_degrees, args.degrees) if args.degrees else []
+    degrees = _parse_flag("degrees", parse_degrees, args.degrees)
     # the table needs no field, only a q for which GF(q) exists
     _factor_prime_power(args.q)
     # every cell is at most the length, and Python prints no int of more than
@@ -316,7 +313,7 @@ def make_parser() -> argparse.ArgumentParser:
     p.add_argument("--threads", type=int, help="accepted and ignored")
     p.add_argument("--format", choices=("table", "csv", "json"))
     p.add_argument("--verify", action="store_true",
-                   help="certify the bases and sweep every footprint distance")
+                   help="run the checks of verify before printing the table")
     p.set_defaults(handler=cmd_params)
 
     p = commands.add_parser("ideal", help="print a vanishing-ideal basis")

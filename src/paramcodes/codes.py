@@ -68,9 +68,9 @@ class EvaluationMatrix:
     """The standard monomials of degree <= d evaluated at every point, as
     canonical field ints; the row space is the code.  `monomials` is
     Delta<=d, one read-only exponent row per matrix row, and `below` the
-    matrix it extends, if any.  `new_rows`, the rows of the monomials
-    above those of `below`, and `echelon` are computed on first read; the
-    whole k x m array `rows` is evaluated from scratch when first read."""
+    matrix it extends, if any.  Nothing is evaluated until `rows` or
+    `echelon` is first read, and `_evaluate` checks the matrix budget
+    then, so a row that reads neither is never refused."""
 
     degree: int
     monomials: np.ndarray
@@ -86,29 +86,23 @@ class EvaluationMatrix:
         return len(self.pset)
 
     @cached_property
-    def new_rows(self) -> np.ndarray:
-        """The rows of the monomials above those of `below`, read-only."""
-        return _evaluate(self.pset, self.monomials[len(self.below.monomials)
-                                                   if self.below else 0:])
-
-    @cached_property
     def rows(self) -> np.ndarray:
         """Every row, read-only."""
-        if len(self.new_rows) == len(self.monomials):
-            return self.new_rows
-        return _evaluate(self.pset, self.monomials)
+        return _evaluate(self, self.monomials)
 
     def rep_rows(self) -> np.ndarray:
         return self.rows
 
     @cached_property
     def echelon(self) -> tuple[np.ndarray, list[int]]:
-        """The reduced row echelon form and its pivots, computed once from
-        that of `below`, which is then let go.  The rank must be
+        """The reduced row echelon form and its pivots: that of `below`,
+        which is then let go, extended by the rows above its own, which
+        are evaluated first, or else that of `rows`.  The rank must be
         |Delta<=d|."""
+        below = self.below
+        new = _evaluate(self, self.monomials[len(below.monomials):]) if below else self.rows
         empty = (np.zeros((0, self.num_points), dtype=np.int32), [])
-        form = linalg.extend_rref(*(self.below.echelon if self.below else empty),
-                                  self.new_rows, self.field)
+        form = linalg.extend_rref(*(below.echelon if below else empty), new, self.field)
         self.below = None
         if len(form[1]) != len(self.monomials):
             raise InternalInconsistencyError(
@@ -117,13 +111,20 @@ class EvaluationMatrix:
         return form
 
 
-def _evaluate(pset: ParameterizedSet, exponents: np.ndarray) -> np.ndarray:
-    """t^a at every point for each row a of `exponents`, read-only.  Every
-    coordinate is a unit, so the value is g^(a . logs), and the dot
-    products are summed one coordinate at a time.  On X* each variable's
-    (q-1)-th power is 1, so standard monomials, like logs, have entries
-    at most q-2: the sums are int32 unless s(q-2)^2 could reach 2^31."""
-    logs, spec = pset.logs, pset.field
+def _evaluate(matrix: EvaluationMatrix, exponents: np.ndarray) -> np.ndarray:
+    """t^a at every point for each row a of `exponents`, read-only.  A
+    matrix of more than DEFAULT_MATRIX_BUDGET entries, read at each call,
+    is refused before anything is allocated.  Every coordinate is a unit,
+    so the value is g^(a . logs), and the dot products are summed one
+    coordinate at a time.  On X* each variable's (q-1)-th power is 1, so
+    standard monomials, like logs, have entries at most q-2: the sums are
+    int32 unless s(q-2)^2 could reach 2^31."""
+    k, m = len(matrix.monomials), matrix.num_points
+    if k * m > DEFAULT_MATRIX_BUDGET:
+        raise ResourceLimitError(
+            f"evaluation matrix with {k} x {m} entries exceeds "
+            f"the budget {DEFAULT_MATRIX_BUDGET}")
+    logs, spec = matrix.pset.logs, matrix.field
     dtype = np.int32 if len(logs) * (spec.order - 2) ** 2 < 2**31 else np.int64
     exponents = exponents.astype(dtype)
     total = exponents[:, :1] * logs[0]
@@ -139,18 +140,13 @@ def build_evaluation_matrix(pset: ParameterizedSet, d: int,
     """Rows are Delta<=d in ascending graded GrevLex order, columns follow
     the canonical point order; the echelon form extends that of `below`,
     and only the monomials above its degree are evaluated, when first
-    read.  A degree above Delta's top degree adds no row.  A matrix of
-    more than DEFAULT_MATRIX_BUDGET entries, read at each call, is refused
-    before any row is evaluated."""
+    read.  A degree above Delta's top degree adds no row.  Nothing is
+    evaluated here, so the matrix budget is not checked here."""
     if d < 0:
         raise DomainError("degree must be non-negative")
     if below and (below.pset is not pset or below.degree >= d):
         raise DomainError("only a lower degree on the same points extends")
     delta = np.concatenate(pset.standard_monomials[:d + 1])
-    if len(delta) * len(pset) > DEFAULT_MATRIX_BUDGET:
-        raise ResourceLimitError(
-            f"evaluation matrix with {len(delta)} x {len(pset)} entries exceeds "
-            f"the budget {DEFAULT_MATRIX_BUDGET}")
     delta.flags.writeable = False
     # Delta<=below.degree is a prefix of Delta<=d
     return EvaluationMatrix(d, delta, pset, below)

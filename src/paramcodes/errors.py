@@ -6,7 +6,8 @@ resource-limit refusals exit 2, failed cross-checks exit 3.
 
 
 class DomainError(ValueError):
-    """An operation was called outside its contract (mixed fields, bad degree, ...)."""
+    """An operation was called outside its contract: a negative degree, a
+    field order that is not a prime power, a reducible modulus, ..."""
 
 
 class ResourceLimitError(RuntimeError):

@@ -319,10 +319,13 @@ def spy(module, name):
     (["--q", "13"], 3, "1..6"),
     (["--q", "16", "--modulus", "1 1 0 0 1"], 1, "1..14"),
     (["--q", "9", "--modulus", "1 0 1"], 3, "1..4"),
-], ids=["torus-gf13-s3", "rs-gf16", "torus-gf9-s3"])
+    (["--q", "13"], 4, "1..43"),
+], ids=["torus-gf13-s3", "rs-gf16", "torus-gf9-s3", "torus-gf13-s4"])
 def test_torus_rows_need_no_matrix(capsys, field, s, degrees):
     # below Delta's top degree the product witness meets the footprint, and
-    # at it k = m gives weight 1, so no row is evaluated or reduced
+    # at it k = m gives weight 1, so no row is evaluated or reduced, nor
+    # refused by the matrix budget: from d = 7 on the GF(13) 4-torus has
+    # more than 5,000,000 entries
     torus = "; ".join(" ".join(str(int(i == j)) for j in range(s)) for i in range(s))
     with spy(codes, "_evaluate") as evaluate, spy(linalg, "extend_rref") as extend, \
             spy(linalg, "rref") as rref:
@@ -335,6 +338,18 @@ def test_torus_rows_need_no_matrix(capsys, field, s, degrees):
     # the closed forms call a distance of 1 exact; 16^15 codewords exceed
     # the distance budget, so the pipeline reports a weight-1 witness
     assert out == closed.replace("14,15,15,1,exact,", "14,15,15,1,weight_one,")
+
+
+@pytest.mark.parametrize("argv", [["verify"], ["params", "--verify"]],
+                         ids=["verify", "params-verify"])
+def test_a_row_that_reads_its_matrix_past_the_budget_is_refused(capsys, argv):
+    # --verify reads every degree's echelon form, and the first past the
+    # budget is d = 7's
+    code, out, err = run_cli(capsys, *argv, "--q", "13", "--matrix",
+                             "1 0 0 0; 0 1 0 0; 0 0 1 0; 0 0 0 1", "--degrees", "1..8")
+    assert (code, out) == (2, "")
+    assert err == ("paramcodes: resource limit: evaluation matrix with 330 x 20736 "
+                   "entries exceeds the budget 5000000\n")
 
 
 def test_the_four_cycle_still_eliminates(capsys):
@@ -560,6 +575,29 @@ def test_usage_errors(capsys):
     code, _, err = run_cli(capsys, "params", "--q", "5",
                            "--matrix", "1 1 0; 0 1", "--degrees", "1..2")
     assert code == 1 and "row 2" in err
+
+
+@pytest.mark.parametrize("matrix, message", [
+    ("1; 2 3", "matrix row 2 has 2 entries, expected 1"),
+    ("1 -1", "matrix row 1 has a negative exponent"),
+], ids=["ragged", "negative"])
+def test_a_bad_exponent_matrix_is_a_usage_error(tmp_path, capsys, matrix, message):
+    config = tmp_path / "bad.cfg"
+    config.write_text("q 5\n" + "".join(f"matrix {row}\n" for row in matrix.split(";")))
+    for source in (["--matrix", matrix], ["--config", str(config)]):
+        code, out, err = run_cli(capsys, "params", "--q", "5", *source, "--degrees", "1")
+        assert (code, out, err) == (1, "", f"paramcodes: error: {message}\n")
+
+
+@pytest.mark.parametrize("argv", [["params", "--q", "5", "--matrix", "1"],
+                                  ["verify", "--q", "5", "--matrix", "1"],
+                                  ["torus", "--q", "5", "--s", "1"]],
+                         ids=["params", "verify", "torus"])
+def test_an_empty_degree_range_is_a_usage_error(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--degrees", "")
+    assert (code, out) == (1, "")
+    assert err == ("paramcodes: error: --degrees: invalid literal for int() "
+                   "with base 10: ''\n")
 
 
 @pytest.mark.parametrize("argv, flag", [

@@ -1,4 +1,5 @@
 import signal
+from contextlib import contextmanager
 from math import comb
 from unittest import mock
 
@@ -69,22 +70,51 @@ def test_matrix_entries_and_rank(triangle_set):
     assert code_dimension(E) == 4
 
 
+def no_exp():
+    return mock.patch.object(FieldSpec, "exp",
+                             side_effect=AssertionError("matrix evaluated"))
+
+
 def test_matrix_budget():
-    with mock.patch.object(codes, "DEFAULT_MATRIX_BUDGET", 100), \
-            pytest.raises(ResourceLimitError, match="exceeds the budget 100"):
-        build_evaluation_matrix(torus_set(11, 2), 5)
+    # building the matrix evaluates nothing, so only reading it is refused
+    pset = torus_set(11, 2)
+    with mock.patch.object(codes, "DEFAULT_MATRIX_BUDGET", 100), no_exp():
+        E = build_evaluation_matrix(pset, 5)
+        for read in ("rows", "echelon"):
+            with pytest.raises(ResourceLimitError, match="21 x 100 entries exceeds "
+                                                         "the budget 100"):
+                getattr(E, read)
 
 
 def test_matrix_budget_checked_before_evaluating():
     # the rows are the 8 standard monomials t^a, a in {0, 1}^3, whatever the
-    # degree above 2, and the budget admits one entry fewer than 8 x 8
+    # degree above 2, and the budget admits one entry fewer than 8 x 8; the
+    # extension checks its own 8 x 8 before it reads the 4 x 8 form below
     pset = torus_set(3, 3)
-    with mock.patch.object(FieldSpec, "exp",
-                           side_effect=AssertionError("matrix evaluated")), \
-            mock.patch.object(codes, "DEFAULT_MATRIX_BUDGET", 63):
-        with pytest.raises(ResourceLimitError,
-                           match=r"8 x 8 entries exceeds the budget 63"):
-            build_evaluation_matrix(pset, 26)
+    with no_exp(), mock.patch.object(codes, "DEFAULT_MATRIX_BUDGET", 63):
+        below = build_evaluation_matrix(pset, 1)
+        for E in (build_evaluation_matrix(pset, 26),
+                  build_evaluation_matrix(pset, 26, below=below)):
+            for read in ("rows", "echelon"):
+                with pytest.raises(ResourceLimitError,
+                                   match=r"8 x 8 entries exceeds the budget 63"):
+                    getattr(E, read)
+        assert "echelon" not in vars(below)
+
+
+@contextmanager
+def evaluations():
+    """Each call of `codes._evaluate` while open, as its exponent rows and
+    the rows it returned."""
+    calls, evaluate = [], codes._evaluate
+
+    def record(matrix, exponents):
+        rows = evaluate(matrix, exponents)
+        calls.append((exponents.tolist(), rows))
+        return rows
+
+    with mock.patch.object(codes, "_evaluate", record):
+        yield calls
 
 
 @settings(max_examples=30, deadline=None)
@@ -100,15 +130,21 @@ def test_standard_monomial_rows_span_the_all_monomial_code(pset):
     for d in range(top + 2):
         expected, pivots = linalg.rref(everything[:comb(s + d, d)], pset.field)
         alone = build_evaluation_matrix(pset, d)
+        lower = len(below.monomials) if below else 0
         below = build_evaluation_matrix(pset, d, below=below)
         for E in (alone, below):
             assert np.array_equal(E.monomials,
                                   np.concatenate(pset.standard_monomials[:d + 1]))
             assert E.monomials.dtype.kind == "i" and not E.monomials.flags.writeable
-            assert E.echelon[1] == pivots
+            with evaluations() as calls:
+                assert E.echelon[1] == pivots
             assert np.array_equal(E.echelon[0], expected)
-    # past the top degree the extension evaluates no row
-    assert len(below.monomials) == len(pset) and len(below.new_rows) == 0
+            # built alone every monomial is evaluated, extended those above
+            # the degree below alone
+            start = lower if E is below else 0
+            assert [m for m, _ in calls] == [E.monomials[start:].tolist()]
+    # past the top degree the extension evaluates no monomial
+    assert len(below.monomials) == lower == len(pset) and [m for m, _ in calls] == [[]]
 
 
 def test_torus_past_the_all_monomial_budget():
@@ -560,13 +596,18 @@ def test_each_degree_evaluates_delta_directly(pset):
         alone = build_evaluation_matrix(pset, d)
         extended = build_evaluation_matrix(pset, d, below=below)
         expected = [row_of[m] for m in map(tuple, alone.monomials.tolist())]
-        assert alone.new_rows.tolist() == expected
-        assert extended.new_rows.tolist() == \
-            expected[len(below.monomials) if below else 0:]
+        start = len(below.monomials) if below else 0
+        with evaluations() as calls:
+            for E in (alone, extended):
+                E.echelon
+        assert [m for m, _ in calls] == [alone.monomials.tolist(),
+                                         alone.monomials[start:].tolist()]
+        assert [r.tolist() for _, r in calls] == [expected, expected[start:]]
+        assert not any(r.flags.writeable for _, r in calls)
         for E in (alone, extended):
             assert np.array_equal(E.monomials, alone.monomials)
             assert E.rows.tolist() == expected
-            assert not E.rows.flags.writeable and not E.new_rows.flags.writeable
+            assert not E.rows.flags.writeable
             with pytest.raises(ValueError):
                 E.rows[..., :1] = 0
         below = extended
