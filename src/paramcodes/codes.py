@@ -18,18 +18,15 @@ higher one, so each degree, on first read, evaluates only the standard
 monomials above the degree below and extends the echelon form of the
 rows before them.
 
-Minimum distance is certified in this order.  On X* it is 1 exactly when
-k = m.  Otherwise the footprint of Delta (Geil and Hoeholdt, "Footprints
-or generalized Bezout's theorem", IEEE-IT 2000), min over M in Delta of
-degree <= d of #{N in Delta : M | N}, is a lower bound, and a codeword,
-the witness, an upper bound: a product of at most d factors t_i - c, or,
-where that exceeds the footprint, the lightest row of the reduced echelon
-form.  When they meet the distance is exact.  Otherwise, when the number
-of codewords q^k fits the budget, a sweep of one codeword per scalar class
-finds it, on X* over the subcode that vanishes at one point only; above
-the budget the distance is the interval between the bounds, never a
-silent wrong number.  The budget caps only the sweep, so a row can be
-exact above it.
+Minimum distance is settled by the first certificate that applies, in
+the order `minimum_distance` gives.  The footprint of Delta (Geil and
+Hoeholdt, "Footprints or generalized Bezout's theorem", IEEE-IT 2000),
+min over M in Delta of degree <= d of #{N in Delta : M | N}, is a lower
+bound, and a codeword, the witness, an upper bound: a product of at most
+d factors t_i - c, or the lightest row of the reduced echelon form.  The
+budget caps only the sweep of one codeword per scalar class, so a row
+can be exact above it; an unsettled row is an interval, never a silent
+wrong number.
 """
 
 from __future__ import annotations
@@ -81,10 +78,6 @@ class EvaluationMatrix:
     def field(self) -> FieldSpec:
         return self.pset.field
 
-    @property
-    def num_points(self) -> int:
-        return len(self.pset)
-
     @cached_property
     def rows(self) -> np.ndarray:
         """Every row, read-only."""
@@ -101,7 +94,7 @@ class EvaluationMatrix:
         |Delta<=d|."""
         below = self.below
         new = _evaluate(self, self.monomials[len(below.monomials):]) if below else self.rows
-        empty = (np.zeros((0, self.num_points), dtype=np.int32), [])
+        empty = (np.zeros((0, len(self.pset)), dtype=np.int32), [])
         form = linalg.extend_rref(*(below.echelon if below else empty), new, self.field)
         self.below = None
         if len(form[1]) != len(self.monomials):
@@ -119,7 +112,7 @@ def _evaluate(matrix: EvaluationMatrix, exponents: np.ndarray) -> np.ndarray:
     coordinate at a time.  On X* each variable's (q-1)-th power is 1, so
     standard monomials, like logs, have entries at most q-2: the sums are
     int32 unless s(q-2)^2 could reach 2^31."""
-    k, m = len(matrix.monomials), matrix.num_points
+    k, m = len(matrix.monomials), len(matrix.pset)
     if k * m > DEFAULT_MATRIX_BUDGET:
         raise ResourceLimitError(
             f"evaluation matrix with {k} x {m} entries exceeds "
@@ -267,18 +260,21 @@ def _enumerate_weights(basis: np.ndarray, spec: FieldSpec, floor: int = 1) -> in
 
 def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
                      threads: int = 1) -> MinDistance:
-    """Exact where the footprint meets a witness, else by a sweep when q^k
-    fits the budget, else the interval between the two.  budget=0
-    disables the computation.
+    """The first certificate that applies settles the row: budget=0 skips
+    it; k = m is weight 1, exact when q^k fits the budget and weight_one
+    above it; otherwise the footprint, at least 2, is a lower bound and
+    the product witness an upper one, lowered to the lightest echelon row
+    only when it exceeds the footprint.  Bounds that meet are exact; else
+    a sweep settles the row when q^k fits the budget, and above it the row
+    is the interval between the bounds.
 
     On a point set X* the rows are the characters t^a, a in Delta<=d, of
     the group X*, one per class, and distinct characters are linearly
     independent (Artin's lemma): k = |Delta<=d|.  The order m of X*
     divides (q-1)^s, so it is prime to p, and the indicator of a point is
     a combination of all m characters with nonzero coefficients: the
-    distance is 1 exactly when k = m.  Below that the product witness
-    comes first, and the echelon form is read only when it exceeds the
-    footprint.
+    distance is 1 exactly when k = m, and both witnesses weigh at least 2
+    below it.
 
     With k >= 2 the sweep reads only the echelon rows after the first.
     In reduced echelon form they span exactly the codewords that are zero
@@ -297,21 +293,17 @@ def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
         raise DomainError("the zero code has no minimum distance")
     if budget == 0:
         return MinDistance.skipped()
-    within_budget = matrix.field.order ** k <= budget
+    q = matrix.field.order
     if k == len(pset):
-        witness = 1
-    else:
-        # read only where k < m, so that no codeword has weight 1
-        lower = max(pset.footprint(d), 2)
-        witness = pset.product_witness(d)
-        if witness > lower:
-            witness = min(witness, int(np.count_nonzero(matrix.echelon[0], axis=1).min()))
-    if witness == 1:
-        return (MinDistance.exact(1, "weight-1") if within_budget
+        return (MinDistance.exact(1, "weight-1") if q ** k <= budget
                 else MinDistance.weight_one())
+    lower = max(pset.footprint(d), 2)
+    witness = pset.product_witness(d)
+    if witness > lower:
+        witness = min(witness, int(np.count_nonzero(matrix.echelon[0], axis=1).min()))
     if lower == witness:
         return MinDistance.exact(witness, "footprint")
-    if within_budget:
+    if q ** k <= budget:
         basis = matrix.echelon[0]
         if k >= 2:
             basis = basis[1:]
@@ -381,7 +373,6 @@ class PipelineRun:
     """Everything the pipeline produces for one point set; `checks` names
     each check that verification ran, with what it checked."""
 
-    pset: ParameterizedSet
     table: tuple[CodeParameters, ...]
     checks: tuple[tuple[str, str], ...] = ()
 
@@ -461,7 +452,7 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                     f"from the sweep's {swept}")
         rows.append(CodeParameters(d, m, k, md))
     if not verify:
-        return PipelineRun(pset, tuple(rows))
+        return PipelineRun(tuple(rows))
     checks = [("pipeline", "basis certified; at every degree the rank by "
                "elimination equals |Delta<=d|, the echelon form equals one "
                "recomputed from scratch, and each product witness is recounted")]
@@ -498,4 +489,4 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                 "the torus's closed forms differ: " + "; ".join(problems))
         checks += [("torus-dimension-formula", "pipeline dimensions match the closed form"),
                    ("torus-distance-formula", "exact distances match the closed form")]
-    return PipelineRun(pset, tuple(rows), tuple(checks))
+    return PipelineRun(tuple(rows), tuple(checks))

@@ -319,13 +319,13 @@ def spy(module, name):
     (["--q", "13"], 3, "1..6"),
     (["--q", "16", "--modulus", "1 1 0 0 1"], 1, "1..14"),
     (["--q", "9", "--modulus", "1 0 1"], 3, "1..4"),
-    (["--q", "13"], 4, "1..43"),
+    (["--q", "13"], 4, "1..45"),
 ], ids=["torus-gf13-s3", "rs-gf16", "torus-gf9-s3", "torus-gf13-s4"])
 def test_torus_rows_need_no_matrix(capsys, field, s, degrees):
     # below Delta's top degree the product witness meets the footprint, and
-    # at it k = m gives weight 1, so no row is evaluated or reduced, nor
+    # from it on k = m gives weight 1, so no row is evaluated or reduced, nor
     # refused by the matrix budget: from d = 7 on the GF(13) 4-torus has
-    # more than 5,000,000 entries
+    # more than 5,000,000 entries, and at d = 44 it has 20,736 x 20,736
     torus = "; ".join(" ".join(str(int(i == j)) for j in range(s)) for i in range(s))
     with spy(codes, "_evaluate") as evaluate, spy(linalg, "extend_rref") as extend, \
             spy(linalg, "rref") as rref:
@@ -335,9 +335,18 @@ def test_torus_rows_need_no_matrix(capsys, field, s, degrees):
     assert (evaluate.call_count, extend.call_count, rref.call_count) == (0, 0, 0)
     _, closed, _ = run_cli(capsys, "torus", "--q", field[1], "--s", str(s),
                            "--degrees", degrees, "--format", "csv")
-    # the closed forms call a distance of 1 exact; 16^15 codewords exceed
-    # the distance budget, so the pipeline reports a weight-1 witness
-    assert out == closed.replace("14,15,15,1,exact,", "14,15,15,1,weight_one,")
+    # the closed forms call a distance of 1 exact; where the code is the
+    # whole space and its q^dim codewords exceed the distance budget, the
+    # pipeline reports a weight-1 witness
+    q = int(field[1])
+
+    def expected(row):
+        d, length, dim, delta, status, rest = row.split(",", 5)
+        if dim == length and q ** int(dim) > codes.DEFAULT_MD_BUDGET:
+            status = "weight_one"
+        return ",".join((d, length, dim, delta, status, rest))
+
+    assert out.splitlines() == [expected(row) for row in closed.splitlines()]
 
 
 @pytest.mark.parametrize("argv", [["verify"], ["params", "--verify"]],

@@ -1,5 +1,5 @@
 import signal
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 from math import comb
 from unittest import mock
 
@@ -59,7 +59,7 @@ def test_one_dim_torus_matrix_is_vandermonde():
 
 def test_matrix_entries_and_rank(triangle_set):
     E = build_evaluation_matrix(triangle_set, 1)
-    assert len(E.rows) == 4 and E.num_points == 32
+    assert len(E.rows) == 4 and len(E.pset) == 32
     # spot-check: entry = monomial evaluated at the point
     mono = E.monomials[2]
     pt = triangle_set.points[17].tolist()
@@ -227,6 +227,27 @@ def test_min_distance_budget_paths(triangle_set):
     assert detected.method == "weight-1"
     skipped = minimum_distance(E, budget=0)
     assert skipped.status == "skipped" and skipped.method is None
+
+
+@pytest.mark.parametrize("budget", [codes.DEFAULT_MD_BUDGET, 100])
+@pytest.mark.parametrize("case", ["triangle-gf5-d5", "torus-gf13-s4-d44"])
+def test_a_whole_space_row_reads_no_bound(request, case, budget):
+    # k = m settles the distance as 1 before the footprint, the product
+    # witness or any matrix entry is read; at d = 44 the 4-torus's matrix
+    # has 20,736 x 20,736 entries, far past the matrix budget
+    pset, d = ((request.getfixturevalue("triangle_set"), 5) if case == "triangle-gf5-d5"
+               else (torus_set(13, 4), 44))
+    E = build_evaluation_matrix(pset, d)
+    assert len(E.monomials) == len(pset)
+    targets = [(ParameterizedSet, "footprint"), (ParameterizedSet, "product_witness"),
+               (codes, "_evaluate"), (linalg, "extend_rref")]
+    with ExitStack() as stack:
+        spies = [stack.enter_context(mock.patch.object(
+            owner, name, autospec=True, side_effect=getattr(owner, name)))
+            for owner, name in targets]
+        md = minimum_distance(E, budget=budget)
+    assert (md.status, md.value, md.method) == ("weight_one", 1, "weight-1")
+    assert [spy.call_count for spy in spies] == [0] * len(targets)
 
 
 def test_weight_one_detection_is_exact(triangle_set):
@@ -971,7 +992,7 @@ def test_parameter_table_empty_range(triangle_set):
 
 def test_run_pipeline_consistency(torus11_set):
     run = run_pipeline(torus11_set, [1, 2, 3], md_budget=0)
-    assert sum(map(len, run.pset.standard_monomials)) == 100
+    assert sum(map(len, torus11_set.standard_monomials)) == 100
     assert [p.dimension for p in run.table] == [3, 6, 10]
     assert all(p.min_distance.status == "skipped" for p in run.table)
 
