@@ -12,11 +12,10 @@ built is compared with it.  The certified basis is a GrevLex basis, and
 GrevLex is graded, so on X* each monomial equals a standard monomial of
 no higher degree: the rows span the code of all monomials of degree <= d.
 
-An entry of a matrix is g^(exponents . logs of the point), read through
-the field's exp table.  A lower degree's matrix is the first rows of a
-higher one, so each degree, on first read, evaluates only the standard
-monomials above the degree below and extends the echelon form of the
-rows before them.
+An entry is g^(exponents . logs of the point), read through the field's
+exp table.  Delta<=d is a prefix view of the set's one Delta, so each
+degree, on first read, evaluates only the monomials above the degree
+below, and extends the form below, or the empty form, a degree at a time.
 
 Minimum distance is settled by the first certificate that applies, in
 the order `minimum_distance` gives.  The footprint of Delta (Geil and
@@ -62,12 +61,11 @@ _BLOCK_WRITE_ENTRIES = 1 << 18
 
 @dataclass(eq=False)
 class EvaluationMatrix:
-    """The standard monomials of degree <= d evaluated at every point, as
-    canonical field ints; the row space is the code.  `monomials` is
-    Delta<=d, one read-only exponent row per matrix row, and `below` the
-    matrix it extends, if any.  Nothing is evaluated until `rows` or
-    `echelon` is first read, and `_evaluate` checks the matrix budget
-    then, so a row that reads neither is never refused."""
+    """The standard monomials of degree <= d, `monomials`, a prefix view
+    of `pset.delta`, evaluated at every point as canonical field ints; the
+    row space is the code, and `below` the matrix it extends, if any.
+    Nothing is evaluated, nor the matrix budget checked, until `rows` or
+    `echelon` is first read: a row that reads neither is never refused."""
 
     degree: int
     monomials: np.ndarray
@@ -89,13 +87,15 @@ class EvaluationMatrix:
     @cached_property
     def echelon(self) -> tuple[np.ndarray, list[int]]:
         """The reduced row echelon form and its pivots: that of `below`,
-        which is then let go, extended by the rows above its own, which
-        are evaluated first, or else that of `rows`.  The rank must be
-        |Delta<=d|."""
-        below = self.below
-        new = _evaluate(self, self.monomials[len(below.monomials):]) if below else self.rows
-        empty = (np.zeros((0, len(self.pset)), dtype=np.int32), [])
-        form = linalg.extend_rref(*(below.echelon if below else empty), new, self.field)
+        let go after, or the empty form, extended one level of Delta at a
+        time by the rows above `below`'s, all evaluated first, so a degree
+        costs about what the range up to it costs.  The rank must be |Delta<=d|."""
+        below, levels = self.below, self.pset.standard_monomials[:self.degree + 1]
+        new = _evaluate(self, self.monomials[len(below.monomials) if below else 0:])
+        form = below.echelon if below else (np.zeros((0, len(self.pset)), dtype=np.int32), [])
+        for level in levels[below.degree + 1 if below else 0:]:
+            form = linalg.extend_rref(*form, new[:len(level)], self.field)
+            new = new[len(level):]
         self.below = None
         if len(form[1]) != len(self.monomials):
             raise InternalInconsistencyError(
@@ -130,7 +130,7 @@ def _evaluate(matrix: EvaluationMatrix, exponents: np.ndarray) -> np.ndarray:
 
 def build_evaluation_matrix(pset: ParameterizedSet, d: int,
                             below: Optional[EvaluationMatrix] = None) -> EvaluationMatrix:
-    """Rows are Delta<=d in ascending graded GrevLex order, columns follow
+    """Rows are Delta<=d, a prefix view of `pset.delta`, columns follow
     the canonical point order; the echelon form extends that of `below`,
     and only the monomials above its degree are evaluated, when first
     read.  A degree above Delta's top degree adds no row.  Nothing is
@@ -139,10 +139,8 @@ def build_evaluation_matrix(pset: ParameterizedSet, d: int,
         raise DomainError("degree must be non-negative")
     if below and (below.pset is not pset or below.degree >= d):
         raise DomainError("only a lower degree on the same points extends")
-    delta = np.concatenate(pset.standard_monomials[:d + 1])
-    delta.flags.writeable = False
-    # Delta<=below.degree is a prefix of Delta<=d
-    return EvaluationMatrix(d, delta, pset, below)
+    k = sum(map(len, pset.standard_monomials[:d + 1]))
+    return EvaluationMatrix(d, pset.delta[:k], pset, below)
 
 
 def code_dimension(matrix: EvaluationMatrix) -> int:

@@ -14,8 +14,8 @@ leading monomials are the least non-standard ones, and each tail is the
 standard monomial of its lead's class.  `class_walk` finds all of them in
 one walk, degree by degree; the tests check its basis against the
 paper's elimination.  Its levels, the standard monomials of each degree,
-are the one list of monomials the package uses: they give the Hilbert
-function, the footprint bounds and the rows of the evaluation matrices.
+are views of Delta, the one array of monomials the package uses: it gives
+the Hilbert function, the footprint bounds and the evaluation matrices.
 
 Every basis here is a `BinomialBasis`, a tuple of (lead, tail) exponent
 pairs, each the pure binomial t^lead - t^tail; homogenizing one pads each
@@ -163,9 +163,12 @@ class ParameterizedSet:
         return len(self.points)
 
     @cached_property
-    def _walk(self) -> tuple[list[Binomial], list[np.ndarray]]:
-        """The class walk of the set's matrix, done once."""
-        return class_walk(self.matrix, self.field.order)
+    def _walk(self) -> tuple[list[Binomial], list[np.ndarray], np.ndarray]:
+        """The class walk of the set's matrix, done once; its levels are views of Delta."""
+        leads, levels = class_walk(self.matrix, self.field.order)
+        delta = np.concatenate(levels)
+        delta.flags.writeable = False
+        return leads, np.split(delta, np.cumsum(list(map(len, levels)))[:-1]), delta
 
     @cached_property
     def affine_basis(self) -> BinomialBasis:
@@ -181,6 +184,11 @@ class ParameterizedSet:
         there are len(self).  They are the rows of every evaluation matrix
         and the monomials of the Hilbert function and the footprint."""
         return self._walk[1]
+
+    @property
+    def delta(self) -> np.ndarray:
+        """Delta in one read-only array; each level and each Delta<=d is a view of it."""
+        return self._walk[2]
 
     def certify(self, gb_y: BinomialBasis) -> None:
         """Raise InternalInconsistencyError unless the affine basis G and
@@ -257,8 +265,7 @@ class ParameterizedSet:
         multiple in it, so its entry stays 0 and the sum along an axis
         needs only the rows of Delta that agree off that axis.  The bound
         of degree d is the least count over the degrees up to d."""
-        levels = self.standard_monomials
-        delta = np.concatenate(levels)
+        levels, delta = self.standard_monomials, self.delta
         top = delta.max(axis=0)
         if math.prod((top + 1).tolist()) <= _FOOTPRINT_BOX_ENTRIES:
             box = np.zeros(top + 1, dtype=np.int32)

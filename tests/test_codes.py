@@ -564,9 +564,15 @@ def test_certificate_compares_the_class_walks_levels(triangle_matrix, f5):
             run_pipeline(pset, [1], verify=True)
 
 
-@pytest.mark.parametrize("q", [5, 9], ids=["triangle-gf5", "triangle-gf9"])
-def test_pipeline_extends_only_a_lower_degree(triangle_matrix, q):
-    pset = enumerate_points(triangle_matrix, field(q))
+TRIANGLE_ROWS = [[1, 1, 0], [0, 1, 1], [1, 0, 1]]
+FOUR_CYCLE_ROWS = [[1, 1, 0, 0], [0, 1, 1, 0], [0, 0, 1, 1], [1, 0, 0, 1]]
+
+
+@pytest.mark.parametrize("rows,q", [(TRIANGLE_ROWS, 5), (TRIANGLE_ROWS, 9),
+                                    (FOUR_CYCLE_ROWS, 7)],
+                         ids=["triangle-gf5", "triangle-gf9", "four-cycle-gf7"])
+def test_pipeline_extends_only_a_lower_degree(rows, q):
+    pset = enumerate_points(ExponentMatrix.of(rows), field(q))
     # footprints kept per degree answer calls in any order, repeats included
     delta = [m for level in pset.standard_monomials for m in level.tolist()]
 
@@ -583,6 +589,13 @@ def test_pipeline_extends_only_a_lower_degree(triangle_matrix, q):
     below = [call.kwargs["below"] for call in build.call_args_list]
     assert [b and b.degree for b in below] == [None, None, 1, None]
     assert run.table == tuple(run_pipeline(pset, [d]).table[0] for d in degrees)
+    if rows == FOUR_CYCLE_ROWS:
+        # its bounded rows, d = 3 given twice, take their upper end from
+        # the lightest echelon row, below the product witness, so the table
+        # reads each echelon form
+        assert [(p.d, p.min_distance.upper < pset.product_witness(p.d))
+                for p in run.table if p.min_distance.status == "bounded"] == \
+            [(3, True), (3, True)]
     with pytest.raises(DomainError, match="lower degree"):
         build_evaluation_matrix(pset, 1, below=build_evaluation_matrix(pset, 1))
 
@@ -600,6 +613,30 @@ def test_evaluation_matrix_extends_the_rows_below(rows, q, lower, d):
     assert extended.rows.dtype == alone.rows.dtype
     assert np.array_equal(extended.rows, alone.rows)
     assert not extended.rows.flags.writeable
+
+
+@pytest.mark.parametrize("q", [5, 9], ids=["triangle-gf5", "triangle-gf9"])
+def test_every_delta_is_a_view_of_one_array(triangle_matrix, q):
+    # the set holds Delta once; each level, each matrix's Delta<=d, built
+    # alone or extended, and the footprints read that array, copying none
+    pset = enumerate_points(triangle_matrix, field(q))
+    delta = pset.delta
+    assert not delta.flags.writeable and len(delta) == len(pset)
+    assert np.array_equal(delta, np.concatenate(pset.standard_monomials))
+    assert all(np.shares_memory(level, delta) for level in pset.standard_monomials)
+    below = None
+    for d in range(len(pset.standard_monomials) + 1):
+        for E in (build_evaluation_matrix(pset, d),
+                  build_evaluation_matrix(pset, d, below=below)):
+            assert np.shares_memory(E.monomials, delta)
+            assert not E.monomials.flags.writeable
+        below = E
+    with mock.patch.object(ParameterizedSet, "delta", new_callable=mock.PropertyMock,
+                           return_value=delta) as read, \
+            mock.patch.object(np, "concatenate", side_effect=AssertionError("copied")):
+        footprints = pset._footprints
+    read.assert_called_once()
+    assert footprints == enumerate_points(triangle_matrix, field(q))._footprints
 
 
 @settings(max_examples=30, deadline=None)
@@ -731,7 +768,8 @@ def test_verify_sweep_capped_by_codewords_times_points(triangle_set):
 def test_verify_recomputes_every_echelon_form(triangle_set):
     # an extension that leaves the new pivot columns in the old rows still
     # spans the code, so the table stands; only the reduction from scratch
-    # that verify adds notices
+    # that verify adds notices, at degree 1, whose form extends that of
+    # degree 0 by one level
     def no_back_substitution(echelon, pivots, rows, spec):
         new = linalg._subtract_product(rows, rows[:, pivots], echelon, spec)
         new, new_pivots = linalg.rref(new, spec)
@@ -743,15 +781,16 @@ def test_verify_recomputes_every_echelon_form(triangle_set):
         run = run_pipeline(triangle_set, [1, 2, 3], md_budget=700)
         assert [p.dimension for p in run.table] == [4, 10, 20]
         with pytest.raises(InternalInconsistencyError,
-                           match="degree 2 differs from a reduction from scratch"):
+                           match="degree 1 differs from a reduction from scratch"):
             run_pipeline(triangle_set, [1, 2, 3], md_budget=700, verify=True)
 
 
 def test_every_echelon_form_built_checks_its_rank(triangle_set):
-    # an extension that loses its last row: wherever an echelon form is
-    # built on a point set its rank must be |Delta<=d|.  The GF(5) torus
-    # row at d = 1 builds none, so only verify, which builds every form,
-    # checks its rank
+    # an extension that loses its last row, once per level of Delta: a
+    # form built alone at d = 1 from levels 0 and 1 keeps 4 - 2 rows.
+    # Wherever an echelon form is built on a point set its rank must be
+    # |Delta<=d|.  The GF(5) torus row at d = 1 builds none, so only
+    # verify, which builds every form, checks its rank
     extend = linalg.extend_rref
 
     def lossy(echelon, pivots, rows, spec):
@@ -759,14 +798,34 @@ def test_every_echelon_form_built_checks_its_rank(triangle_set):
         return form[:-1], pivots[:-1]
 
     with mock.patch.object(linalg, "extend_rref", lossy):
-        with pytest.raises(InternalInconsistencyError, match="rank 3 of the evaluation "
+        with pytest.raises(InternalInconsistencyError, match="rank 2 of the evaluation "
                            "matrix at degree 1 differs from the Hilbert value 4"):
             code_dimension(build_evaluation_matrix(triangle_set, 1))
         (row,) = run_pipeline(torus_set(5, 2), [1]).table
         assert (row.dimension, row.min_distance.value) == (3, 12)
-        with pytest.raises(InternalInconsistencyError, match="rank 2 of the evaluation "
+        with pytest.raises(InternalInconsistencyError, match="rank 1 of the evaluation "
                            "matrix at degree 1 differs from the Hilbert value 3"):
             run_pipeline(torus_set(5, 2), [1], verify=True)
+
+
+@pytest.mark.parametrize("q", [5, 9], ids=["triangle-gf5", "triangle-gf9"])
+def test_each_echelon_form_is_extended_one_level_at_a_time(triangle_matrix, q):
+    # built alone from the empty form, or extended across a gap from d = 1,
+    # the degree-4 form takes one extension per level of Delta, so no
+    # reduction sees more rows than one level holds
+    pset = enumerate_points(triangle_matrix, field(q))
+    sizes = [len(level) for level in pset.standard_monomials]
+    below = build_evaluation_matrix(pset, 1)
+    below.echelon
+    for E, first in ((build_evaluation_matrix(pset, 4), 0),
+                     (build_evaluation_matrix(pset, 4, below=below), 2)):
+        with mock.patch.object(linalg, "extend_rref", wraps=linalg.extend_rref) as extend, \
+                mock.patch.object(linalg, "rref", wraps=linalg.rref) as rref:
+            E.echelon
+        assert [len(call.args[2]) for call in extend.call_args_list] == sizes[first:5]
+        assert [len(call.args[0]) for call in rref.call_args_list] == sizes[first:5]
+        expected, pivots = linalg.rref(E.rows, pset.field)
+        assert E.echelon[1] == pivots and np.array_equal(E.echelon[0], expected)
 
 
 # -- the projective sweep against brute force ----------------------------------
