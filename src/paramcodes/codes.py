@@ -274,14 +274,14 @@ def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
     distance is 1 exactly when k = m, and both witnesses weigh at least 2
     below it.
 
-    With k >= 2 the sweep reads only the echelon rows after the first.
-    In reduced echelon form they span exactly the codewords that are zero
-    at the first pivot column, whose point is p_j.
+    The sweep reads only the echelon rows after the first.  In reduced
+    echelon form they span exactly the codewords that are zero at the
+    first pivot column, whose point is p_j.
     A lightest codeword f(X*) has weight at most m - k + 1 < m, so it is
     zero at some point p_i.  X* is a subgroup of the torus, so h = p_i/p_j
     lies in X*, x -> h*x permutes X*, and f(h*t) has f's degree: its
     codeword has the same weight and is zero at p_j.  So the subcode's
-    minimum weight is the code's.  With k = 1 the subcode is zero.
+    minimum weight is the code's.
 
     The sweep runs on the calling thread; `threads` is accepted and
     ignored, for callers that still pass it."""
@@ -302,10 +302,7 @@ def minimum_distance(matrix: EvaluationMatrix, budget: int = DEFAULT_MD_BUDGET,
     if lower == witness:
         return MinDistance.exact(witness, "footprint")
     if q ** k <= budget:
-        basis = matrix.echelon[0]
-        if k >= 2:
-            basis = basis[1:]
-        weight = _enumerate_weights(basis, matrix.field, floor=lower)
+        weight = _enumerate_weights(matrix.echelon[0][1:], matrix.field, floor=lower)
         return MinDistance.exact(weight, "search")
     return MinDistance.bounded(lower, witness)
 
@@ -432,7 +429,9 @@ def run_pipeline(pset: ParameterizedSet, degrees: Sequence[int],
                 raise InternalInconsistencyError(
                     f"product witness at degree {d} claims weight {claimed} "
                     f"but is nonzero on {weight} points")
-            if linalg.extend_rref(*matrix.echelon, product[None], spec)[1] != pivots:
+            # the form is reduced, so only a vector of its row space
+            # reduces to zero against it
+            if spec.sub_product(product[None], product[None, pivots], echelon).any():
                 raise InternalInconsistencyError(
                     f"product witness at degree {d} lies outside the code")
         q = spec.order

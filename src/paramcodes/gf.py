@@ -14,13 +14,31 @@ trial division: no monic polynomial of degree 1..k/2 divides it.
 
 Each field builds exp/log tables to the base of its smallest primitive
 element once, so multiplication, inverses and powers are table reads on
-every q.  Addition is % p on prime fields, XOR in characteristic 2, and
-an addition table (digit-wise arithmetic above order 1024) on the other
-extension fields.  Every arithmetic method takes Python ints, giving ints,
-or numpy integer arrays, giving arrays of the same shape.
-An extension field also hands out its arrays' k digit planes over GF(p)
-(`digits`), their inverse (`from_digits`) and the basis x^0..x^(k-1), so
-that `linalg` runs its products over GF(p) without knowing the encoding.
+every q.  Addition reduces mod p on prime fields, is XOR in characteristic
+2, and reads an addition table (digit-wise arithmetic above order 1024)
+on the other extension fields.  Every arithmetic method takes Python ints,
+giving ints, or numpy integer arrays, giving arrays of the same shape.
+Arrays are reduced mod n as e - (e // n) n: numpy divides an int array by
+a constant several times faster than it takes the remainder, and floor
+division leaves [0, n) for a negative e too.
+
+`sub_product`, rows - coeffs . other, is one product over GF(p) on every
+field.  GF(p^k) is a k-dimensional space over GF(p), and multiplying by c
+is the k x k GF(p) matrix whose column l holds the digits of c x^l, so a
+product over GF(p^k) is one over GF(p) with k times the rows and k times
+the terms, against the k digit planes of `other`; a prime field's entries
+are their own digits.  The product over GF(p) uses delayed modular
+reduction (Dumas, Giorgi and Pernet, FFLAS-FFPACK): the sum runs in the
+narrowest of int16, int32 and int64 that holds a block of at least
+min(T, 8) of its T terms exactly, one integer einsum per block, and is
+reduced once after each block.  A GF(13) block holds 227 terms of int16,
+a GF(9) one 8191; over GF(181), where int16 holds one term only, the rule
+takes int32 rather than one-term blocks.  numpy runs `@` on integers as a
+scalar loop, while einsum without `optimize` runs its own vector loop and
+never calls BLAS, so the product stays exact, and a narrower type puts
+more entries in each vector.  Digit planes are made per slab of rows and
+columns whose size is checked against MAX_DIGIT_ENTRIES before they are
+made.
 """
 
 from __future__ import annotations
@@ -41,6 +59,25 @@ MAX_FIELD_ORDER = 2**16
 #: Odd-characteristic extension fields up to this order get a q x q
 #: addition table; larger ones add digit by digit.
 MAX_ADD_TABLE_ORDER = 1024
+
+#: The integer types a product over GF(p) may sum in, narrowest first,
+#: each with its bound 2^(bits - 1)
+_SUM_TYPES = ((np.int16, 2**15), (np.int32, 2**31), (np.int64, 2**63))
+
+#: Digit-plane entries an extension-field product makes at once: each of
+#: its arrays of digits holds at most this many, or one column
+MAX_DIGIT_ENTRIES = 2**20
+
+
+def _mod(e, n: int):
+    """e mod n in [0, n), as Python's %: an array as e - (e // n) n in one
+    temporary (see the module docstring), an int or numpy scalar by %."""
+    if type(e) is int or not e.ndim:
+        return e % n
+    reduced = e // n
+    reduced *= n
+    np.subtract(e, reduced, out=reduced)
+    return reduced
 
 
 def _factor_prime_power(q: int) -> tuple[int, int]:
@@ -89,8 +126,8 @@ class _Tables:
     exp holds g^j for 0 <= j < 2(q-1) and zeros from 2(q-1) to 4(q-1);
     log[0] = 2(q-1), so exp[log[a] + log[b]] is a*b with zero included.
     add (flat, index a*q + b) exists only for odd-characteristic extension
-    fields up to MAX_ADD_TABLE_ORDER; digits (k x q, int16) and basis
-    exist only as arrays of extension fields."""
+    fields up to MAX_ADD_TABLE_ORDER; digits (k x q, int16) and the basis
+    x^0..x^(k-1) exist only as arrays of extension fields."""
 
     __slots__ = ("exp", "log", "add", "digits", "basis")
 
@@ -188,7 +225,7 @@ class FieldSpec:
     def add(self, a, b):
         p = self.characteristic
         if self.extension_degree == 1:
-            return (a + b) % p
+            return _mod(a + b, p)
         if p == 2:
             return a ^ b
         table = (self._lists if type(a) is int is type(b) else self._arrays).add
@@ -208,15 +245,7 @@ class FieldSpec:
 
     def sub(self, a, b):
         if self.extension_degree == 1:
-            p, diff = self.characteristic, a - b
-            if type(diff) is int:
-                return diff % p
-            # as in exp, e - (e // p) p; floor division keeps a negative
-            # difference's result in [0, p)
-            reduced = diff // p
-            reduced *= p
-            diff -= reduced
-            return diff
+            return _mod(a - b, self.characteristic)
         return self.add(a, self.neg(b))
 
     def mul(self, a, b):
@@ -249,35 +278,76 @@ class FieldSpec:
 
     def exp(self, e):
         """g^e for the primitive element g; e any integer or integer array."""
-        n = self.order - 1
-        if type(e) is int:
-            return self._lists.exp[e % n]
-        # numpy divides an int array by a constant several times faster than
-        # it takes the remainder, so e mod n is e - (e // n) n
-        reduced = e // n
-        reduced *= n
-        np.subtract(e, reduced, out=reduced)
-        return self._arrays.exp[reduced]
+        t = self._lists if type(e) is int else self._arrays
+        return t.exp[_mod(e, self.order - 1)]
 
     def log(self, a):
         """Discrete logarithm to the base g, in [0, q-1); a must be nonzero."""
         return (self._lists if type(a) is int else self._arrays).log[a]
 
-    # -- coordinates over GF(p), for extension fields -------------------------
+    # -- products over GF(p) -------------------------------------------------
 
-    @property
-    def basis(self) -> np.ndarray:
-        """x^0, ..., x^(k-1): the basis of GF(q) over GF(p) of `digits`."""
-        return self._arrays.basis
+    def sub_product(self, rows: np.ndarray, coeffs: np.ndarray,
+                    other: np.ndarray) -> np.ndarray:
+        """rows - coeffs . other over GF(q), q = p^k, as a product over GF(p).
 
-    def digits(self, a: np.ndarray) -> np.ndarray:
-        """The k digit planes of an array: out[l] holds the coefficient of
-        x^l of each entry, in [0, p), as int16."""
+        Over GF(p^k) the left side is digit j of coeffs[i, t] x^l at row
+        (j, i) and term (l, t), the right side the digit planes of `other`
+        stacked as (l, t), and the rows are digit planes (j, i) of `rows`;
+        the difference's planes are recombined by `_from_digits`.  On a
+        prime field the three are the matrices themselves and nothing is
+        built.  An entry in [0, p) minus a block of terms of at most
+        (p-1)^2 each stays above -top when block = (top - p) // (p-1)^2, so
+        each block is one exact einsum in the first type whose block holds
+        min(kP, 8) of the kP terms, and the entries go back to [0, p) after
+        it.  The rows go in chunks whose left side holds at most
+        MAX_DIGIT_ENTRIES digits, and the columns in slabs whose rows and
+        right side hold at most that many together; one chunk and one slab
+        when everything fits.
+        """
+        p, k = self.characteristic, self.extension_degree
+        terms = k * len(other)
+        dtype, block = next((dtype, (top - p) // (p - 1) ** 2)
+                            for dtype, top in _SUM_TYPES
+                            if (top - p) // (p - 1) ** 2 >= min(terms, 8))
+        block = max(block, 1)  # block 0 has no terms
+
+        def subtract(total, left, right):
+            for start in range(0, terms, block):
+                total -= np.einsum("ij,jk->ik", left[:, start:start + block],
+                                   right[start:start + block])
+                total = _mod(total, p)
+            return total
+
+        if k == 1:
+            return subtract(rows.astype(dtype), coeffs.astype(dtype, copy=False),
+                            other.astype(dtype, copy=False))
+        # rows per chunk and columns per slab, so that no digit array passes
+        # the cap; right keeps the digits' int16, as einsum promotes to left's
+        (r, n), height = rows.shape, max(1, MAX_DIGIT_ENTRIES // (k * terms or 1))
+        out = np.empty((r, n), dtype=np.int32)
+        for i in range(0, r, height):
+            h = min(height, r - i)
+            left = self._digits(self.mul(coeffs[i:i + h, None],
+                                         self._arrays.basis[:, None]))
+            left = left.reshape(k * h, terms).astype(dtype, copy=False)
+            width = max(1, MAX_DIGIT_ENTRIES // (k * h + terms))
+            for s in range(0, n, width):
+                w = min(width, n - s)
+                total = self._digits(rows[i:i + h, s:s + w]).reshape(k * h, w)
+                right = self._digits(other[:, s:s + w]).reshape(terms, w)
+                total = subtract(total.astype(dtype, copy=False), left, right)
+                out[i:i + h, s:s + w] = self._from_digits(total.reshape(k, h, w))
+        return out
+
+    def _digits(self, a: np.ndarray) -> np.ndarray:
+        """The k digit planes of an array of an extension field: out[l]
+        holds the coefficient of x^l of each entry, in [0, p), as int16."""
         return self._arrays.digits.take(a, axis=1)
 
-    def from_digits(self, planes: np.ndarray) -> np.ndarray:
+    def _from_digits(self, planes: np.ndarray) -> np.ndarray:
         """The elements whose digits in [0, p) run along the first axis of
-        *planes*: sum_l planes[l] x^l, the inverse of `digits`."""
+        *planes*: sum_l planes[l] x^l, the inverse of `_digits`."""
         return np.einsum("l,l...->...", self._arrays.basis, planes)
 
     def __str__(self) -> str:

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from paramcodes import codes, hilbert, ideals, linalg
 from paramcodes.codes import (
@@ -306,6 +306,13 @@ def test_footprint_and_witness_bracket_the_distance(pset):
     for d in range(len(pset.standard_monomials)):
         E = build_evaluation_matrix(pset, d)
         k = code_dimension(E)
+        if d == 0 and m >= 2:
+            # the one row below k = m with k = 1: the footprint |Delta| = m
+            # meets the empty product's weight m before any sweep
+            with mock.patch.object(codes, "_enumerate_weights",
+                                   side_effect=AssertionError("swept")):
+                md = minimum_distance(E)
+            assert (md.status, md.value, md.method) == ("exact", m, "footprint")
         lower, upper = pset.footprint(d), witness(E)
         product = pset.product_witness(d)
         assert 1 <= lower <= upper <= m - k + 1 and lower <= product
@@ -470,22 +477,17 @@ def test_verify_sweeps_the_whole_code_behind_a_searched_row(triangle_set):
             run_pipeline(triangle_set, [1], verify=True)
 
 
-def test_one_row_codes_are_swept_whole(triangle_set):
+def test_one_row_codes_are_settled_before_the_sweep(triangle_set):
     # the rows after the first span the zero code when k = 1, so a sweep of
-    # them would report m + 1.  A footprint of 1 sends the degree-0
-    # repetition code to the sweep; a one-point set has a weight-1 witness
-    sweep = codes._enumerate_weights
-
-    def nonempty(basis, spec, **kwargs):
-        assert len(basis), "an empty basis was swept"
-        return sweep(basis, spec, **kwargs)
-
+    # them would report m + 1; none runs.  The degree-0 repetition code's
+    # footprint |Delta| = m meets the empty product's weight m, and a
+    # one-point set has k = m at every degree
     point = enumerate_points(ExponentMatrix.of([[4, 0], [0, 4]]), F5)
     assert len(point) == 1
-    with mock.patch.object(codes, "_enumerate_weights", nonempty):
-        with mock.patch.object(ParameterizedSet, "footprint", return_value=1):
-            md = minimum_distance(build_evaluation_matrix(triangle_set, 0))
-            assert (md.status, md.value, md.method) == ("exact", 32, "search")
+    with mock.patch.object(codes, "_enumerate_weights",
+                           side_effect=AssertionError("a one-row code was swept")):
+        md = minimum_distance(build_evaluation_matrix(triangle_set, 0))
+        assert (md.status, md.value, md.method) == ("exact", 32, "footprint")
         for d in range(3):
             md = minimum_distance(build_evaluation_matrix(point, d))
             assert (md.status, md.value, md.method) == ("exact", 1, "weight-1")
@@ -771,7 +773,7 @@ def test_verify_recomputes_every_echelon_form(triangle_set):
     # that verify adds notices, at degree 1, whose form extends that of
     # degree 0 by one level
     def no_back_substitution(echelon, pivots, rows, spec):
-        new = linalg._subtract_product(rows, rows[:, pivots], echelon, spec)
+        new = spec.sub_product(rows, rows[:, pivots], echelon)
         new, new_pivots = linalg.rref(new, spec)
         merged = pivots + new_pivots
         return (np.concatenate((echelon, new), dtype=np.int32)[np.argsort(merged)],
@@ -841,13 +843,15 @@ def check_sweep(spec, rows):
     assert sweep(spec, rows) == brute_min_distance(rows, spec)
 
 
-SWEEP_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16]
+# GF(257) stores the block in uint16 and sums its prime-field words in
+# uint32; brute force keeps it to k <= 2
+SWEEP_ORDERS = [2, 3, 4, 5, 7, 8, 9, 16, 257]
 
 
 @st.composite
 def full_rank_codes(draw):
     q = draw(st.sampled_from(SWEEP_ORDERS))
-    k = draw(st.integers(1, 4))
+    k = draw(st.integers(1, 2 if q > 256 else 4))
     m = draw(st.integers(k, 8))
     rows = draw(st.lists(st.lists(st.integers(0, q - 1), min_size=m, max_size=m),
                          min_size=k, max_size=k))
@@ -863,6 +867,8 @@ def full_rank_codes(draw):
 @given(full_rank_codes(), st.sampled_from([1, 4, codes._BLOCK_ROWS_TARGET]),
        st.sampled_from([1, 24, codes._BLOCK_ENTRIES]),
        st.sampled_from([1, 16, codes._BLOCK_WRITE_ENTRIES]))
+@example((field(257), [[1, 0, 128, 256, 200, 3, 1, 7], [0, 1, 128, 255, 100, 9, 2, 5]]),
+         codes._BLOCK_ROWS_TARGET, codes._BLOCK_ENTRIES, codes._BLOCK_WRITE_ENTRIES)
 def test_sweep_matches_brute_force(code, block_rows_target, block_entries,
                                    write_entries):
     with mock.patch.object(codes, "_BLOCK_ROWS_TARGET", block_rows_target), \

@@ -74,6 +74,31 @@ def test_exp_reduces_arrays_like_ints(dtype):
     exponents = [-25, -12, -1, 0, 1, 11, 12, 300, 2**30]
     got = spec.exp(np.array(exponents, dtype=dtype).reshape(3, 3))
     assert got.tolist() == np.array([spec.exp(e) for e in exponents]).reshape(3, 3).tolist()
+    # and so do numpy scalars
+    assert [spec.exp(dtype(e)) for e in exponents] == [spec.exp(e) for e in exponents]
+
+
+@pytest.mark.parametrize("p, types", [
+    (13, (np.int16, np.int16)), (13, (np.int32, np.int32)), (13, (np.int64, np.int64)),
+    (46337, (np.int32, np.int32)), (46337, (np.int64, np.int64)),
+    # the sweep's words against its uint8 block
+    (13, (np.int32, np.uint8)),
+])
+def test_add_and_sub_reduce_arrays_like_ints(p, types):
+    # every pair of residues, a sum up to 2p - 2 and a difference down to
+    # 1 - p, as Python's % gives them, in the operands' common type
+    spec = FieldSpec.of(p)
+    values = [0, 1, 2, p // 2, p - 2, p - 1]
+    a, b = (np.array(values, dtype=t) for t in types)
+    for op, want in ((spec.add, lambda x, y: (x + y) % p),
+                     (spec.sub, lambda x, y: (x - y) % p)):
+        got = op(a[:, None], b[None, :])
+        assert got.dtype == np.result_type(*types)
+        assert got.tolist() == [[want(x, y) for y in values] for x in values]
+        for x in values:
+            for y in values:
+                scalar = op(types[0](x), types[1](y))
+                assert type(scalar) is not int and scalar == want(x, y)
 
 
 @pytest.mark.parametrize("q", SMALL_ORDERS)
@@ -252,20 +277,20 @@ def test_digit_planes_round_trip(q, mod):
     spec = FieldSpec.of(q, mod)
     p, k = spec.characteristic, spec.extension_degree
     elems = np.arange(q).reshape(-1, 1)
-    planes = spec.digits(elems)
+    planes = spec._digits(elems)
     assert planes.shape == (k, q, 1) and planes.dtype == np.int16
     assert ((planes >= 0) & (planes < p)).all()
     assert (sum(planes[j].astype(np.int64) * p**j for j in range(k)) == elems).all()
-    assert np.array_equal(spec.from_digits(planes), elems)
+    assert np.array_equal(spec._from_digits(planes), elems)
     for value in random.Random(q).sample(range(q), min(q, 50)):
-        assert spec.digits(np.array([value]))[:, 0].tolist() == digits_of(value, p, k)
-    assert np.array_equal(spec.digits(spec.basis), np.eye(k, dtype=np.int16))
+        assert spec._digits(np.array([value]))[:, 0].tolist() == digits_of(value, p, k)
+    assert np.array_equal(spec._digits(spec._arrays.basis), np.eye(k, dtype=np.int16))
     # c x^l read through the basis is c times x, l times over
     c = np.arange(q)
     times_x = c
-    for x_l in spec.basis.tolist():
+    for x_l in spec._arrays.basis.tolist():
         assert np.array_equal(spec.mul(c, x_l), times_x)
-        times_x = spec.mul(times_x, spec.basis[1])
+        times_x = spec.mul(times_x, spec._arrays.basis[1])
 
 
 @pytest.mark.parametrize("q", [4, 8, 16, 32])

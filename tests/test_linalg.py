@@ -7,9 +7,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra.numpy import arrays
 
-from paramcodes import linalg
+from paramcodes import gf
 from paramcodes.gf import FieldSpec
-from paramcodes.linalg import _subtract_product, extend_rref, rref
+from paramcodes.linalg import extend_rref, rref
 
 from conftest import field
 from oracles import right_kernel_basis
@@ -168,9 +168,9 @@ def test_extend_rref_at_the_block_boundaries(p, num_pivots, coeff):
 def test_products_sum_in_the_narrowest_type_with_a_block_of_eight(p, terms, dtype):
     # the first type whose block (top - p) // (p-1)^2 holds min(P, 8) terms
     spec = cached_field(p)
-    total = _subtract_product(np.zeros((1, 2), dtype=np.int32),
-                              np.full((1, terms), p - 1, dtype=np.int32),
-                              np.full((terms, 2), p - 1, dtype=np.int32), spec)
+    total = spec.sub_product(np.zeros((1, 2), dtype=np.int32),
+                             np.full((1, terms), p - 1, dtype=np.int32),
+                             np.full((terms, 2), p - 1, dtype=np.int32))
     assert total.dtype == dtype
     assert total.tolist() == [[-terms * (p - 1) ** 2 % p] * 2]
 
@@ -203,7 +203,7 @@ def test_subtract_product_equals_python_ints(case):
     expected = [[(int(rows[i, k]) - sum(int(c) * int(o) for c, o in
                                         zip(coeffs[i], other[:, k]))) % p
                  for k in range(rows.shape[1])] for i in range(len(rows))]
-    total = _subtract_product(rows, coeffs, other, spec)
+    total = spec.sub_product(rows, coeffs, other)
     assert total.shape == rows.shape
     assert total.tolist() == expected
 
@@ -247,7 +247,7 @@ def extension_products(draw):
           np.full((1, 3), 63000, dtype=np.int32), np.full((3, 2), 63000, dtype=np.int32)))
 def test_subtract_product_on_extension_fields_equals_python_ints(case):
     spec, rows, coeffs, other = case
-    total = _subtract_product(rows, coeffs, other, spec)
+    total = spec.sub_product(rows, coeffs, other)
     assert total.shape == rows.shape
     assert total.tolist() == subtract_product_by_python_ints(spec, rows, coeffs, other)
 
@@ -272,7 +272,7 @@ def test_extension_products_at_the_int16_block_boundary(monkeypatch, num_pivots,
     rows[1] = [1, 4, 8]
     coeffs = np.full((2, num_pivots), 5, dtype=np.int32)
     other = np.full((num_pivots, 3), 8, dtype=np.int32)
-    total = _subtract_product(rows, coeffs, other, spec)
+    total = spec.sub_product(rows, coeffs, other)
     assert seen == blocks
     assert total.tolist() == subtract_product_by_python_ints(spec, rows, coeffs, other)
 
@@ -287,20 +287,20 @@ def test_extension_products_in_slabs_equal_one_slab(monkeypatch, q, cap):
     rng = np.random.default_rng(q)
     rows, coeffs, other = (rng.integers(0, q, shape, dtype=np.int32)
                            for shape in [(5, 11), (5, 7), (7, 11)])
-    whole = _subtract_product(rows, coeffs, other, spec)
+    whole = spec.sub_product(rows, coeffs, other)
     limit = {"one": 1, "below one slab": k * (5 + 7) * 11 - 1,
-             "below one chunk": k * k * 5 * 7 - 1, "default": linalg.MAX_DIGIT_ENTRIES}[cap]
-    monkeypatch.setattr(linalg, "MAX_DIGIT_ENTRIES", limit)
+             "below one chunk": k * k * 5 * 7 - 1, "default": gf.MAX_DIGIT_ENTRIES}[cap]
+    monkeypatch.setattr(gf, "MAX_DIGIT_ENTRIES", limit)
     sizes = []
-    digits = FieldSpec.digits
+    digits = FieldSpec._digits
 
     def spy(self, a):
         planes = digits(self, a)
         sizes.append(planes.size)
         return planes
 
-    monkeypatch.setattr(FieldSpec, "digits", spy)
-    total = _subtract_product(rows, coeffs, other, spec)
+    monkeypatch.setattr(FieldSpec, "_digits", spy)
+    total = spec.sub_product(rows, coeffs, other)
     assert np.array_equal(total, whole)
     assert total.tolist() == subtract_product_by_python_ints(spec, rows, coeffs, other)
     # at a cap of one entry each array still holds one row or one column
