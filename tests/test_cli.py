@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import io
 import json
 import os
 import resource
@@ -9,6 +12,7 @@ from pathlib import Path
 from unittest import mock
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from paramcodes import cli, codes, gf, ideals, linalg
 from paramcodes.cli import main, parse_degrees
@@ -616,6 +620,11 @@ def test_an_empty_degree_range_is_a_usage_error(capsys, argv):
     (("params", "--q", "5", "--matrix", "1 x", "--degrees", "1"), "--matrix"),
     (("ideal", "xstar", "--q", "9", "--modulus", "1 a 1", "--matrix", "1"), "--modulus"),
     (("torus", "--q", "7", "--s", "1", "--degrees", "x"), "--degrees"),
+    (("params", "--q", "x", "--matrix", "1", "--degrees", "1"), "--q"),
+    (("torus", "--q", "x", "--s", "1", "--degrees", "1"), "--q"),
+    (("torus", "--q", "7", "--s", "x", "--degrees", "1"), "--s"),
+    (("params", *TRIANGLE, "--degrees", "1", "--md-budget", "x"), "--md-budget"),
+    (("verify", *TRIANGLE, "--degrees", "1", "--md-budget=1.5"), "--md-budget"),
 ])
 def test_malformed_flag_values(capsys, argv, flag):
     code, out, err = run_cli(capsys, *argv)
@@ -735,6 +744,186 @@ def test_unknown_subcommand_usage_exit():
     with pytest.raises(SystemExit) as excinfo:
         main(["frobnicate"])
     assert excinfo.value.code == 1
+
+
+@pytest.mark.parametrize("argv, line", [
+    ([], "paramcodes: error: the following arguments are required: command"),
+    (["frobnicate"], "paramcodes: error: argument command: invalid choice: "
+                     "'frobnicate' (choose from 'params', 'ideal', 'torus', 'verify')"),
+    (["params", *TRIANGLE, "--bogus", "5"],
+     "paramcodes params: error: unrecognized arguments: --bogus 5"),
+    (["params", "--verify=yes", *TRIANGLE],
+     "paramcodes params: error: unrecognized arguments: --verify=yes"),
+    (["params", "--q", "--matrix", "1"],
+     "paramcodes params: error: argument --q: expected one argument"),
+    (["verify", *TRIANGLE, "--degrees"],
+     "paramcodes verify: error: argument --degrees: expected one argument"),
+    (["params", "--m", "1"], "paramcodes params: error: ambiguous option: --m "
+                             "could match --modulus, --matrix, --md-budget"),
+    (["ideal", "xstar", "--m=1"], "paramcodes ideal: error: ambiguous option: "
+                                  "--m=1 could match --modulus, --matrix"),
+    (["torus", "--q", "5"],
+     "paramcodes torus: error: the following arguments are required: --s, --degrees"),
+    (["ideal", *TRIANGLE],
+     "paramcodes ideal: error: the following arguments are required: which"),
+    (["ideal", "z", *TRIANGLE], "paramcodes ideal: error: argument which: "
+                                "invalid choice: 'z' (choose from 'xstar', 'y')"),
+    (["ideal", "xstar", "y", *TRIANGLE],
+     "paramcodes ideal: error: unrecognized arguments: y"),
+], ids=["no-command", "unknown-command", "unknown-flag", "switch-with-value",
+        "value-is-a-flag", "value-missing", "ambiguous", "ambiguous-equals",
+        "required-flags", "required-positional", "bad-choice", "extra-positional"])
+def test_command_lines_that_do_not_parse_are_usage_errors(capsys, argv, line):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 1 and captured.out == ""
+    usage, error = captured.err.splitlines()
+    assert usage.startswith(f"usage: {line.split(': error: ')[0]} [-h] ")
+    assert error == line
+
+
+@pytest.mark.parametrize("argv", [
+    ["-h"], ["--help"], ["--he"],
+    *([name, spelled] for name in cli.COMMANDS for spelled in ("-h", "--help")),
+    ["params", "--q", "x", "--bogus", "--h"], ["ideal", "--help", "z"],
+])
+def test_help_lists_every_flag(capsys, argv):
+    with pytest.raises(SystemExit) as excinfo:
+        main(argv)
+    captured = capsys.readouterr()
+    assert excinfo.value.code == 0 and captured.err == ""
+    command = cli.COMMANDS.get(argv[0])
+    names = [f"--{f}" for f in command.flags] if command else list(cli.COMMANDS)
+    words = set(captured.out.replace("[", " ").replace("]", " ").split())
+    assert {"-h", *names} <= words
+
+
+@pytest.mark.parametrize("argv", [
+    ["params", *TRIANGLE, "--degrees", "1", "--format", "xml"],
+    ["params", *TRIANGLE, "--degrees", "1", "--config", "xml.cfg"],
+    ["torus", "--q", "5", "--s", "1", "--degrees", "1", "--format", "xml"],
+], ids=["params-flag", "params-config", "torus-flag"])
+def test_an_unknown_format_is_a_usage_error(tmp_path, capsys, monkeypatch, argv):
+    # the same message whether the format comes from a flag or a config file
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "xml.cfg").write_text("format xml\n")
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (1, "")
+    assert err == "paramcodes: error: unknown format 'xml': pick table, csv or json\n"
+
+
+def test_every_spelling_of_a_command_line_prints_the_same_bytes(capsys):
+    want = run_cli(capsys, "params", *TRIANGLE, "--degrees", "1..5", "--format", "csv",
+                   "--md-budget", "700")
+    assert want[0] == 0
+    for argv in (
+        ["params", "--md-budget=700", "--form", "csv", "--deg=1..5",
+         "--mat", "1 1 0; 0 1 1; 1 0 1", "--q=5"],
+        ["params", "--q", "7", "--format", "json", *TRIANGLE, "--md-budget", "-5",
+         "--degrees", "1..5", "--format", "csv", "--md-budget", "700"],
+        ["params", "--config", "", *TRIANGLE, "--degrees", "1..5", "--format", "csv",
+         "--md-budget", "700"],
+    ):
+        assert run_cli(capsys, *argv) == want
+    want = run_cli(capsys, "ideal", "y", *TRIANGLE, "--verify")
+    assert want[0] == 0
+    for argv in (["ideal", "--verify", *TRIANGLE, "y"], ["ideal", "--q", "5", "y", "--ver",
+                 "--matrix", TRIANGLE[-1]], ["ideal", *TRIANGLE, "--verify", "--", "y"]):
+        assert run_cli(capsys, *argv) == want
+
+
+def test_the_front_end_imports_no_argument_parser():
+    # argparse, with the gettext and locale it loads, took about half of a
+    # short run; the front end reads argv from its own command table
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import sys\n"
+              "import paramcodes.cli\n"
+              f"paramcodes.cli.main(['params', *{TRIANGLE!r}, '--degrees', '1..2'])\n"
+              "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n")
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
+class _Refusing(argparse.ArgumentParser):
+    def error(self, message):
+        raise ValueError(message)
+
+
+def reference_parser() -> argparse.ArgumentParser:
+    """argparse's reading of `cli.COMMANDS`, with every value kept as text:
+    the reference that `cli.parse_argv` must agree with."""
+    parser = _Refusing(prog="paramcodes")
+    commands = parser.add_subparsers(dest="command", required=True)
+    for name, command in cli.COMMANDS.items():
+        sub = commands.add_parser(name)
+        if command.choices:
+            sub.add_argument("which", choices=command.choices)
+        for flag in command.flags:
+            if flag == "verify":
+                sub.add_argument("--verify", action="store_true")
+            else:
+                sub.add_argument(f"--{flag}", required=flag in command.required)
+    return parser
+
+
+# flag values, negative ones among them.  Where the two parsers differ, none
+# is drawn: argparse takes "-x" for an unknown flag, so a value that starts
+# with a single "-" here is a negative number or holds a space, and it takes
+# "--bogus=1 -1" for a value, so the "=" value of a flag that is unknown or
+# cut to a prefix holds no space.
+FLAG_VALUES = ["5", "-5", "1 -1", "-1 2", "1..3", "x", "", "a=b", "xstar", "--x"]
+
+
+@st.composite
+def command_lines(draw):
+    """A subcommand's flags in any order, each spelled whole or by a prefix
+    (unique or not), as "--flag value", "--flag=value" or now and then
+    "--flag" alone, some unknown or repeated, with positionals anywhere."""
+    name = draw(st.sampled_from(list(cli.COMMANDS)))
+    command = cli.COMMANDS[name]
+    flags = list(command.required) + draw(st.lists(st.sampled_from(command.flags), max_size=6))
+    argv = []
+    for flag in draw(st.permutations(flags)):
+        if draw(st.integers(0, 9)) == 0:
+            flag = draw(st.sampled_from(["s", "bogus"]))
+        if draw(st.booleans()):
+            flag = flag[:draw(st.integers(1, len(flag)))]
+        value = draw(st.sampled_from(FLAG_VALUES))
+        form = draw(st.integers(0, 6))
+        if form < 3 and " " in value and flag not in command.flags:
+            value = value.replace(" ", "")
+        argv += [f"--{flag}={value}"] if form < 3 else [f"--{flag}", value] if form < 6 \
+            else [f"--{flag}"]
+    words = draw(st.lists(st.sampled_from(["xstar", "y", "z", "-5"]), max_size=2))
+    for word in words if command.choices or draw(st.integers(0, 4)) == 0 else ():
+        argv.insert(draw(st.integers(0, len(argv))), word)
+    return [name, *argv]
+
+
+@settings(max_examples=400, deadline=None)
+@given(command_lines())
+@example(["ideal", "--q", "5", "xstar", "--mat", "1"])
+@example(["params", "--form", "json", "--deg=1..2", "--q", "5", "--q", "-5"])
+@example(["params", "--md-budget", "-5", "--matrix", "1 -1", "--modulus=--x"])
+@example(["torus", "--q", "5", "--s", "1", "--degrees", "1", "--s=2"])
+def test_the_parser_accepts_what_argparse_accepts_with_the_same_values(argv):
+    try:
+        parsed = vars(reference_parser().parse_args(argv))
+        want = {k.replace("_", "-"): v for k, v in parsed.items() if v not in (None, False)}
+    except ValueError:
+        want = None
+    with contextlib.redirect_stderr(io.StringIO()):
+        try:
+            got = cli.parse_argv(argv)
+        except SystemExit as exc:
+            assert exc.code == 1
+            got = None
+    assert got == want
 
 
 def test_a_reader_that_closed_stdout_ends_the_run_quietly():
