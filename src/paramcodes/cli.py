@@ -17,8 +17,7 @@ from __future__ import annotations
 import json
 import os
 import sys
-from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from typing import Callable, NamedTuple, Optional, Sequence
 
 from .codes import DEFAULT_MD_BUDGET, CodeParameters, run_pipeline, torus_table
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
@@ -239,8 +238,7 @@ def cmd_verify(args) -> int:
 
 # -- entry point --------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class Command:
+class Command(NamedTuple):
     """A subcommand: its handler and summary, its flags in usage order, what
     it cannot run without ("which" is its positional) and the choices of
     that positional, if it takes one."""
@@ -347,7 +345,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except BrokenPipeError:
         # stdout's reader has gone; with fd 1 on devnull the flush at
         # interpreter exit cannot raise again
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.dup2(devnull := os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        os.close(devnull)
         return EXIT_BROKEN_PIPE
     except (UsageError, DomainError) as exc:
         print(f"paramcodes: error: {exc}", file=sys.stderr)

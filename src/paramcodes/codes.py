@@ -31,10 +31,9 @@ wrong number.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import cached_property
 from math import comb
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +58,6 @@ _BLOCK_WRITE_ENTRIES = 1 << 18
 
 # -- evaluation matrix -------------------------------------------------------
 
-@dataclass(eq=False)
 class EvaluationMatrix:
     """The standard monomials of degree <= d, `monomials`, a prefix view
     of `pset.delta`, evaluated at every point as canonical field ints; the
@@ -67,14 +65,10 @@ class EvaluationMatrix:
     Nothing is evaluated, nor the matrix budget checked, until `rows` or
     `echelon` is first read: a row that reads neither is never refused."""
 
-    degree: int
-    monomials: np.ndarray
-    pset: ParameterizedSet
-    below: Optional["EvaluationMatrix"] = None
-
-    @property
-    def field(self) -> FieldSpec:
-        return self.pset.field
+    def __init__(self, degree: int, monomials: np.ndarray, pset: ParameterizedSet,
+                 below: Optional["EvaluationMatrix"] = None):
+        self.degree, self.monomials, self.pset, self.below = degree, monomials, pset, below
+        self.field = pset.field
 
     @cached_property
     def rows(self) -> np.ndarray:
@@ -150,8 +144,7 @@ def code_dimension(matrix: EvaluationMatrix) -> int:
 
 # -- minimum distance --------------------------------------------------------
 
-@dataclass(frozen=True)
-class MinDistance:
+class MinDistance(NamedTuple):
     """Outcome of a minimum-distance computation."""
 
     status: str  # exact | weight_one | bounded | skipped
@@ -335,8 +328,7 @@ def torus_min_distance(q: int, s: int, d: int) -> int:
 
 # -- code parameters and the pipeline -----------------------------------------
 
-@dataclass(frozen=True)
-class CodeParameters:
+class CodeParameters(NamedTuple):
     """Basic parameters of one code in the degree family."""
 
     d: int
@@ -363,8 +355,7 @@ class CodeParameters:
         return delta == self.singleton_bound
 
 
-@dataclass(frozen=True)
-class PipelineRun:
+class PipelineRun(NamedTuple):
     """Everything the pipeline produces for one point set; `checks` names
     each check that verification ran, with what it checked."""
 

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field as dataclass_field
 from typing import Optional, Sequence
 
 import numpy as np
@@ -179,25 +178,36 @@ def _build_tables(p: int, k: int, mod: Optional[Sequence[int]]
     return lists, arrays
 
 
-@dataclass(frozen=True)
-class FieldSpec:
+class Frozen:
+    """Refuses attribute assignment and deletion, so nothing cached from an
+    attribute can go stale; `__init__` writes `__dict__`, as `cached_property` does."""
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to or delete attribute {name!r}")
+
+    __delattr__ = __setattr__
+
+
+class FieldSpec(Frozen):
     """GF(q) = GF(p^k) with its modulus and arithmetic tables.
 
-    Python int operands read the list tables, which are fastest for
-    scalars; numpy operands read the array tables."""
+    Two specs are equal, and hash equal, exactly when they have the same
+    order and modulus; the tables follow from those.  Python int operands
+    read the list tables, which are fastest for scalars; numpy operands
+    read the array tables."""
 
-    characteristic: int
-    extension_degree: int
-    modulus: Optional[tuple[int, ...]]
-    order: int
-    _lists: _Tables = dataclass_field(init=False, repr=False, compare=False)
-    _arrays: _Tables = dataclass_field(init=False, repr=False, compare=False)
+    def __init__(self, characteristic: int, extension_degree: int,
+                 modulus: Optional[tuple[int, ...]], order: int):
+        lists, arrays = _build_tables(characteristic, extension_degree, modulus)
+        self.__dict__.update(characteristic=characteristic, extension_degree=extension_degree,
+                             modulus=modulus, order=order, _lists=lists, _arrays=arrays)
 
-    def __post_init__(self):
-        lists, arrays = _build_tables(self.characteristic,
-                                      self.extension_degree, self.modulus)
-        object.__setattr__(self, "_lists", lists)
-        object.__setattr__(self, "_arrays", arrays)
+    def __eq__(self, other):
+        return type(other) is FieldSpec and (
+            (self.order, self.modulus) == (other.order, other.modulus))
+
+    def __hash__(self):
+        return hash((self.order, self.modulus))
 
     @classmethod
     def of(cls, q: int, modulus: Optional[Sequence[int]] = None) -> "FieldSpec":

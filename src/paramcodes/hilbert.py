@@ -21,8 +21,7 @@ bare basis.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional, Sequence
+from typing import TYPE_CHECKING, NamedTuple, Optional, Sequence
 
 import numpy as np
 
@@ -32,8 +31,7 @@ if TYPE_CHECKING:
     from .ideals import BinomialBasis, Monomial
 
 
-@dataclass(frozen=True)
-class HilbertProfile:
+class HilbertProfile(NamedTuple):
     """Computed Hilbert values up to (and including) the stabilized tail."""
 
     values: dict[int, int]

@@ -34,14 +34,13 @@ basis with `hilbert.standard_monomials`, not with the class walk.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import DomainError, InternalInconsistencyError, ResourceLimitError
-from .gf import FieldSpec
+from .gf import FieldSpec, Frozen
 from .hilbert import require_finite, standard_monomials
 
 Monomial = tuple[int, ...]  # exponent tuple, one entry per variable
@@ -53,11 +52,17 @@ _CHUNK_ENTRIES = 1 << 18
 _FOOTPRINT_BOX_ENTRIES = 1 << 24
 
 
-@dataclass(frozen=True)
-class ExponentMatrix:
+class ExponentMatrix(Frozen):
     """s rows of n non-negative integer exponents, one row per coordinate."""
 
-    rows: tuple[tuple[int, ...], ...]
+    def __init__(self, rows: tuple[tuple[int, ...], ...]):
+        self.__dict__.update(rows=rows, s=len(rows), n=len(rows[0]))
+
+    def __eq__(self, other):
+        return type(other) is ExponentMatrix and self.rows == other.rows
+
+    def __hash__(self):
+        return hash(self.rows)
 
     @classmethod
     def of(cls, rows: Sequence[Sequence[int]]) -> "ExponentMatrix":
@@ -84,14 +89,6 @@ class ExponentMatrix:
         """Identity matrix: the coordinates are the parameters themselves."""
         return cls.of([[1 if j == i else 0 for j in range(s)] for i in range(s)])
 
-    @property
-    def s(self) -> int:
-        return len(self.rows)
-
-    @property
-    def n(self) -> int:
-        return len(self.rows[0])
-
     def residues(self, units: int) -> np.ndarray:
         """The entries mod `units`, an int64 array; each reduces as a
         Python int first, so an entry past int64 is fine."""
@@ -115,15 +112,22 @@ class Binomial(NamedTuple):
         return (self.lead, self.tail)
 
 
-@dataclass(frozen=True)
-class BinomialBasis:
+class BinomialBasis(Frozen):
     """Pure binomials t^lead - t^tail in the named variables over a field,
     in ascending GrevLex order of lead, each lead GrevLex-greater than its
-    tail: the reduced GrevLex basis of a vanishing ideal."""
+    tail: the reduced GrevLex basis of a vanishing ideal.  Two bases are
+    equal when their generators, names and fields are."""
 
-    generators: tuple[Binomial, ...]
-    names: tuple[str, ...]
-    field: FieldSpec
+    def __init__(self, generators: tuple[Binomial, ...], names: tuple[str, ...],
+                 field: FieldSpec):
+        self.__dict__.update(generators=generators, names=names, field=field)
+
+    def __eq__(self, other):
+        return type(other) is BinomialBasis and (self.generators, self.names, self.field) \
+            == (other.generators, other.names, other.field)
+
+    def __hash__(self):
+        return hash((self.generators, self.names, self.field))
 
     def __iter__(self):
         return iter(self.generators)
@@ -146,8 +150,7 @@ class BinomialBasis:
                         for name, e in zip(self.names, m) if e) or "1"
 
 
-@dataclass(frozen=True, eq=False)
-class ParameterizedSet:
+class ParameterizedSet(Frozen):
     """The enumerated points of the set, one read-only m x s array of
     canonical ints with rows in ascending order, with their logs, the
     vanishing ideal's basis and standard monomials, the footprints and
@@ -155,9 +158,8 @@ class ParameterizedSet:
     has one entry per parameter tuple, so DEFAULT_ENUMERATION_BUDGET
     bounds it as it bounds the enumeration."""
 
-    matrix: ExponentMatrix
-    field: FieldSpec
-    points: np.ndarray
+    def __init__(self, matrix: ExponentMatrix, field: FieldSpec, points: np.ndarray):
+        self.__dict__.update(matrix=matrix, field=field, points=points)
 
     def __len__(self) -> int:
         return len(self.points)

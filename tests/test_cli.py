@@ -7,7 +7,6 @@ import resource
 import signal
 import subprocess
 import sys
-from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -17,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from paramcodes import cli, codes, gf, ideals, linalg
 from paramcodes.cli import main, parse_degrees
 from paramcodes.gf import FieldSpec
-from paramcodes.ideals import Binomial, ExponentMatrix
+from paramcodes.ideals import Binomial, BinomialBasis, ExponentMatrix
 
 TRIANGLE = ["--q", "5", "--matrix", "1 1 0; 0 1 1; 1 0 1"]
 
@@ -147,9 +146,9 @@ def test_verify_refuses_a_projective_basis_that_is_no_homogenization(
 
     def broken(gb_x):
         gb = homogenize(gb_x)
-        return replace(gb, generators=tuple(
+        return BinomialBasis(tuple(
             Binomial(lead, tail) if g == ((0, 0, 4, 0), (0, 0, 0, 4)) else g
-            for g in gb))
+            for g in gb), gb.names, gb.field)
 
     with mock.patch.object(codes, "vanishing_ideal_projective", broken):
         code, out, err = run_cli(capsys, "verify", *TRIANGLE, "--degrees", "1..2",
@@ -835,14 +834,17 @@ def test_every_spelling_of_a_command_line_prints_the_same_bytes(capsys):
 
 def test_the_front_end_imports_no_argument_parser():
     # argparse, with the gettext and locale it loads, took about half of a
-    # short run; the front end reads argv from its own command table
+    # short run; the front end reads argv from its own command table.  And
+    # dataclasses, which builds each class's methods by exec of source
+    # text, was the largest part of what the package ran at import
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     script = ("import sys\n"
               "import paramcodes.cli\n"
               f"paramcodes.cli.main(['params', *{TRIANGLE!r}, '--degrees', '1..2'])\n"
-              "print([m for m in ('argparse', 'gettext', 'locale') if m in sys.modules])\n")
+              "print([m for m in ('argparse', 'gettext', 'locale', 'dataclasses')\n"
+              "       if m in sys.modules])\n")
     proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
                           env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, "")
@@ -942,3 +944,15 @@ def test_a_reader_that_closed_stdout_ends_the_run_quietly():
     stderr = proc.stderr.decode()
     assert "Traceback" not in stderr and "Exception ignored" not in stderr
     assert proc.returncode == 141
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc/self/fd")
+def test_a_reader_that_closed_stdout_leaves_no_descriptor_open():
+    # main puts devnull under stdout's descriptor, and closes the one it opened
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as stdout, mock.patch.object(sys, "stdout", stdout):
+        before = os.listdir("/proc/self/fd")
+        code = main(["params", *TRIANGLE, "--degrees", "1..2", "--md-budget", "700"])
+        after = os.listdir("/proc/self/fd")
+    assert code == 141 and sorted(after) == sorted(before)

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from paramcodes import codes, hilbert, ideals, linalg
+from paramcodes import cli, codes, hilbert, ideals, linalg
 from paramcodes.codes import (
     CodeParameters,
     EvaluationMatrix,
@@ -1076,3 +1076,20 @@ def test_verify_checks_the_torus_closed_forms():
     checks = run_pipeline(pset, [1, 2, 3], md_budget=20000, verify=True).checks
     assert [name for name, _ in checks][-2:] == ["torus-dimension-formula",
                                                 "torus-distance-formula"]
+
+
+def test_immutable_objects_refuse_assignment(triangle_set):
+    # so that nothing cached from an attribute, such as the set's walk or
+    # logs, can go stale; each value is assigned back to itself
+    run = run_pipeline(triangle_set, [1], md_budget=0)
+    gb_y = ideals.vanishing_ideal_projective(triangle_set.affine_basis)
+    for obj, name in [(triangle_set.field, "order"), (triangle_set.matrix, "rows"),
+                      (gb_y, "generators"), (triangle_set, "points"), (triangle_set, "logs"),
+                      (run, "table"), (run.table[0], "dimension"),
+                      (run.table[0].min_distance, "value"),
+                      (hilbert.hilbert_profile(gb_y), "values"),
+                      (cli.COMMANDS["params"], "flags")]:
+        with pytest.raises(AttributeError):
+            setattr(obj, name, getattr(obj, name))
+    with pytest.raises(AttributeError):
+        del triangle_set.points

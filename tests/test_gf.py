@@ -148,6 +148,12 @@ def test_spec_validation():
         FieldSpec.of(16, [1, 0, 1, 0, 1])
 
 
+def test_specs_are_equal_exactly_when_order_and_modulus_are():
+    a, b = FieldSpec.of(9, [1, 0, 1]), FieldSpec.of(9, [1, 0, 1])
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert a != FieldSpec.of(9, [2, 2, 1]) and a != FieldSpec.of(3)
+
+
 def mobius(n):
     result, d = 1, 2
     while d * d <= n:
